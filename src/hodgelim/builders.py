@@ -114,7 +114,8 @@ class StringModel:
         self._basis_inv = self.basis.inverse()
         self._gram = self._build_gram()
         m = self._basis_inv.transpose() @ self._gram @ self._basis_inv
-        assert m.is_real(), "string pairing did not close over R"
+        if not m.is_real():
+            raise VerificationError("string pairing did not close over R")
         self.form = BilForm(m, parity=weight % 2)
         self.n_std = self._build_shift()
         self.filtration = self._build_filtration()
@@ -250,7 +251,9 @@ class StringModel:
                 for si, ej in enumerate(self.members[src]):
                     xc[ei][ej] = beta[ti, si]
         x = self.basis @ Mat(xc) @ self._basis_inv
-        assert in_isometry_algebra(x, self.form)
+        if not in_isometry_algebra(x, self.form):
+            raise VerificationError(
+                "level operator does not preserve the form infinitesimally")
         return x
 
 

@@ -136,6 +136,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
     ok = True
     rows_out = []
     for row in table1_catalog():
@@ -152,7 +153,6 @@ def _cmd_catalog(args) -> int:
         }
         if args.search:
             ctx = limit_context(row.witness.orbit)
-            cfg = SearchConfig(restarts=args.restarts, seed=args.seed)
             searches = []
             for cone in row.cones:
                 target = NilpotentOrbit(row.witness.orbit.weight,

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .endo import solve_in_span
+from .endo import maps_into, solve_in_span
 from .errors import VerificationError
 from .forms import BilForm, hermitian_positive_definite
-from .matrices import Mat, t_matvec
+from .matrices import Mat
 from .reports import Report
 from .scalars import I as IMAG
 from .subspaces import Subspace, direct_sum_equals, image, kernel
@@ -415,13 +415,6 @@ def operator_filtration(f: DecFiltration, algebra: Subspace) -> DecFiltration:
     bases = {p: f.at(p) for p in probes}
     steps = {}
     for a in range((smin - 1) - smax, (smax - smin) + 2):
-        def conditions(x: Mat, a=a):
-            out = []
-            for p in probes:
-                src, dst = bases[p], f.at(p + a)
-                for v in src.rows:
-                    res = dst.reduce(t_matvec(x.t, v))
-                    out.append(Mat.from_triples((res,), n))
-            return out
-        steps[a] = solve_in_span(algebra, n, conditions)
+        steps[a] = solve_in_span(algebra, n, maps_into(
+            [(v, f.at(p + a)) for p in probes for v in bases[p].rows], n))
     return DecFiltration(steps)

@@ -7,7 +7,7 @@ pure Hodge structures on each W-graded piece.  ``verify_mhs`` runs both.
 """
 from __future__ import annotations
 
-from .endo import solve_in_span
+from .endo import maps_into, solve_in_span
 from .errors import VerificationError
 from .forms import (BilForm, hermitian_positive_definite, in_isometry_algebra,
                     is_hermitian)
@@ -172,14 +172,9 @@ def lie_bigrading(vb: Bigrading, algebra: Subspace) -> Bigrading:
     pieces = {}
     for a in range(min(ps) - max(ps), max(ps) - min(ps) + 1):
         for b in range(min(qs) - max(qs), max(qs) - min(qs) + 1):
-            def conditions(x: Mat, a=a, b=b):
-                out = []
-                for (p, q), s in vb.pieces.items():
-                    dst = vb.piece(p + a, q + b)
-                    for v in s.rows:
-                        out.append(Mat.from_triples(
-                            (dst.reduce(t_matvec(x.t, v)),), n))
-                return out
+            conditions = maps_into(
+                [(v, vb.piece(p + a, q + b))
+                 for (p, q), s in vb.pieces.items() for v in s.rows], n)
             piece = solve_in_span(algebra, n, conditions)
             if not piece.is_zero():
                 pieces[(a, b)] = piece
@@ -222,16 +217,10 @@ def filtration_lowering(vb: Bigrading, algebra: Subspace,
     for p, q in vb.support():
         rows.setdefault(p, Subspace.zero(n))
         rows[p] = rows[p] + vb.pieces[(p, q)]
-
-    def conditions(x: Mat):
-        out = []
-        for (p, q), s in vb.pieces.items():
-            dst = rows.get(p + degree, Subspace.zero(n))
-            for v in s.rows:
-                out.append(Mat.from_triples((dst.reduce(t_matvec(x.t, v)),), n))
-        return out
-
-    return solve_in_span(algebra, n, conditions)
+    zero = Subspace.zero(n)
+    return solve_in_span(algebra, n, maps_into(
+        [(v, rows.get(p + degree, zero))
+         for (p, _), s in vb.pieces.items() for v in s.rows], n))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .endo import centralizer_in, operator_span, span_basis_mats
-from .matrices import Mat
+from .endo import as_mat, centralizer_in, span_basis_mats
+from .matrices import Mat, t_matmul
 from .orbits import IVI, NilpotentOrbit, limit_context
 from .scalars import GR, I
 from .subspaces import Subspace
@@ -28,6 +28,14 @@ class SearchConfig:
     seed: int | str = 0
     max_steps: int | None = None
     coefficient_pool: tuple = DEFAULT_POOL
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise ValueError(
+                f"restarts must be at least 1, not {self.restarts}")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError(
+                f"max_steps must be None or at least 0, not {self.max_steps}")
 
 
 @dataclass
@@ -90,16 +98,12 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
             coeffs = [rng.choice(pool) for _ in range(comp.dim)]
             while all(c.is_zero() for c in coeffs):
                 coeffs = [rng.choice(pool) for _ in range(comp.dim)]
-            x = Mat.zeros(n, n)
-            for c, m in zip(coeffs, span_basis_mats(comp, n)):
-                if not c.is_zero():
-                    x = x + m * c
-            current = current + operator_span([x], n)
-            z = centralizer_in(z, [x], n)
+            x = t_matmul((tuple(c.triple for c in coeffs),), comp.rows)[0]
+            current = current + Subspace.from_triples((x,), n * n)
+            z = centralizer_in(z, [as_mat(x, n)], n)
         restart_dims.append(current.dim)
         if best is None or current.dim > best.dim:
             best = current
             best_certified = certified
-    assert best is not None
     return SearchResult(span_basis_mats(best, n), best.dim,
                         best_certified, restart_dims, config)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .errors import VerificationError
 from .matrices import (Mat, TMat, TVec, _coerce_row, t_hstack, t_identity,
-                       t_kernel, t_matvec, t_rref)
+                       t_kernel, t_matmul, t_matvec, t_rref)
 from .scalars import (GR, GaussianRational, T_ONE, T_ZERO, t_add, t_conj,
                       t_is_zero, t_mul, t_neg, t_sub)
 
 
-def _t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
+def t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
     """Reduce v against RREF rows; return (residual, coefficients)."""
     r = list(v)
     coeffs = []
@@ -33,6 +34,10 @@ def _t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
                 if not t_is_zero(e):
                     r[j] = t_sub(r[j], t_mul(c, e))
     return tuple(r), tuple(coeffs)
+
+
+def _is_zero_vec(v: TVec) -> bool:
+    return all(t_is_zero(e) for e in v)
 
 
 class Subspace:
@@ -53,6 +58,11 @@ class Subspace:
             if len(v) != ambient:
                 raise ValueError(
                     f"vector of length {len(v)} in ambient dim {ambient}")
+        return cls.from_triples(vecs, ambient)
+
+    @classmethod
+    def from_triples(cls, vecs: Sequence[TVec], ambient: int) -> "Subspace":
+        """Span of vectors of normalized triples, taken without checks."""
         rows, pivots = t_rref(tuple(vecs))
         return cls(ambient, rows, tuple(pivots))
 
@@ -81,16 +91,16 @@ class Subspace:
         tv = _coerce_row(v)
         if len(tv) != self.ambient:
             raise ValueError("vector length mismatch")
-        return _t_reduce(tv, self.rows, self.pivots)[0]
+        return t_reduce(tv, self.rows, self.pivots)[0]
 
     def contains(self, v) -> bool:
-        return all(t_is_zero(e) for e in self.reduce(v))
+        return _is_zero_vec(self.reduce(v))
 
     def coords(self, v) -> tuple[GaussianRational, ...]:
         """Coefficients of v in the canonical basis (raises if outside)."""
         tv = _coerce_row(v)
-        res, coeffs = _t_reduce(tv, self.rows, self.pivots)
-        if not all(t_is_zero(e) for e in res):
+        res, coeffs = t_reduce(tv, self.rows, self.pivots)
+        if not _is_zero_vec(res):
             raise ValueError("vector not in subspace")
         return tuple(GR.from_triple(c) for c in coeffs)
 
@@ -99,7 +109,8 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return all(other.contains(r) for r in self.rows)
+        return all(_is_zero_vec(t_reduce(r, other.rows, other.pivots)[0])
+                   for r in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -112,7 +123,7 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.span(list(self.rows) + list(other.rows), self.ambient)
+        return Subspace.from_triples(self.rows + other.rows, self.ambient)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """Intersection via the stacked-kernel method."""
@@ -129,16 +140,8 @@ class Subspace:
             tuple(r[i] for r in a) + tuple(t_neg(r[i]) for r in b)
             for i in range(self.ambient))
         combos = t_kernel(stacked, len(a) + len(b))
-        vecs = []
-        for combo in combos:
-            v = [T_ZERO] * self.ambient
-            for c, row in zip(combo[:len(a)], a):
-                if not t_is_zero(c):
-                    for j, e in enumerate(row):
-                        if not t_is_zero(e):
-                            v[j] = t_add(v[j], t_mul(c, e))
-            vecs.append(tuple(v))
-        return Subspace.span(vecs, self.ambient)
+        return Subspace.from_triples(
+            t_matmul(tuple(c[:len(a)] for c in combos), a), self.ambient)
 
     def complement_in(self, sup: "Subspace") -> "Subspace":
         """A canonical complement of self inside sup.
@@ -151,11 +154,14 @@ class Subspace:
             raise ValueError("complement_in: first space not inside second")
         residuals = []
         for r in sup.rows:
-            res, _ = _t_reduce(r, self.rows, self.pivots)
-            if not all(t_is_zero(e) for e in res):
+            res, _ = t_reduce(r, self.rows, self.pivots)
+            if not _is_zero_vec(res):
                 residuals.append(res)
-        comp = Subspace.span(residuals, self.ambient)
-        assert comp.dim == sup.dim - self.dim
+        comp = Subspace.from_triples(residuals, self.ambient)
+        if comp.dim != sup.dim - self.dim:
+            raise VerificationError(
+                f"complement of dimension {comp.dim}, expected "
+                f"{sup.dim - self.dim}")
         return comp
 
     # -- structure maps ------------------------------------------------
@@ -231,7 +237,9 @@ class Quotient:
         if cols:
             b = tuple(tuple(c[i] for c in cols) for i in range(n))
             rows, pivots = t_rref(t_hstack(b, t_identity(n)))
-            assert pivots[:len(cols)] == list(range(len(cols)))
+            if pivots[:len(cols)] != list(range(len(cols))):
+                raise VerificationError(
+                    "subspace and complement are not independent")
             self._ttop = tuple(r[len(cols):] for r in rows[:len(cols)])
         else:
             self._ttop = ()

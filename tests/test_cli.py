@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -226,6 +227,55 @@ def test_search_max_steps_drops_certificate(capsys, tmp_path):
     data = json.loads(out)
     assert data["certified"] is False
     assert data["best_dim"] == 1  # the cone generator alone
+
+
+@pytest.mark.parametrize("flags", [
+    ["--restarts", "0"],
+    ["--restarts", "-2"],
+    ["--max-steps", "-1"],
+])
+def test_search_rejects_bad_counts_with_exit_2(capsys, tmp_path, flags):
+    path = str(tmp_path / "orbit.json")
+    run(capsys, "build", "diag-cone", "--d", "1", "--out", path)
+    code, out, err = run(capsys, "search", path, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flags[0][2:].replace("-", "_") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("restarts", ["0", "-1"])
+def test_catalog_search_rejects_bad_restarts_with_exit_2(capsys, restarts):
+    code, out, err = run(capsys, "catalog", "table1", "--search",
+                         "--restarts", restarts)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: restarts must be at least 1")
+
+
+# SHA-256 of the standard output, recorded with the dense-matrix solver that
+# preceded the sparse operator-space solves.  Any change in a restart
+# dimension, a search basis or the report text changes the digest.
+PINNED_STDOUT = {
+    "search": (0, "1f445f961974ac8e53e519818998762c"
+                  "cb02bb97596c07e29d0690a73da7f3e9"),
+    "catalog": (1, "c35116aeec81813036d15c57c0118fea"
+                   "940b810e5cde3e515796fa63ccbc5e16"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
+def test_seeded_search_output_is_pinned(capsys, tmp_path, command):
+    if command == "search":
+        path = str(tmp_path / "orbit.json")
+        run(capsys, "build", "hodge-tate", "--k", "2", "--n", "5",
+            "--out", path)
+        argv = ["search", path]
+    else:
+        argv = ["catalog", "table1", "--search"]
+    code, out, _ = run(capsys, *argv, "--restarts", "20", "--seed", "0")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, digest) == PINNED_STDOUT[command]
 
 
 # ---------------------------------------------------------------------------

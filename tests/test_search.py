@@ -69,3 +69,15 @@ def test_max_steps_truncates_growth():
 def test_search_rejects_non_orbit_input():
     with pytest.raises(TypeError):
         greedy_max_abelian([1, 2, 3])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"restarts": 0}, {"restarts": -1}, {"max_steps": -1}])
+def test_config_rejects_bad_counts(kwargs):
+    with pytest.raises(ValueError):
+        SearchConfig(**kwargs)
+
+
+def test_config_accepts_the_smallest_counts():
+    cfg = SearchConfig(restarts=1, max_steps=0)
+    assert (cfg.restarts, cfg.max_steps) == (1, 0)
