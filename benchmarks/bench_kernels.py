@@ -1,58 +1,46 @@
 #!/usr/bin/env python3
-"""Compare the compiled kernels against the pure-Python fallback.
+"""Time the exact kernels: matrix product and reduced row echelon form.
 
-Times the two hot paths (exact matrix product and reduced row echelon
-form) on seeded random Gaussian-rational matrices, checks that both
-backends return bit-identical results, and optionally times a full
-catalog verification in a subprocess under each ``HODGELIM_BACKEND``
-setting.
+Both run on seeded random Gaussian-rational matrices; the row reduction
+gets a rank-deficient input so it has real clearing work to do.
 
     python3 benchmarks/bench_kernels.py
-    python3 benchmarks/bench_kernels.py --size 48 --repeats 7 --end-to-end
+    python3 benchmarks/bench_kernels.py --size 48 --repeats 7
 """
 from __future__ import annotations
 
 import argparse
 import os
 import random
-import subprocess
 import sys
 import time
-from math import gcd
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hodgelim import _kernels_py  # noqa: E402
-
-try:
-    from hodgelim import _kernels_cy
-except ImportError:
-    _kernels_cy = None
+from hodgelim.matrices import t_matmul, t_rref  # noqa: E402
+from hodgelim.scalars import t_add, t_norm  # noqa: E402
 
 
 def _triple(rng: random.Random) -> tuple[int, int, int]:
     a = rng.randint(-9, 9)
     b = rng.randint(-3, 3) if rng.random() < 0.3 else 0
-    d = rng.randint(1, 9)
-    g = gcd(gcd(a, b), d)
-    return (a // g, b // g, d // g) if g > 1 else (a, b, d)
+    return t_norm(a, b, rng.randint(1, 9))
 
 
-def random_matrix(rng: random.Random, rows: int, cols: int) -> list:
-    return [[_triple(rng) for _ in range(cols)] for _ in range(rows)]
+def random_matrix(rng: random.Random, rows: int, cols: int) -> tuple:
+    return tuple(tuple(_triple(rng) for _ in range(cols))
+                 for _ in range(rows))
 
 
-def rank_deficient(rng: random.Random, rows: int, cols: int) -> list:
+def rank_deficient(rng: random.Random, rows: int, cols: int) -> tuple:
     # start independent-ish, then append sums of earlier rows so the
     # elimination has real clearing work to do
-    base = random_matrix(rng, rows, cols)
-    py = _kernels_py
+    base = list(random_matrix(rng, rows, cols))
     for _ in range(rows // 3):
         i, j = rng.randrange(rows), rng.randrange(rows)
-        combo = [py._add(x, y) for x, y in zip(base[i], base[j])]
-        base.append(combo)
+        base.append(tuple(t_add(x, y) for x, y in zip(base[i], base[j])))
     rng.shuffle(base)
-    return base
+    return tuple(base)
 
 
 def best_of(repeats: int, fn, *args) -> float:
@@ -64,71 +52,6 @@ def best_of(repeats: int, fn, *args) -> float:
     return best
 
 
-def bench_kernels(size: int, repeats: int, seed: int) -> None:
-    rng = random.Random(seed)
-    a = random_matrix(rng, size, size)
-    b = random_matrix(rng, size, size)
-    r = rank_deficient(rng, size, size + size // 2)
-
-    backends = [("python", _kernels_py)]
-    if _kernels_cy is not None:
-        backends.append(("cython", _kernels_cy))
-    else:
-        print("compiled kernel not importable; timing the fallback only")
-
-    results: dict[str, dict[str, float]] = {}
-    for name, mod in backends:
-        results[name] = {
-            "matmul": best_of(repeats, mod.matmul, a, b),
-            "rref": best_of(repeats, mod.rref, r),
-        }
-
-    if _kernels_cy is not None:
-        assert _kernels_py.matmul(a, b) == _kernels_cy.matmul(a, b), \
-            "backends disagree on matmul"
-        pr = _kernels_py.rref(r)
-        cr = _kernels_cy.rref(r)
-        assert (list(map(list, pr[0])), list(pr[1])) == \
-               (list(map(list, cr[0])), list(cr[1])), \
-            "backends disagree on rref"
-        print("backends agree on both kernels")
-
-    print(f"\n{size}x{size} matmul, rref on {len(r)}x{size + size // 2} "
-          f"(best of {repeats}):")
-    for kernel in ("matmul", "rref"):
-        line = f"  {kernel:7s}"
-        for name, _ in backends:
-            line += f"  {name} {results[name][kernel] * 1e3:8.2f} ms"
-        if len(backends) == 2:
-            speedup = results["python"][kernel] / results["cython"][kernel]
-            line += f"  speedup {speedup:5.2f}x"
-        print(line)
-
-
-def bench_end_to_end(repeats: int) -> None:
-    print("\nfull catalog verification (subprocess, best of "
-          f"{repeats}):")
-    env_base = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    for backend in ("python", "cython"):
-        env = dict(env_base, HODGELIM_BACKEND=backend,
-                   PYTHONPATH=src + os.pathsep + env_base.get("PYTHONPATH",
-                                                              ""))
-        cmd = [sys.executable, "-c",
-               "from hodgelim.cli import main; main(['catalog', 'table1'])"]
-
-        def once():
-            subprocess.run(cmd, env=env, check=True,
-                           stdout=subprocess.DEVNULL)
-
-        try:
-            t = best_of(repeats, once)
-        except subprocess.CalledProcessError:
-            print(f"  {backend:7s}  unavailable")
-            continue
-        print(f"  {backend:7s}  {t * 1e3:8.1f} ms")
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=32,
@@ -136,12 +59,16 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=5,
                     help="take the best of this many runs (default 5)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--end-to-end", action="store_true",
-                    help="also time a catalog verification per backend")
     args = ap.parse_args()
-    bench_kernels(args.size, args.repeats, args.seed)
-    if args.end_to_end:
-        bench_end_to_end(max(2, args.repeats // 2))
+    size = args.size
+    rng = random.Random(args.seed)
+    a = random_matrix(rng, size, size)
+    b = random_matrix(rng, size, size)
+    r = rank_deficient(rng, size, size + size // 2)
+    print(f"{size}x{size} matmul, rref on {len(r)}x{size + size // 2} "
+          f"(best of {args.repeats}):")
+    print(f"  matmul  {best_of(args.repeats, t_matmul, a, b) * 1e3:8.2f} ms")
+    print(f"  rref    {best_of(args.repeats, t_rref, r) * 1e3:8.2f} ms")
     return 0
 
 

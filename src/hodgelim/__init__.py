@@ -9,6 +9,5 @@ from .scalars import GaussianRational, GR, I, ONE, ZERO
 from .matrices import Mat, commutator
 from .subspaces import Subspace, Quotient, image, kernel
 from .errors import FormatError, HodgelimError, VerificationError
-from .backend import BACKEND_NAME
 
 __version__ = "0.1.0"

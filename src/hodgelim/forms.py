@@ -2,15 +2,17 @@
 
 A :class:`BilForm` is a nondegenerate bilinear form with the parity of a
 weight-k polarization: symmetric for even k, antisymmetric for odd k.
-Signatures of real symmetric matrices are computed by exact congruence
-diagonalization; positive definiteness of Hermitian matrices by Sylvester's
-leading-minor criterion.
+Signatures of real symmetric matrices and positive definiteness of
+Hermitian matrices both come from one exact Hermitian congruence (LDL*)
+pass that returns the inertia; by Sylvester's law of inertia a Hermitian
+matrix is positive definite exactly when its inertia is (n, 0, 0).
 """
 from __future__ import annotations
 
 from .errors import VerificationError
-from .matrices import Mat
-from .scalars import GR, GaussianRational, as_scalar
+from .matrices import Mat, TMat, _t_sub_mul
+from .scalars import (GR, GaussianRational, as_scalar, t_add, t_conj, t_inv,
+                      t_is_zero, t_mul)
 from .subspaces import Subspace
 
 
@@ -83,59 +85,71 @@ def q_adjoint(t: Mat, q_src: BilForm, q_dst: BilForm) -> Mat:
     return q_src.matrix.inverse() @ t.transpose() @ q_dst.matrix
 
 
-def signature(m: Mat) -> tuple[int, int]:
-    """Signature (positives, negatives) of a real symmetric matrix.
+def _inertia(tm: TMat) -> tuple[int, int, int]:
+    """Inertia (positives, negatives, zeros) of a Hermitian triple-matrix.
 
-    Exact symmetric congruence reduction.  A zero diagonal with a nonzero
-    off-diagonal entry is handled by the usual row+column addition, which
-    creates a nonzero diagonal entry in characteristic zero.
+    One exact LDL* congruence pass.  A zero pivot is replaced by swapping in
+    a later nonzero diagonal entry; if none is left, a nonzero off-diagonal
+    entry h = H[k][j] is used to add h * row j to row k and conj(h) * col j
+    to col k, which makes the new pivot 2|h|^2 > 0.
     """
+    n = len(tm)
+    work = [list(r) for r in tm]
+    pos = neg = 0
+    for k in range(n):
+        prow = work[k]
+        if t_is_zero(prow[k]):
+            j = next((j for j in range(k + 1, n)
+                      if not t_is_zero(work[j][j])), None)
+            if j is not None:
+                work[k], work[j] = work[j], work[k]
+                for row in work:
+                    row[k], row[j] = row[j], row[k]
+                prow = work[k]
+            else:
+                j = next((j for j in range(k + 1, n)
+                          if not t_is_zero(prow[j])), None)
+                if j is None:
+                    continue  # row k vanishes past the diagonal: a zero
+                h = prow[j]
+                hc = t_conj(h)
+                jrow = work[j]
+                for c in range(k, n):
+                    prow[c] = t_add(prow[c], t_mul(h, jrow[c]))
+                for row in work[k:]:
+                    row[k] = t_add(row[k], t_mul(hc, row[j]))
+        d = prow[k]
+        if d[1] != 0:
+            raise VerificationError("pivot of Hermitian matrix not real — "
+                                    "arithmetic bug")
+        if d[0] > 0:
+            pos += 1
+        else:
+            neg += 1
+        # replace the trailing block by its Schur complement
+        dinv = t_inv(d)
+        for r in range(k + 1, n):
+            row = work[r]
+            f = row[k]
+            if t_is_zero(f):
+                continue
+            f = t_mul(f, dinv)
+            for c in range(k + 1, n):
+                e = prow[c]
+                if not t_is_zero(e):
+                    row[c] = _t_sub_mul(row[c], f, e)
+    return pos, neg, n - pos - neg
+
+
+def signature(m: Mat) -> tuple[int, int]:
+    """Signature (positives, negatives) of a real symmetric matrix."""
     if not m.is_square():
         raise ValueError("signature of non-square matrix")
     if not m.is_real():
         raise ValueError("signature needs a real matrix")
     if m.transpose() != m:
         raise ValueError("signature needs a symmetric matrix")
-    n = m.nrows
-    work = [[GR.from_triple(e) for e in row] for row in m.t]
-    pos = neg = 0
-    for k in range(n):
-        if work[k][k].is_zero():
-            # try to swap in a nonzero diagonal entry
-            swap = next((j for j in range(k + 1, n)
-                         if not work[j][j].is_zero()), None)
-            if swap is not None:
-                for r in range(n):
-                    work[r][k], work[r][swap] = work[r][swap], work[r][k]
-                for c in range(n):
-                    work[k][c], work[swap][c] = work[swap][c], work[k][c]
-            else:
-                off = next((j for j in range(k + 1, n)
-                            if not work[k][j].is_zero()), None)
-                if off is None:
-                    continue  # row and the rest of its block are zero
-                for c in range(n):
-                    work[k][c] = work[k][c] + work[off][c]
-                for r in range(n):
-                    work[r][k] = work[r][k] + work[r][off]
-        d = work[k][k]
-        if d.is_zero():
-            continue
-        if d.re > 0:
-            pos += 1
-        else:
-            neg += 1
-        # replace the trailing block by its Schur complement
-        colk = [work[r][k] for r in range(n)]
-        rowk = list(work[k])
-        for r in range(k + 1, n):
-            if colk[r].is_zero():
-                continue
-            f = colk[r] / d
-            for c in range(k + 1, n):
-                if not rowk[c].is_zero():
-                    work[r][c] = work[r][c] - f * rowk[c]
-    return pos, neg
+    return _inertia(m.t)[:2]
 
 
 def is_hermitian(g: Mat) -> bool:
@@ -143,15 +157,10 @@ def is_hermitian(g: Mat) -> bool:
 
 
 def hermitian_positive_definite(g: Mat) -> bool:
-    """Sylvester criterion on an exact Hermitian matrix."""
+    """Whether an exact Hermitian matrix is positive definite.
+
+    Non-Hermitian input (including non-square) gives False.
+    """
     if not is_hermitian(g):
         return False
-    n = g.nrows
-    for k in range(1, n + 1):
-        minor = Mat([row[:k] for row in [g.row(i) for i in range(k)]]).det()
-        if not minor.is_real():
-            raise VerificationError("principal minor of Hermitian matrix "
-                                    "not real — arithmetic bug")
-        if not minor.re > 0:
-            return False
-    return True
+    return _inertia(g.t) == (g.nrows, 0, 0)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from . import backend
 from .scalars import (GR, GaussianRational, Triple, T_ONE, T_ZERO, as_scalar,
-                      t_add, t_conj, t_inv, t_is_zero, t_mul, t_neg, t_sub)
+                      t_add, t_conj, t_inv, t_is_zero, t_mul, t_neg, t_norm,
+                      t_sub)
 
 TMat = tuple[tuple[Triple, ...], ...]
 TVec = tuple[Triple, ...]
@@ -57,8 +57,41 @@ def t_scale(tm: TMat, c: Triple) -> TMat:
     return tuple(tuple(t_mul(c, e) for e in row) for row in tm)
 
 
+def _t_sub_mul(x: Triple, f: Triple, y: Triple) -> Triple:
+    """x - f*y in one normalization pass."""
+    a1, b1, d1 = x
+    fa, fb, fd = f
+    a2, b2, d2 = y
+    pa = fa * a2 - fb * b2
+    pb = fa * b2 + fb * a2
+    pd = fd * d2
+    return t_norm(a1 * pd - pa * d1, b1 * pd - pb * d1, d1 * pd)
+
+
 def t_matmul(a: TMat, b: TMat) -> TMat:
-    return tuple(backend.matmul(a, b))
+    """Product of two triple-matrices; zero entries are skipped."""
+    n = len(a)
+    if n == 0:
+        return ()
+    k = len(a[0])
+    if k != len(b):
+        raise ValueError(f"shape mismatch: {n}x{k} @ {len(b)}x?")
+    m = len(b[0]) if k else 0
+    out = []
+    for i in range(n):
+        arow = a[i]
+        orow = [T_ZERO] * m
+        for t in range(k):
+            f = arow[t]
+            if f[0] == 0 and f[1] == 0:
+                continue
+            brow = b[t]
+            for j in range(m):
+                e = brow[j]
+                if e[0] != 0 or e[1] != 0:
+                    orow[j] = t_add(orow[j], t_mul(f, e))
+        out.append(tuple(orow))
+    return tuple(out)
 
 
 def t_matvec(tm: TMat, v: TVec) -> TVec:
@@ -73,8 +106,53 @@ def t_matvec(tm: TMat, v: TVec) -> TVec:
 
 
 def t_rref(tm) -> tuple[TMat, list[int]]:
-    rows, pivots = backend.rref(list(tm))
-    return tuple(rows), pivots
+    """Canonical reduced row echelon form of a sequence of triple-rows.
+
+    Returns ``(reduced_rows, pivot_cols)`` with only the nonzero rows kept:
+    leading entries are 1 and pivot columns are cleared above and below.
+    """
+    if not tm:
+        return (), []
+    work = [list(r) for r in tm]
+    nrows = len(work)
+    ncols = len(work[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pr = -1
+        for r in range(rank, nrows):
+            e = work[r][col]
+            if e[0] != 0 or e[1] != 0:
+                pr = r
+                break
+        if pr < 0:
+            continue
+        work[rank], work[pr] = work[pr], work[rank]
+        prow = work[rank]
+        piv = prow[col]
+        if piv != T_ONE:
+            pinv = t_inv(piv)
+            for j in range(col, ncols):
+                e = prow[j]
+                if e[0] != 0 or e[1] != 0:
+                    prow[j] = t_mul(e, pinv)
+        for r in range(nrows):
+            if r == rank:
+                continue
+            row = work[r]
+            f = row[col]
+            if f[0] == 0 and f[1] == 0:
+                continue
+            row[col] = T_ZERO
+            for j in range(col + 1, ncols):
+                e = prow[j]
+                if e[0] != 0 or e[1] != 0:
+                    row[j] = _t_sub_mul(row[j], f, e)
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    return tuple(tuple(r) for r in work[:rank]), pivots
 
 
 def t_is_zero_mat(tm: TMat) -> bool:
@@ -130,7 +208,7 @@ def _coerce_row(row) -> tuple[Triple, ...]:
     out = []
     for x in row:
         if isinstance(x, tuple) and len(x) == 3 and isinstance(x[0], int):
-            out.append(x)
+            out.append(t_norm(*x))
         else:
             out.append(as_scalar(x).triple)
     return tuple(out)

@@ -16,26 +16,31 @@ def to_sympy(m: Mat):
 
 
 def sturm_signature(m: Mat):
-    """Oracle: count positive/negative eigenvalues via Sturm sequences."""
+    """Oracle: count positive/negative eigenvalues via Sturm sequences.
+
+    Sturm chains count distinct roots, so the count runs over the factors
+    of the square-free factorization, each weighted by its multiplicity.
+    """
     lam = sympy.Symbol("lam")
     p = sympy.Poly(to_sympy(m).charpoly(lam).as_expr(), lam)
     # strip zero roots
     while p.eval(0) == 0:
         p = sympy.Poly(sympy.cancel(p.as_expr() / lam), lam)
-    chain = sympy.sturm(p)
 
-    def variations(x):
-        signs = [sympy.sign(q.eval(x) if x is not None else q.LC())
-                 for q in chain]
+    def variations(signs):
         signs = [s for s in signs if s != 0]
         return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
-    neg_inf = [sympy.sign(q.LC() * (-1) ** q.degree()) for q in chain]
-    neg_inf = [s for s in neg_inf if s != 0]
-    var_neg_inf = sum(1 for a, b in zip(neg_inf, neg_inf[1:]) if a * b < 0)
-    var_zero = variations(0)
-    var_pos_inf = variations(None)
-    return (var_zero - var_pos_inf, var_neg_inf - var_zero)
+    pos = neg = 0
+    for q, mult in p.sqf_list()[1]:
+        chain = sympy.sturm(q)
+        var_neg_inf = variations([sympy.sign(c.LC() * (-1) ** c.degree())
+                                  for c in chain])
+        var_zero = variations([sympy.sign(c.eval(0)) for c in chain])
+        var_pos_inf = variations([sympy.sign(c.LC()) for c in chain])
+        pos += mult * (var_zero - var_pos_inf)
+        neg += mult * (var_neg_inf - var_zero)
+    return (pos, neg)
 
 
 def random_symmetric(rng, n, span=4):
@@ -133,9 +138,32 @@ class TestSignature:
 
     def test_against_sturm_oracle(self):
         rng = random.Random("sturm")
+        inputs = [random_symmetric(rng, rng.randint(1, 4)) for _ in range(12)]
+        # zero diagonals: p hyperbolic planes (isotropic e_i, f_i) next to
+        # scalar blocks, moved by a seeded congruence that acts on the e's
+        # and the f's separately (so they stay isotropic) and then permutes
+        # and rescales; a pivot is found by a swap or by the row+column repair
         for _ in range(12):
-            n = rng.randint(1, 4)
-            a = random_symmetric(rng, n)
+            p, r = rng.randint(1, 2), rng.randint(0, 2)
+            n = 2 * p + r
+            h0 = [[0] * n for _ in range(n)]
+            for i in range(p):
+                h0[i][p + i] = h0[p + i][i] = 1
+            for i in range(2 * p, n):
+                h0[i][i] = rng.randint(-2, 2)
+            g = [[0] * n for _ in range(n)]
+            for lo in (0, p):
+                for i in range(p):
+                    for j in range(p):
+                        g[lo + i][lo + j] = rng.randint(-2, 2)
+            for i in range(2 * p, n):
+                g[i][i] = 1
+            perm = rng.sample(range(n), n)
+            sp = Mat([[rng.choice([-2, -1, 1, 3]) if perm[i] == j else 0
+                       for j in range(n)] for i in range(n)])
+            g = Mat(g) @ sp
+            inputs.append(g.transpose() @ Mat(h0) @ g)
+        for a in inputs:
             assert signature(a) == sturm_signature(a)
 
 
@@ -163,5 +191,20 @@ class TestHermitianPositive:
             g = b.conj_transpose() @ b  # PSD, maybe singular
             shift = rng.choice([-2, -1, 0, 1])
             g = g + shift * Mat.identity(n)
+            expected = bool(to_sympy(g).is_positive_definite)
+            assert hermitian_positive_definite(g) == expected
+        # complex Hermitian with zero diagonal entries: the pivot comes from
+        # a swap or from an off-diagonal repair with a non-real entry
+        for _ in range(15):
+            n = rng.randint(2, 5)
+            zeros = set(rng.sample(range(n), rng.randint(1, n)))
+            rows = [[GR(0)] * n for _ in range(n)]
+            for i in range(n):
+                if i not in zeros:
+                    rows[i][i] = GR(rng.randint(-3, 3))
+                for j in range(i + 1, n):
+                    h = GR(rng.randint(-2, 2), rng.randint(-2, 2))
+                    rows[i][j], rows[j][i] = h, h.conj()
+            g = Mat(rows)
             expected = bool(to_sympy(g).is_positive_definite)
             assert hermitian_positive_definite(g) == expected

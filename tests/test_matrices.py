@@ -23,6 +23,13 @@ def test_construction_and_access():
         Mat([[1, 2], [3]])
 
 
+def test_triple_entries_are_normalized():
+    assert Mat([[(2, 0, 2)]]) == Mat([[1]])
+    assert Mat([[(2, -4, -6)]])[0, 0] == GR(Fraction(-1, 3), Fraction(2, 3))
+    with pytest.raises(ZeroDivisionError):
+        Mat([[(1, 0, 0)]])
+
+
 def test_algebra():
     a = Mat([[1, 2], [3, 4]])
     b = Mat([[0, 1], [1, 0]])
