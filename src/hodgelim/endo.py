@@ -14,8 +14,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .forms import BilForm
-from .matrices import (Mat, TVec, _coerce_row, t_from_cols, t_kernel,
-                       t_matmul)
+from .matrices import Mat, TVec, t_from_cols, t_kernel, t_matmul
 from .scalars import T_ZERO, Triple, t_add, t_mul, t_neg, t_sub
 from .subspaces import Subspace, t_reduce
 
@@ -29,12 +28,6 @@ def flatten(m: Mat) -> TVec:
 def as_mat(tv: TVec, n: int) -> Mat:
     """The n x n operator of a flattened vector of normalized triples."""
     return Mat.from_triples(tuple(tv[i * n:(i + 1) * n] for i in range(n)), n)
-
-
-def unflatten(v, n: int) -> Mat:
-    if len(v) != n * n:
-        raise ValueError(f"flattened length {len(v)} is not {n}x{n}")
-    return as_mat(_coerce_row(v), n)
 
 
 def nonzeros(tv: TVec, n: int) -> Nonzeros:

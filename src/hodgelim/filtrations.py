@@ -14,57 +14,58 @@ call, so a bug in the formula cannot slip through silently.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Mapping
 
 from .endo import maps_into, solve_in_span
 from .errors import VerificationError
 from .forms import BilForm, hermitian_positive_definite
-from .matrices import Mat
+from .matrices import Mat, TVec, t_conj_mat, t_transpose
 from .reports import Report
-from .scalars import I as IMAG
+from .scalars import T_I, T_ONE, t_mul, t_neg
 from .subspaces import Subspace, direct_sum_equals, image, kernel
 
 
-def _validate_steps(steps: Mapping[int, Subspace], decreasing: bool):
-    if not steps:
-        raise ValueError("a filtration needs at least one step")
-    ambients = {s.ambient for s in steps.values()}
-    if len(ambients) != 1:
-        raise ValueError("filtration steps in different ambient spaces")
-    keys = sorted(steps)
-    for a, b in zip(keys, keys[1:]):
-        lo, hi = (steps[b], steps[a]) if decreasing else (steps[a], steps[b])
-        if not lo <= hi:
-            raise ValueError(f"steps at {a} and {b} are not nested")
-    return keys, ambients.pop()
+class _Filtration:
+    """Exhaustive filtration of C^n by steps at integer indices.
 
-
-class DecFiltration:
-    """A decreasing exhaustive filtration F^j of C^n."""
+    The subclasses fix the direction: ``decreasing`` says whether the whole
+    space lies below the support (F^j) or above it (W_j).
+    """
 
     __slots__ = ("steps", "keys", "ambient")
+    decreasing: bool
 
     def __init__(self, steps: Mapping[int, Subspace]):
-        keys, ambient = _validate_steps(steps, decreasing=True)
+        if not steps:
+            raise ValueError("a filtration needs at least one step")
+        ambients = {s.ambient for s in steps.values()}
+        if len(ambients) != 1:
+            raise ValueError("filtration steps in different ambient spaces")
+        keys = sorted(steps)
+        for a, b in zip(keys, keys[1:]):
+            lo, hi = ((steps[b], steps[a]) if self.decreasing
+                      else (steps[a], steps[b]))
+            if not lo <= hi:
+                raise ValueError(f"steps at {a} and {b} are not nested")
         self.steps = {k: steps[k] for k in keys}
         self.keys = keys
-        self.ambient = ambient
+        self.ambient = ambients.pop()
 
     def at(self, j: int) -> Subspace:
-        if j > self.keys[-1]:
-            return Subspace.zero(self.ambient)
-        if j < self.keys[0]:
-            return Subspace.full(self.ambient)
-        for k in self.keys:
-            if k >= j:
-                return self.steps[k]
-        raise AssertionError
+        keys = self.keys
+        if j < keys[0] or j > keys[-1]:
+            whole = (j < keys[0]) == self.decreasing
+            return (Subspace.full if whole else Subspace.zero)(self.ambient)
+        i = (bisect_left(keys, j) if self.decreasing
+             else bisect_right(keys, j) - 1)
+        return self.steps[keys[i]]
 
     def support(self) -> list[int]:
         return list(self.keys)
 
     def __eq__(self, other):
-        if not isinstance(other, DecFiltration):
+        if type(other) is not type(self):
             return NotImplemented
         if self.ambient != other.ambient:
             return False
@@ -72,69 +73,36 @@ class DecFiltration:
         probes |= {min(probes) - 1, max(probes) + 1}
         return all(self.at(j) == other.at(j) for j in probes)
 
-    def conj(self) -> "DecFiltration":
-        return DecFiltration({k: s.conj() for k, s in self.steps.items()})
+    def conj(self):
+        return type(self)({k: s.conj() for k, s in self.steps.items()})
 
     def is_conj_stable(self) -> bool:
         return all(s.is_conj_stable() for s in self.steps.values())
 
-    def map_by(self, g: Mat) -> "DecFiltration":
-        return DecFiltration({k: s.map_by(g) for k, s in self.steps.items()})
+    def map_by(self, g: Mat):
+        return type(self)({k: s.map_by(g) for k, s in self.steps.items()})
 
     def __repr__(self):
         dims = ", ".join(f"{k}:{s.dim}" for k, s in self.steps.items())
-        return f"DecFiltration({dims})"
+        return f"{type(self).__name__}({dims})"
 
 
-class IncFiltration:
+class DecFiltration(_Filtration):
+    """A decreasing exhaustive filtration F^j of C^n."""
+
+    __slots__ = ()
+    decreasing = True
+
+
+class IncFiltration(_Filtration):
     """An increasing exhaustive filtration W_j of C^n."""
 
-    __slots__ = ("steps", "keys", "ambient")
-
-    def __init__(self, steps: Mapping[int, Subspace]):
-        keys, ambient = _validate_steps(steps, decreasing=False)
-        self.steps = {k: steps[k] for k in keys}
-        self.keys = keys
-        self.ambient = ambient
-
-    def at(self, j: int) -> Subspace:
-        if j < self.keys[0]:
-            return Subspace.zero(self.ambient)
-        if j > self.keys[-1]:
-            return Subspace.full(self.ambient)
-        for k in reversed(self.keys):
-            if k <= j:
-                return self.steps[k]
-        raise AssertionError
-
-    def support(self) -> list[int]:
-        return list(self.keys)
+    __slots__ = ()
+    decreasing = False
 
     def shift(self, s: int) -> "IncFiltration":
         """The filtration j -> W_{j+s}."""
         return IncFiltration({k - s: v for k, v in self.steps.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, IncFiltration):
-            return NotImplemented
-        if self.ambient != other.ambient:
-            return False
-        probes = set(self.keys) | set(other.keys)
-        probes |= {min(probes) - 1, max(probes) + 1}
-        return all(self.at(j) == other.at(j) for j in probes)
-
-    def conj(self) -> "IncFiltration":
-        return IncFiltration({k: s.conj() for k, s in self.steps.items()})
-
-    def is_conj_stable(self) -> bool:
-        return all(s.is_conj_stable() for s in self.steps.values())
-
-    def map_by(self, g: Mat) -> "IncFiltration":
-        return IncFiltration({k: s.map_by(g) for k, s in self.steps.items()})
-
-    def __repr__(self):
-        dims = ", ".join(f"{k}:{s.dim}" for k, s in self.steps.items())
-        return f"IncFiltration({dims})"
 
 
 def shift_filtration(w: IncFiltration, s: int) -> IncFiltration:
@@ -233,39 +201,25 @@ class Bigrading:
     def support(self) -> list[tuple[int, int]]:
         return list(self.pieces)
 
+    def sum_where(self, test) -> Subspace:
+        """Sum of the pieces whose index (p, q) passes ``test(p, q)``."""
+        return Subspace.from_triples(
+            [r for (p, q), s in self.pieces.items() if test(p, q)
+             for r in s.rows], self.ambient)
+
     def row(self, a: int) -> Subspace:
         """Sum of the pieces with first index a."""
-        acc = Subspace.zero(self.ambient)
-        for (p, _), s in self.pieces.items():
-            if p == a:
-                acc = acc + s
-        return acc
+        return self.sum_where(lambda p, q: p == a)
 
     def weight_sums(self) -> IncFiltration:
         """W_l = sum of pieces with p + q <= l."""
-        levels = sorted({p + q for p, q in self.pieces})
-        steps = {}
-        acc = Subspace.zero(self.ambient)
-        idx = 0
-        flat = sorted(self.pieces.items(), key=lambda kv: kv[0][0] + kv[0][1])
-        for l in levels:
-            while idx < len(flat) and sum(flat[idx][0]) <= l:
-                acc = acc + flat[idx][1]
-                idx += 1
-            steps[l] = acc
-        return IncFiltration(steps)
+        return IncFiltration({l: self.sum_where(lambda p, q: p + q <= l)
+                              for l in {p + q for p, q in self.pieces}})
 
     def first_index_sums(self) -> DecFiltration:
         """F^a = sum of pieces with p >= a."""
-        indices = sorted({p for p, _ in self.pieces})
-        steps = {}
-        for a in indices:
-            acc = Subspace.zero(self.ambient)
-            for (p, _), s in self.pieces.items():
-                if p >= a:
-                    acc = acc + s
-            steps[a] = acc
-        return DecFiltration(steps)
+        return DecFiltration({a: self.sum_where(lambda p, q: p >= a)
+                              for a in {p for p, _ in self.pieces}})
 
     def __eq__(self, other):
         if not isinstance(other, Bigrading):
@@ -331,34 +285,38 @@ def hs_from_filtration(f: DecFiltration, weight: int) -> HodgeStructure:
     return HodgeStructure(weight, bigr)
 
 
+_I_POWERS = (T_ONE, T_I, t_neg(T_ONE), t_neg(T_I))
+
+
+def _hodge_basis(hs: HodgeStructure) -> tuple[list[TVec], list[TVec]]:
+    """The piecewise Hodge basis b and its image C b = i^(p-q) b."""
+    basis, weil = [], []
+    for (p, q), s in hs.bigrading.pieces.items():
+        c = _I_POWERS[(p - q) % 4]
+        for v in s.rows:
+            basis.append(v)
+            weil.append(tuple(t_mul(c, e) for e in v))
+    return basis, weil
+
+
 def weil_operator(hs: HodgeStructure) -> Mat:
     """The operator acting as i^(p-q) on each Hodge piece."""
-    cols = []
-    diag = []
-    for (p, q), s in hs.bigrading.pieces.items():
-        for v in s.basis_vectors():
-            cols.append(v)
-            diag.append(IMAG ** ((p - q) % 4))
-    b = Mat.from_columns(cols)
-    d = Mat([[diag[i] if i == j else 0 for j in range(len(diag))]
-             for i in range(len(diag))])
-    return b @ d @ b.inverse()
+    basis, weil = _hodge_basis(hs)
+    return (Mat.from_triples(t_transpose(weil))
+            @ Mat.from_triples(t_transpose(basis)).inverse())
 
 
 def polarization_gram(hs: HodgeStructure, q: BilForm) -> Mat:
     """Gram matrix of (u, v) -> Q(C u, conj v) in the piecewise Hodge basis."""
-    basis = []
-    weil = []
-    for (p, qq), s in hs.bigrading.pieces.items():
-        for v in s.basis_vectors():
-            basis.append(v)
-            weil.append(IMAG ** ((p - qq) % 4))
-    m = q.matrix
-    bmat = Mat.from_columns(basis)
-    conj_b = bmat.conj()
-    cw = Mat.from_columns([[weil[j] * x for x in bmat.col(j)]
-                           for j in range(len(basis))])
-    return cw.transpose() @ m @ conj_b
+    basis, weil = _hodge_basis(hs)
+    return q.gram_rows(weil, t_conj_mat(basis))
+
+
+def first_relation_holds(f: DecFiltration, weight: int, q: BilForm) -> bool:
+    """Whether Q(F^a, F^(k-a+1)) = 0 for every a, with k the weight."""
+    top = f.keys[-1]
+    return all(q.orthogonal(f.at(a), f.at(weight - a + 1))
+               for a in range(weight + 1 - top, top + 1))
 
 
 def verify_phs(f: DecFiltration, weight: int, q: BilForm) -> Report:
@@ -379,21 +337,9 @@ def verify_phs(f: DecFiltration, weight: int, q: BilForm) -> Report:
     rep.add("Hodge decomposition", True, dims=hs.hodge_numbers())
     rep.data["hodge_numbers"] = {f"{p},{qq}": d
                                  for (p, qq), d in hs.hodge_numbers().items()}
-
-    smax = f.support()[-1]
-    ortho = True
-    for a in range(weight + 1 - smax, smax + 1):
-        fa, fb = f.at(a), f.at(weight - a + 1)
-        if fa.is_zero() or fb.is_zero():
-            continue
-        if not q.orthogonal(fa, fb):
-            ortho = False
-            break
-    rep.add("F^a orthogonal to F^(k-a+1)", ortho)
-
-    gram = polarization_gram(hs, q)
+    rep.add("F^a orthogonal to F^(k-a+1)", first_relation_holds(f, weight, q))
     rep.add("Q(C u, conj v) positive definite",
-            hermitian_positive_definite(gram))
+            hermitian_positive_definite(polarization_gram(hs, q)))
     return rep
 
 

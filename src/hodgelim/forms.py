@@ -2,6 +2,9 @@
 
 A :class:`BilForm` is a nondegenerate bilinear form with the parity of a
 weight-k polarization: symmetric for even k, antisymmetric for odd k.
+Every Gram matrix of a form, whether between subspaces, single vectors or
+the polarization forms Q(C u, N^l conj v), is one product L M R^T of left
+rows, the form and right rows (:meth:`BilForm.gram_rows`).
 Signatures of real symmetric matrices and positive definiteness of
 Hermitian matrices both come from one exact Hermitian congruence (LDL*)
 pass that returns the inertia; by Sylvester's law of inertia a Hermitian
@@ -9,10 +12,12 @@ matrix is positive definite exactly when its inertia is (n, 0, 0).
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import VerificationError
-from .matrices import Mat, TMat, _t_sub_mul
-from .scalars import (GR, GaussianRational, as_scalar, t_add, t_conj, t_inv,
-                      t_is_zero, t_mul)
+from .matrices import (Mat, TMat, TVec, _coerce_row, _t_sub_mul, t_matmul,
+                       t_transpose)
+from .scalars import GR, t_add, t_conj, t_inv, t_is_zero, t_mul
 from .subspaces import Subspace
 
 
@@ -39,22 +44,22 @@ class BilForm:
     def dim(self) -> int:
         return self.matrix.nrows
 
-    def __call__(self, u, v) -> GaussianRational:
-        m = self.matrix
-        uv = m.mv(v)
-        acc = GR(0)
-        for a, b in zip(u, uv):
-            acc = acc + as_scalar(a) * b
-        return acc
+    def __call__(self, u, v) -> GR:
+        return self.gram_rows([_coerce_row(u)], [_coerce_row(v)])[0, 0]
 
     def is_real(self) -> bool:
         return self.matrix.is_real()
 
+    def gram_rows(self, left: Sequence[TVec], right: Sequence[TVec]) -> Mat:
+        """Gram matrix [Q(u, v)] of left rows u and right rows v of triples."""
+        if not left or not right:
+            return Mat.zeros(len(left), len(right))
+        return Mat.from_triples(t_matmul(t_matmul(left, self.matrix.t),
+                                         t_transpose(right)))
+
     def gram(self, left: Subspace, right: Subspace) -> Mat:
         """Gram matrix of the form between two subspace bases."""
-        bl = left.basis_matrix()
-        br = right.basis_matrix()
-        return bl.transpose() @ self.matrix @ br
+        return self.gram_rows(left.rows, right.rows)
 
     def restrict(self, s: Subspace) -> Mat:
         return self.gram(s, s)

@@ -187,13 +187,6 @@ def t_hstack(a: TMat, b: TMat) -> TMat:
     return tuple(ra + rb for ra, rb in zip(a, b))
 
 
-def t_vstack(mats: Sequence[TMat]) -> TMat:
-    out = []
-    for m in mats:
-        out.extend(m)
-    return tuple(out)
-
-
 def t_from_cols(cols: Sequence[TVec], nrows: int) -> TMat:
     if not cols:
         return tuple(() for _ in range(nrows))
@@ -309,8 +302,9 @@ class Mat:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = t_matmul(self.t, other.t)
-        return Mat.from_triples(out, other.ncols)
+        if not self.ncols:
+            return Mat.zeros(self.nrows, other.ncols)
+        return Mat.from_triples(t_matmul(self.t, other.t), other.ncols)
 
     def mv(self, v) -> tuple[GaussianRational, ...]:
         """Matrix times column vector (any scalar-like sequence)."""
@@ -320,6 +314,8 @@ class Mat:
         return tuple(GR.from_triple(e) for e in t_matvec(self.t, tv))
 
     def transpose(self) -> "Mat":
+        if not self.nrows:
+            return Mat.zeros(self.ncols, 0)
         return Mat.from_triples(t_transpose(self.t), self.nrows)
 
     def conj(self) -> "Mat":

@@ -12,11 +12,10 @@ from .errors import VerificationError
 from .forms import (BilForm, hermitian_positive_definite, in_isometry_algebra,
                     is_hermitian)
 from .filtrations import (Bigrading, DecFiltration, IncFiltration,
-                          hs_from_filtration, shift_filtration,
-                          weight_filtration, weil_operator)
-from .matrices import Mat, t_kernel, t_matvec
+                          first_relation_holds, hs_from_filtration,
+                          shift_filtration, weight_filtration, weil_operator)
+from .matrices import Mat, t_conj_mat, t_kernel, t_matvec
 from .reports import Report
-from .scalars import GR, t_conj
 from .subspaces import Quotient, Subspace
 
 
@@ -67,10 +66,7 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
         raise VerificationError("canonical pieces do not rebuild F")
     # conjugation symmetry modulo lower-order pieces, both inclusions
     for (p, q), s in bigr.pieces.items():
-        lower = Subspace.zero(bigr.ambient)
-        for (a, b), t in bigr.pieces.items():
-            if a < p and b < q:
-                lower = lower + t
+        lower = bigr.sum_where(lambda a, b: a < p and b < q)
         mirror = bigr.piece(q, p).conj()
         if not (s <= mirror + lower and mirror <= s + lower):
             raise VerificationError(
@@ -90,8 +86,8 @@ def graded_filtration(w: IncFiltration, f: DecFiltration, l: int,
     steps = {}
     for p in range(f.keys[0], f.keys[-1] + 1):
         inter = f.at(p) & w.at(l)
-        vecs = [q.project_coords(v) for v in inter.rows]
-        steps[p] = Subspace.span(vecs, q.dim)
+        steps[p] = Subspace.from_triples(
+            [q.project_coords(v) for v in inter.rows], q.dim)
     return DecFiltration(steps)
 
 
@@ -195,11 +191,7 @@ def p_part(lb: Bigrading, a: int) -> Subspace:
 
 def g_minus(lb: Bigrading) -> Subspace:
     """Sum of the operator bigrading pieces with negative first index."""
-    acc = Subspace.zero(lb.ambient)
-    for (a, _), s in lb.pieces.items():
-        if a < 0:
-            acc = acc + s
-    return acc
+    return lb.sum_where(lambda a, b: a < 0)
 
 
 def filtration_lowering(vb: Bigrading, algebra: Subspace,
@@ -213,14 +205,10 @@ def filtration_lowering(vb: Bigrading, algebra: Subspace,
     in the test suite.
     """
     n = vb.ambient
-    rows = {}
-    for p, q in vb.support():
-        rows.setdefault(p, Subspace.zero(n))
-        rows[p] = rows[p] + vb.pieces[(p, q)]
-    zero = Subspace.zero(n)
+    targets = {p: vb.row(p + degree) for p in {p for p, _ in vb.pieces}}
     return solve_in_span(algebra, n, maps_into(
-        [(v, rows.get(p + degree, zero))
-         for (p, _), s in vb.pieces.items() for v in s.rows], n))
+        [(v, targets[p]) for (p, _), s in vb.pieces.items() for v in s.rows],
+        n))
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +242,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
 
     rep.add("form parity matches weight", q.parity == weight % 2)
     rep.add("form is real", q.is_real())
-    ortho = True
-    for a in range(weight + 1 - f.keys[-1], f.keys[-1] + 1):
-        fa, fb = f.at(a), f.at(weight - a + 1)
-        if not fa.is_zero() and not fb.is_zero() and not q.orthogonal(fa, fb):
-            ortho = False
-            break
-    rep.add("F^a orthogonal to F^(k-a+1)", ortho)
+    rep.add("F^a orthogonal to F^(k-a+1)", first_relation_holds(f, weight, q))
 
     mhs = verify_mhs(w, f)
     rep.extend(mhs, prefix="mhs: ")
@@ -281,7 +263,8 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
             ok, reason = False, f"N^{l + 1} does not shift W by 2l+2 at level {l}"
             break
         induced = top.induced_matrix(npl1, bottom)
-        prim = Subspace.span(t_kernel(induced.t, induced.ncols), top.dim)
+        prim = Subspace.from_triples(t_kernel(induced.t, induced.ncols),
+                                     top.dim)
         prim_dims[weight + l] = prim.dim
         if prim.is_zero():
             continue
@@ -291,19 +274,11 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
         except VerificationError as e:
             ok, reason = False, f"gr_{weight + l}: {e}"
             break
-        weil = weil_operator(hs)
-        npl = n.pow(l)
-        gram_rows = []
-        lifts = [top.lift(v) for v in prim.rows]
-        weil_lifts = [top.lift(weil.mv(v)) for v in prim.rows]
-        for u in weil_lifts:
-            gu = [GR.from_triple(e) for e in u]
-            row = []
-            for x in lifts:
-                nx = t_matvec(npl.t, tuple(t_conj(e) for e in x))
-                row.append(q(gu, [GR.from_triple(e) for e in nx]))
-            gram_rows.append(row)
-        gram = Mat(gram_rows)
+        weil = weil_operator(hs).t
+        npl = n.pow(l).t
+        gram = q.gram_rows(
+            [top.lift(t_matvec(weil, v)) for v in prim.rows],
+            [t_matvec(npl, x) for x in t_conj_mat(map(top.lift, prim.rows))])
         if not is_hermitian(gram):
             ok, reason = False, f"primitive form at level {l} not Hermitian"
             break

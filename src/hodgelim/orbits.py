@@ -146,7 +146,8 @@ def _interior_samples(r: int, extra=None):
         samples.extend(p for p in itertools.product((1, 2), repeat=r)
                        if p != (1,) * r)
     else:
-        samples.extend(tuple(1 + ((j * 7 + i) % 2) for i in range(r))
+        # coordinate i carries bit i mod 5 of j, so the points are distinct
+        samples.extend(tuple(1 + ((j >> (i % 5)) & 1) for i in range(r))
                        for j in range(1, 32))
     if extra:
         samples.extend(tuple(p) for p in extra)
@@ -340,8 +341,8 @@ class PolyMap:
             lowered = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
             term = coeff * GR(expo[i])
             out[lowered] = out.get(lowered, Mat.zeros(*self.shape)) + term
-        return PolyMap(self.variables, out or
-                       {(0,) * len(self.variables): Mat.zeros(*self.shape)})
+        return PolyMap(self.variables,
+                       _ensure_nonempty(self.variables, out, self.shape))
 
     def degree_terms(self, d: int) -> dict[tuple[int, ...], Mat]:
         return {e: c for e, c in self.terms.items() if sum(e) == d}
@@ -352,13 +353,13 @@ class PolyMap:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Mat.zeros(*self.shape)) + c
-        return PolyMap(self.variables, out or
-                       {(0,) * len(self.variables): Mat.zeros(*self.shape)})
+        return PolyMap(self.variables,
+                       _ensure_nonempty(self.variables, out, self.shape))
 
     def __neg__(self) -> "PolyMap":
-        return PolyMap(self.variables,
-                       {e: -c for e, c in self.terms.items()} or
-                       {(0,) * len(self.variables): Mat.zeros(*self.shape)})
+        return PolyMap(self.variables, _ensure_nonempty(
+            self.variables, {e: -c for e, c in self.terms.items()},
+            self.shape))
 
     def __sub__(self, other: "PolyMap") -> "PolyMap":
         return self + (-other)

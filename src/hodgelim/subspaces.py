@@ -15,8 +15,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import VerificationError
-from .matrices import (Mat, TMat, TVec, _coerce_row, t_hstack, t_identity,
-                       t_kernel, t_matmul, t_matvec, t_rref)
+from .matrices import (Mat, TMat, TVec, _coerce_row, t_conj_mat, t_hstack,
+                       t_identity, t_kernel, t_matmul, t_matvec, t_rref,
+                       t_transpose)
 from .scalars import (GR, GaussianRational, T_ONE, T_ZERO, t_add, t_conj,
                       t_is_zero, t_mul, t_neg, t_sub)
 
@@ -167,8 +168,7 @@ class Subspace:
     # -- structure maps ------------------------------------------------
 
     def conj(self) -> "Subspace":
-        return Subspace.span(
-            [tuple(t_conj(e) for e in r) for r in self.rows], self.ambient)
+        return Subspace.from_triples(t_conj_mat(self.rows), self.ambient)
 
     def is_conj_stable(self) -> bool:
         return all(self.contains(tuple(t_conj(e) for e in r))
@@ -181,8 +181,8 @@ class Subspace:
         """Image of this subspace under the linear map m."""
         if m.ncols != self.ambient:
             raise ValueError("operator shape mismatch")
-        images = [t_matvec(m.t, r) for r in self.rows]
-        return Subspace.span(images, m.nrows)
+        return Subspace.from_triples([t_matvec(m.t, r) for r in self.rows],
+                                     m.nrows)
 
     # -- output --------------------------------------------------------
 
@@ -203,11 +203,11 @@ class Subspace:
 
 def image(m: Mat) -> Subspace:
     """Column space of a matrix."""
-    return Subspace.span([m.col(j) for j in range(m.ncols)], m.nrows)
+    return Subspace.from_triples(t_transpose(m.t), m.nrows)
 
 
 def kernel(m: Mat) -> Subspace:
-    return Subspace.span(t_kernel(m.t, m.ncols), m.ncols)
+    return Subspace.from_triples(t_kernel(m.t, m.ncols), m.ncols)
 
 
 def direct_sum_equals(parts: Sequence[Subspace], total: Subspace) -> bool:

@@ -77,6 +77,17 @@ def test_filtration_equality_ignores_redundant_steps():
     assert a == b
 
 
+def test_filtration_equality_is_strict_by_direction():
+    steps = {0: Subspace.span([(1, 0)], 2), 1: Subspace.span([(1, 0)], 2)}
+    assert DecFiltration(steps) == DecFiltration(dict(steps))
+    assert IncFiltration(steps) == IncFiltration(dict(steps))
+    assert DecFiltration(steps) != IncFiltration(steps)
+    assert IncFiltration(steps) != DecFiltration(steps)
+    # on C^0 both directions take the same value everywhere
+    point = {0: Subspace.zero(0)}
+    assert DecFiltration(point) != IncFiltration(point)
+
+
 def test_filtration_rejects_non_nested_steps():
     with pytest.raises(ValueError):
         DecFiltration({0: Subspace.span([(1, 0)], 2),

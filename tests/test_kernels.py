@@ -1,18 +1,20 @@
 """The exact kernels: row reduction and matrix product on scalar triples.
 
-Known values and structural properties, plus a differential check of
-``t_rref`` against sympy's RREF over Q(i) on sparse matrices, which is the
-shape the operator-space solves feed it.
+Known values and structural properties, plus differential checks against
+sympy's ``DomainMatrix`` over Q(i) on sparse matrices, which is the shape
+the operator-space solves feed the kernels: ``t_rref``, the elimination
+methods of ``Mat`` built on it, and the triple-level Gram of ``BilForm``.
 """
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from hodgelim.matrices import t_matmul, t_rref
-from hodgelim.scalars import t_norm
+from hodgelim.forms import BilForm
+from hodgelim.matrices import Mat, t_matmul, t_rref
+from hodgelim.scalars import t_add, t_neg, t_norm
 from hodgelim.subspaces import Subspace
 
 ZERO = (0, 0, 1)
@@ -28,10 +30,12 @@ def random_tmat(rng, m, n, span=9):
 
 
 @st.composite
-def sparse_tmats(draw, ncols=None):
+def sparse_tmats(draw, ncols=None, nrows=None):
     """Gaussian-rational triple-matrices up to 7x8, mostly zeros."""
-    m = draw(st.integers(1, 7))
+    m = nrows if nrows is not None else draw(st.integers(1, 7))
     n = ncols if ncols is not None else draw(st.integers(1, 8))
+    if not m:
+        return ()
     cells = draw(st.sets(st.tuples(st.integers(0, m - 1),
                                    st.integers(0, n - 1)),
                          max_size=max(1, m * n // 3)))
@@ -56,10 +60,18 @@ def from_gi(e):
                   int(x.denominator) * int(y.denominator))
 
 
+def to_dm(tm, ncols=None):
+    n = len(tm[0]) if tm else ncols
+    return DomainMatrix([[to_gi(e) for e in r] for r in tm], (len(tm), n),
+                        QQ_I)
+
+
+def from_dm(dm):
+    return tuple(tuple(from_gi(e) for e in r) for r in dm.to_list())
+
+
 def sympy_rref(tm):
-    m, n = len(tm), len(tm[0])
-    red, pivots = DomainMatrix([[to_gi(e) for e in r] for r in tm],
-                               (m, n), QQ_I).rref()
+    red, pivots = to_dm(tm).rref()
     rows = tuple(tuple(from_gi(e) for e in r)
                  for r in red.to_list()[:len(pivots)])
     return rows, list(pivots)
@@ -131,3 +143,102 @@ def test_matmul_identity():
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         t_matmul((((1, 0, 1),),), (((1, 0, 1),), ((1, 0, 1),)))
+
+
+@st.composite
+def square_tmats(draw):
+    """Sparse square matrices plus a multiple of I, with permuted rows."""
+    n = draw(st.integers(1, 6))
+    tm = draw(sparse_tmats(n, n))
+    c = draw(st.sampled_from([ZERO, (1, 0, 1), (-2, 1, 1), (0, 3, 2)]))
+    perm = draw(st.permutations(range(n)))
+    return tuple(tuple(t_add(e, c) if i == j else e
+                       for j, e in enumerate(tm[i])) for i in perm)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_tmats())
+def test_kernel_against_sympy_oracle(tm):
+    n = len(tm[0])
+    ours = Mat.from_triples(tm).kernel()
+    theirs = from_dm(to_dm(tm).nullspace())
+    assert len(ours) == n - to_dm(tm).rank()
+    assert (Subspace.span(ours, n)
+            == Subspace.from_triples([r for r in theirs if any(
+                e != ZERO for e in r)], n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(square_tmats())
+def test_inverse_and_det_against_sympy_oracle(tm):
+    dm = to_dm(tm)
+    det = dm.det()
+    m = Mat.from_triples(tm)
+    assert m.det().triple == from_gi(det)
+    if det == QQ_I.zero:
+        with pytest.raises(ZeroDivisionError):
+            m.inverse()
+    else:
+        assert m.inverse().t == from_dm(dm.inv())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_tmats().flatmap(lambda tm: st.tuples(
+    st.just(tm), sparse_tmats(len(tm[0]), 1), sparse_tmats(len(tm), 1),
+    st.booleans())))
+def test_solve_against_sympy_oracle(case):
+    """Consistent right sides are images A x0; the others are drawn freely."""
+    tm, (x0,), (free,), consistent = case
+    a = to_dm(tm)
+    b = t_matmul(tm, tuple((e,) for e in x0)) if consistent else tuple(
+        (e,) for e in free)
+    bdm = to_dm(b)
+    x = Mat.from_triples(tm).solve([r[0] for r in b])
+    if a.rank() < a.hstack(bdm).rank():
+        assert x is None
+        return
+    assert x is not None
+    xdm = to_dm(tuple((e.triple,) for e in x))
+    assert a * xdm == bdm
+    _, pivots = a.rref()
+    assert all(x[j].triple == ZERO for j in range(len(x)) if j not in pivots)
+
+
+@st.composite
+def form_and_rows(draw):
+    """A form of either parity and left/right rows, possibly none.
+
+    The form is a sparse perturbation of a diagonal (even parity) or of the
+    standard symplectic matrix (odd parity), so it is usually nondegenerate.
+    """
+    parity = draw(st.integers(0, 1))
+    n = draw(st.integers(1, 3)) * 2 if parity else draw(st.integers(1, 5))
+    upper = draw(sparse_tmats(n, n))
+    diag = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    top = [[upper[i][j] if i < j else ZERO for j in range(n)]
+           for i in range(n)]
+    for i in range(n):
+        if not parity:
+            top[i][i] = (diag[i], 0, 1)
+        elif i % 2 == 0:
+            top[i][i + 1] = t_add(top[i][i + 1], (1, 0, 1))
+    m = tuple(tuple(top[i][j] if i <= j else
+                    (t_neg(top[j][i]) if parity else top[j][i])
+                    for j in range(n))
+              for i in range(n))
+    left = draw(sparse_tmats(n, draw(st.integers(0, 4))))
+    right = draw(sparse_tmats(n, draw(st.integers(0, 4))))
+    return parity, m, left, right
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(form_and_rows())
+def test_gram_rows_against_sympy_product(case):
+    parity, m, left, right = case
+    mat = Mat.from_triples(m)
+    n = len(m)
+    assume(mat.rank() == n)
+    g = BilForm(mat, parity).gram_rows(left, right)
+    assert g.shape == (len(left), len(right))
+    want = to_dm(left, n) * to_dm(m) * to_dm(right, n).transpose()
+    assert g.t == from_dm(want)

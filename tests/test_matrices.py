@@ -50,6 +50,17 @@ def test_transpose_conj():
     assert m.conj_transpose() == m.transpose().conj()
 
 
+def test_transpose_keeps_empty_dimensions():
+    assert Mat.zeros(0, 3).transpose().shape == (3, 0)
+    assert Mat.zeros(3, 0).transpose().shape == (0, 3)
+
+
+def test_product_over_empty_inner_dimension_is_zero():
+    prod = Mat.zeros(3, 0) @ Mat.zeros(0, 2)
+    assert prod.shape == (3, 2)
+    assert prod == Mat.zeros(3, 2)
+
+
 def test_det_known():
     assert Mat([[1, 2], [3, 4]]).det() == -2
     assert Mat([[2]]).det() == 2

@@ -6,7 +6,8 @@ from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
 from hodgelim.errors import VerificationError
 from hodgelim.matrices import Mat, commutator
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit, PolyMap,
-                             a_infinity, check_integrability, collapse_cone,
+                             _interior_samples, a_infinity,
+                             check_integrability, collapse_cone,
                              integrate_ivi, is_maximal_abelian, poly_product,
                              verify_ivi, verify_maximality, verify_orbit)
 from hodgelim.scalars import GR, I
@@ -37,6 +38,17 @@ def test_orbit_verification_passes_on_shift_strings():
         for n in (1, 2):
             rep = verify_orbit(ht_orbit(k, n))
             assert rep.ok, (k, n, rep.pretty())
+
+
+def test_interior_samples_are_distinct_past_five_generators():
+    for r in range(6, 10):
+        samples = _interior_samples(r)
+        assert len(samples) == 32 and len(set(samples)) == 32, r
+        assert all(len(s) == r and min(s) >= 1 for s in samples)
+    rep = verify_orbit(diagonal_cone_orbit(3))
+    assert rep.ok, rep.pretty()
+    sampled = [c for c in rep.checks if "samples" in c.detail]
+    assert [c.detail["samples"] for c in sampled] == [32]
 
 
 def test_orbit_verification_needs_a_generator():
