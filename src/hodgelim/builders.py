@@ -15,7 +15,7 @@ dimension bounds, and the weight-2 catalog of rank (3, 3) examples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import VerificationError
 from .filtrations import DecFiltration
@@ -46,6 +46,27 @@ class _Entry:
     level: int
 
 
+def _string_levels(weight: int, spec) -> list[tuple[int, int, int, int]]:
+    """Validate one string spec and list (half, level, p, q) down its length.
+
+    A real chain R(p) has the one half 0.  A complex chain C(p, q) lists
+    its u-vectors as half 0 and then their conjugates as half 1.
+    """
+    if spec[0] == "R":
+        p = q = spec[1]
+    elif spec[0] == "C":
+        p, q = spec[1], spec[2]
+        if p <= q:
+            raise ValueError("C strings need p > q")
+    else:
+        raise ValueError(f"unknown string kind {spec[0]!r}")
+    length = p + q - weight
+    if length < 0:
+        raise ValueError("string sticks out below the weight")
+    return [(half, c) + ((p - c, q - c) if half == 0 else (q - c, p - c))
+            for half in range(1 if p == q else 2) for c in range(length + 1)]
+
+
 class StringModel:
     """A polarized weight-k space built from shift strings.
 
@@ -59,117 +80,53 @@ class StringModel:
     def __init__(self, weight: int, specs):
         self.weight = weight
         self.specs = tuple(tuple(s) for s in specs)
-        entries: list[_Entry] = []
-        dim = 0
-        for spec in self.specs:
-            if spec[0] == "R":
-                dim += 2 * spec[1] - weight + 1
-            elif spec[0] == "C":
-                p, q = spec[1], spec[2]
-                if p <= q:
-                    raise ValueError("C strings need p > q")
-                dim += 2 * (p + q - weight + 1)
-            else:
-                raise ValueError(f"unknown string kind {spec[0]!r}")
+        levels = [(s,) + lv for s, spec in enumerate(self.specs)
+                  for lv in _string_levels(weight, spec)]
+        dim = self.dim = len(levels)
         if dim == 0:
             raise ValueError("empty string model")
-        self.dim = dim
 
-        def unit(i):
-            return tuple(GR(1) if j == i else GR(0) for j in range(dim))
-
-        base = 0
-        for s_idx, spec in enumerate(self.specs):
-            if spec[0] == "R":
-                p = spec[1]
-                length = 2 * p - weight
-                if length < 0:
-                    raise ValueError("string sticks out below the weight")
-                for c in range(length + 1):
-                    entries.append(_Entry(len(entries), unit(base + c),
-                                          p - c, p - c, s_idx, c))
-                base += length + 1
-            else:
-                p, q = spec[1], spec[2]
-                length = p + q - weight
-                if length < 0:
-                    raise ValueError("string sticks out below the weight")
-                for c in range(length + 1):
-                    x, y = unit(base + 2 * c), unit(base + 2 * c + 1)
-                    u = tuple(a + I * b for a, b in zip(x, y))
-                    entries.append(_Entry(len(entries), u,
-                                          p - c, q - c, s_idx, c))
-                for c in range(length + 1):
-                    x, y = unit(base + 2 * c), unit(base + 2 * c + 1)
-                    ubar = tuple(a - I * b for a, b in zip(x, y))
-                    entries.append(_Entry(len(entries), ubar,
-                                          q - c, p - c, s_idx, c))
-                base += 2 * (length + 1)
-        self.entries = entries
+        # A string of ``width`` real coordinates per level (1 for R, 2 for
+        # C) owns as many coordinates as complex basis vectors, from its
+        # first index ``base`` on.  Level c of a half pairs with level
+        # length - c of the conjugate half by (-1)^c i^(q-p), and the
+        # standard shift moves each level to the next.
+        zero, one = GR(0), GR(1)
+        gram = [[zero] * dim for _ in range(dim)]
+        shift = [[zero] * dim for _ in range(dim)]
+        self.entries: list[_Entry] = []
         self.members: dict[tuple[int, int], list[int]] = {}
-        for e in entries:
-            self.members.setdefault((e.p, e.q), []).append(e.index)
+        for i, (s, half, c, p, q) in enumerate(levels):
+            if not (half or c):
+                base, length, width = i, p + q - weight, 1 if p == q else 2
+            x = base + width * c
+            vec = [zero] * dim
+            vec[x] = one
+            if width == 2:
+                vec[x + 1] = -I if half else I
+            self.entries.append(_Entry(i, tuple(vec), p, q, s, c))
+            self.members.setdefault((p, q), []).append(i)
+            partner = base + (width - 1 - half) * (length + 1) + length - c
+            gram[i][partner] = GR((-1) ** c) * _ipow(q - p)
+            if c < length:
+                for t in range(x, x + width):
+                    shift[t + width][t] = one
 
-        self.basis = Mat.from_columns([e.vec for e in entries])
+        self.basis = Mat.from_columns([e.vec for e in self.entries])
         self._basis_inv = self.basis.inverse()
-        self._gram = self._build_gram()
+        self._gram = Mat(gram)
         m = self._basis_inv.transpose() @ self._gram @ self._basis_inv
         if not m.is_real():
             raise VerificationError("string pairing did not close over R")
         self.form = BilForm(m, parity=weight % 2)
-        self.n_std = self._build_shift()
-        self.filtration = self._build_filtration()
+        self.n_std = Mat(shift)
+        self.filtration = DecFiltration({
+            a: Subspace.span([e.vec for e in self.entries if e.p >= a], dim)
+            for a in {e.p for e in self.entries}})
 
-    # -- assembly ----------------------------------------------------------
-
-    def _build_gram(self) -> Mat:
-        g = [[GR(0)] * self.dim for _ in range(self.dim)]
-        per_string: dict[int, list[_Entry]] = {}
-        for e in self.entries:
-            per_string.setdefault(e.string, []).append(e)
-        for s_idx, spec in enumerate(self.specs):
-            es = per_string[s_idx]
-            if spec[0] == "R":
-                length = len(es) - 1
-                for e in es:
-                    partner = es[length - e.level]
-                    g[e.index][partner.index] = GR((-1) ** e.level)
-            else:
-                p, q = spec[1], spec[2]
-                half = len(es) // 2
-                us, ubars = es[:half], es[half:]
-                length = half - 1
-                for c in range(half):
-                    g[us[c].index][ubars[length - c].index] = \
-                        GR((-1) ** c) * _ipow(q - p)
-                    g[ubars[c].index][us[length - c].index] = \
-                        GR((-1) ** c) * _ipow(p - q)
-        return Mat(g)
-
-    def _build_shift(self) -> Mat:
-        rows = [[GR(0)] * self.dim for _ in range(self.dim)]
-        base = 0
-        for spec in self.specs:
-            if spec[0] == "R":
-                length = 2 * spec[1] - self.weight
-                for c in range(length):
-                    rows[base + c + 1][base + c] = GR(1)
-                base += length + 1
-            else:
-                length = spec[1] + spec[2] - self.weight
-                for c in range(length):
-                    rows[base + 2 * c + 2][base + 2 * c] = GR(1)
-                    rows[base + 2 * c + 3][base + 2 * c + 1] = GR(1)
-                base += 2 * (length + 1)
-        return Mat(rows)
-
-    def _build_filtration(self) -> DecFiltration:
-        firsts = sorted({e.p for e in self.entries})
-        steps = {}
-        for a in firsts:
-            vecs = [e.vec for e in self.entries if e.p >= a]
-            steps[a] = Subspace.span(vecs, self.dim)
-        return DecFiltration(steps)
+    def orbit(self, cone: NilpotentCone) -> NilpotentOrbit:
+        """The nilpotent orbit of ``cone`` on this model's limit data."""
+        return NilpotentOrbit(self.weight, self.form, self.filtration, cone)
 
     # -- queries -----------------------------------------------------------
 
@@ -257,12 +214,6 @@ class StringModel:
         return x
 
 
-def _unit_block(rows: int, cols: int, i: int, j: int) -> Mat:
-    m = [[0] * cols for _ in range(rows)]
-    m[i][j] = 1
-    return Mat(m)
-
-
 def _column_block(column, cols: int, j: int) -> Mat:
     return Mat([[column[i] if jj == j else 0 for jj in range(cols)]
                 for i in range(len(column))])
@@ -330,16 +281,8 @@ class DimTable:
             specs.extend([kind] * count)
         rebuilt: dict[tuple[int, int], int] = {}
         for spec in specs:
-            if spec[0] == "R":
-                p = spec[1]
-                for c in range(2 * p - self.weight + 1):
-                    pc = (p - c, p - c)
-                    rebuilt[pc] = rebuilt.get(pc, 0) + 1
-            else:
-                p, q = spec[1], spec[2]
-                for c in range(p + q - self.weight + 1):
-                    for pc in ((p - c, q - c), (q - c, p - c)):
-                        rebuilt[pc] = rebuilt.get(pc, 0) + 1
+            for _, _, p, q in _string_levels(self.weight, spec):
+                rebuilt[p, q] = rebuilt.get((p, q), 0) + 1
         if rebuilt != done:
             raise VerificationError("table is not a union of strings")
         return specs
@@ -377,90 +320,57 @@ def build_max_ivi_k2(h20: int, h11: int) -> IVI:
         # rigid pure case: one C(2,0) string plus a point of type (1,1)
         model = StringModel(2, [("C", 2, 0), ("R", 1)])
         phi = model.element((-1, 1), {(2, 0): [[1]]})
-        orbit = NilpotentOrbit(2, model.form, model.filtration,
-                               NilpotentCone(()))
-        return IVI(orbit, (phi,))
+        return IVI(model.orbit(NilpotentCone(())), (phi,))
 
     if h20 == 1:
         # one C(2,1) string, h11 - 2 points of type (1,1)
-        s = h11 - 2
-        model = StringModel(2, [("C", 2, 1)] + [("R", 1)] * s)
+        model = StringModel(2, [("C", 2, 1)] + [("R", 1)] * (h11 - 2))
         family = [model.n_std,
                   model.element((-1, 1), {(2, 1): [[1]]})]
-        for w in range(s):
-            family.append(model.element(
-                (-1, 0), {(2, 1): _unit_block(s, 1, w, 0)}))
-        cone = NilpotentCone((model.n_std,))
-        return IVI(NilpotentOrbit(2, model.form, model.filtration, cone),
-                   tuple(family))
-
-    m = (h11 - 1) // 2 if h11 % 2 else h11 // 2
-    if h11 % 2 and m < h20:
-        # h11 odd, small: m long strings, h20 - m short ones, one point
-        model = StringModel(2, [("C", 2, 1)] * m
-                            + [("C", 2, 0)] * (h20 - m) + [("R", 1)])
-        family = _hom_into_long_ends(model, m, h20 - m)
-        family.append(model.element(
-            (-1, 1), {(2, 0): _unit_block(1, h20 - m, 0, 0)}))
-        cone = NilpotentCone((model.n_std,))
-        return IVI(NilpotentOrbit(2, model.form, model.filtration, cone),
-                   tuple(family))
-    if h11 % 2:
-        # h11 odd, large: h20 long strings, s points; isotropic targets
-        s = h11 - 2 * h20
-        model = StringModel(2, [("C", 2, 1)] * h20 + [("R", 1)] * s)
-        family = _hom_into_long_ends(model, h20, 0)
-        family.extend(_hom_into_isotropic(model, h20, s, skip_first=True))
-        family.append(model.element(
-            (-1, 0), {(2, 1): _unit_block(s, h20, 0, 0)}))
-        cone = NilpotentCone((model.n_std,))
-        return IVI(NilpotentOrbit(2, model.form, model.filtration, cone),
-                   tuple(family))
-    if m <= h20:
-        # h11 even, small: no (1,1) points at all
-        model = StringModel(2, [("C", 2, 1)] * m + [("C", 2, 0)] * (h20 - m))
-        family = _hom_into_long_ends(model, m, h20 - m)
-        cone = NilpotentCone((model.n_std,))
-        return IVI(NilpotentOrbit(2, model.form, model.filtration, cone),
-                   tuple(family))
-    # h11 even, large: pair up all the points
-    s = h11 - 2 * h20
-    model = StringModel(2, [("C", 2, 1)] * h20 + [("R", 1)] * s)
-    family = _hom_into_long_ends(model, h20, 0)
-    family.extend(_hom_into_isotropic(model, h20, s, skip_first=False))
-    cone = NilpotentCone((model.n_std,))
-    return IVI(NilpotentOrbit(2, model.form, model.filtration, cone),
-               tuple(family))
+        family += [model.element((-1, 0), {(2, 1): _column_block(e, 1, 0)})
+                   for e in Mat.identity(h11 - 2).columns()]
+    else:
+        m, odd = divmod(h11, 2)
+        if m < h20:
+            # small h11: m long strings, h20 - m short ones, odd points
+            short = h20 - m
+            model = StringModel(2, [("C", 2, 1)] * m + [("C", 2, 0)] * short
+                                + [("R", 1)] * odd)
+            family = _hom_into_long_ends(model, m, short)
+            if odd:
+                family.append(model.element(
+                    (-1, 1), {(2, 0): _column_block((1,), short, 0)}))
+        else:
+            # large h11: h20 long strings, s points; isotropic targets
+            s = h11 - 2 * h20
+            model = StringModel(2, [("C", 2, 1)] * h20 + [("R", 1)] * s)
+            family = _hom_into_long_ends(model, h20, 0)
+            family += _hom_into_isotropic(model, h20, s, skip_first=bool(odd))
+            if odd:
+                family.append(model.element(
+                    (-1, 0),
+                    {(2, 1): _column_block(Mat.identity(s).col(0), h20, 0)}))
+    return IVI(model.orbit(NilpotentCone((model.n_std,))), tuple(family))
 
 
 def _hom_into_long_ends(model: StringModel, m: int, short: int) -> list[Mat]:
     """Degree (-1,-1) maps onto the (1,0) ends, from both string kinds."""
-    family = []
-    for i in range(m):
-        for j in range(m):
-            family.append(model.element(
-                (-1, -1), {(2, 1): _unit_block(m, m, i, j)}))
-    for i in range(m):
-        for j in range(short):
-            family.append(model.element(
-                (-1, 0), {(2, 0): _unit_block(m, short, i, j)}))
+    ends = Mat.identity(m).columns()
+    family = [model.element((-1, -1), {(2, 1): _column_block(e, m, j)})
+              for e in ends for j in range(m)]
+    family += [model.element((-1, 0), {(2, 0): _column_block(e, short, j)})
+               for e in ends for j in range(short)]
     return family
 
 
 def _hom_into_isotropic(model: StringModel, sources: int, s: int,
                         skip_first: bool) -> list[Mat]:
     """Maps from the (2,1) tops into an isotropic part of the points."""
-    start = 1 if skip_first else 0
-    kvecs = []
-    for lo in range(start, s - 1, 2):
-        kvecs.append(tuple(GR(1) if i == lo else
-                           (I if i == lo + 1 else GR(0)) for i in range(s)))
-    family = []
-    for kv in kvecs:
-        for j in range(sources):
-            family.append(model.element(
-                (-1, 0), {(2, 1): _column_block(kv, sources, j)}))
-    return family
+    kvecs = [tuple(GR(1) if i == lo else (I if i == lo + 1 else GR(0))
+                   for i in range(s))
+             for lo in range(int(skip_first), s - 1, 2)]
+    return [model.element((-1, 0), {(2, 1): _column_block(kv, sources, j)})
+            for kv in kvecs for j in range(sources)]
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +434,15 @@ def diagonal_cone_orbit(d: int) -> NilpotentOrbit:
     if d < 1:
         raise ValueError("need d >= 1")
     n = 2 * d
-    base = hodge_tate_orbit(2, n)
-    gens = []
-    for a in range(n):
-        e = Mat([[1 if (i == a and j == a) else 0 for j in range(n)]
-                 for i in range(n)])
-        gens.append(level_operator_k2(n, e))
-    return NilpotentOrbit(2, base.form, base.filtration,
-                          NilpotentCone(tuple(gens)))
+    return replace(hodge_tate_orbit(2, n),
+                   cone=NilpotentCone(_diagonal_level_maps(n)))
+
+
+def _diagonal_level_maps(n: int) -> tuple[Mat, ...]:
+    """The n level operators whose level maps project onto one string."""
+    return tuple(level_operator_k2(n, Mat([[int(i == j == a) for j in range(n)]
+                                           for i in range(n)]))
+                 for a in range(n))
 
 
 def symmetric_family_ivi(d: int) -> IVI:
@@ -548,19 +459,13 @@ def symmetric_family_ivi(d: int) -> IVI:
     family = [base.cone.generators[0]]  # the identity level map
     for r in range(d):
         for c in range(r, d):
-            b = [[GR(0)] * d for _ in range(d)]
-            b[r][c] = GR(1)
-            b[c][r] = GR(1)
+            # B is the symmetric unit matrix at (r, c) and (c, r)
             blk = [[GR(0)] * n for _ in range(n)]
-            for i in range(d):
-                for j in range(d):
-                    blk[i][j] = I * b[i][j]
-                    blk[i][d + j] = b[i][j]
-                    blk[d + i][j] = b[i][j]
-                    blk[d + i][d + j] = -I * b[i][j]
+            for i, j in ((r, c), (c, r)):
+                blk[i][j], blk[i][d + j] = I, GR(1)
+                blk[d + i][j], blk[d + i][d + j] = GR(1), -I
             family.append(level_operator_k2(n, Mat(blk)))
-    return IVI(NilpotentOrbit(2, base.form, base.filtration, base.cone),
-               tuple(family))
+    return IVI(base, tuple(family))
 
 
 def max_dim_symmetric(n: int) -> int:
@@ -576,13 +481,8 @@ def max_dim_symmetric(n: int) -> int:
 
 def carlson_toledo_bound(n: int) -> int:
     """Classical rank bound for commuting symmetric systems; the family
-    maximum exceeds it by exactly one for n > 1."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n == 1:
-        return 0
-    alpha, beta = divmod(n, 2)
-    return alpha * (alpha + 1) // 2 + beta
+    maximum exceeds it by exactly one."""
+    return max_dim_symmetric(n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +512,11 @@ def _row_pure() -> CatalogRow:
               for j in range(3)]
     family.append(model.element(
         (-1, 1), {(2, 0): _column_block((GR(0), GR(0), GR(1)), 3, 0)}))
-    orbit = NilpotentOrbit(2, model.form, model.filtration,
-                           NilpotentCone(()))
+    cone = NilpotentCone(())
     return CatalogRow(
         "pure (no long strings)",
         DimTable(2, {(2, 0): 3, (1, 1): 3}),
-        (NilpotentCone(()),),
-        IVI(orbit, tuple(family)), 4)
+        (cone,), IVI(model.orbit(cone), tuple(family)), 4)
 
 
 def _row_one_long() -> CatalogRow:
@@ -642,11 +540,10 @@ def _row_top_string() -> CatalogRow:
     cones = (NilpotentCone((nx(w1),)),
              NilpotentCone((nx(w1), nx((1, 1, 0)))),
              NilpotentCone((nx(w1), nx((1, 1, 0)), nx((1, 0, 1)))))
-    orbit = NilpotentOrbit(2, model.form, model.filtration, cones[-1])
     return CatalogRow(
         "full string with short companions",
         DimTable(2, {(2, 2): 1, (2, 0): 2, (1, 1): 3}),
-        cones, IVI(orbit, tuple(family)), 3)
+        cones, IVI(model.orbit(cones[-1]), tuple(family)), 3)
 
 
 def _row_mixed_lengths() -> CatalogRow:
@@ -656,11 +553,10 @@ def _row_mixed_lengths() -> CatalogRow:
     n2 = model.element((-1, -1), {(2, 1): [[1]]})
     psi = model.element((-1, 1), {(2, 1): [[1]]})
     cones = (NilpotentCone((n1 + n2,)), NilpotentCone((n1, n2)))
-    orbit = NilpotentOrbit(2, model.form, model.filtration, cones[-1])
     return CatalogRow(
         "one string of every length",
         DimTable(2, {(2, 2): 1, (2, 1): 1, (2, 0): 1, (1, 1): 1}),
-        cones, IVI(orbit, (n1, n2, psi)), 3)
+        cones, IVI(model.orbit(cones[-1]), (n1, n2, psi)), 3)
 
 
 def _row_two_full() -> CatalogRow:
@@ -677,11 +573,10 @@ def _row_two_full() -> CatalogRow:
     cones = (NilpotentCone((nb(w1, w2),)),
              NilpotentCone((b1, b2)),
              NilpotentCone((b1, b2, b3)))
-    orbit = NilpotentOrbit(2, model.form, model.filtration, cones[-1])
     return CatalogRow(
         "two full strings",
         DimTable(2, {(2, 2): 2, (2, 0): 1, (1, 1): 3}),
-        cones, IVI(orbit, (b1, b2, b3)), 3)
+        cones, IVI(model.orbit(cones[-1]), (b1, b2, b3)), 3)
 
 
 def _row_three_full() -> CatalogRow:
@@ -692,14 +587,10 @@ def _row_three_full() -> CatalogRow:
     nd2 = level_operator_k2(3, d @ d)
     cones = (NilpotentCone((ident,)), NilpotentCone((ident, nd)),
              NilpotentCone((ident, nd, nd2)))
-    diag = tuple(level_operator_k2(
-        3, Mat([[1 if (i == a and j == a) else 0 for j in range(3)]
-                for i in range(3)])) for a in range(3))
-    orbit = NilpotentOrbit(2, base.form, base.filtration, cones[-1])
     return CatalogRow(
         "three full strings",
         DimTable(2, {(2, 2): 3, (1, 1): 3}),
-        cones, IVI(orbit, diag), 3)
+        cones, IVI(replace(base, cone=cones[-1]), _diagonal_level_maps(3)), 3)
 
 
 def table1_catalog() -> list[CatalogRow]:

@@ -37,7 +37,12 @@ def nonzeros(tv: TVec, n: int) -> Nonzeros:
 
 def operator_span(mats: Sequence[Mat], n: int) -> Subspace:
     """The span of the given operators inside flattened C^(n*n)."""
-    return Subspace.span([flatten(m) for m in mats], n * n)
+    vecs = [flatten(m) for m in mats]
+    for v in vecs:
+        if len(v) != n * n:
+            raise ValueError(
+                f"vector of length {len(v)} in ambient dim {n * n}")
+    return Subspace.from_triples(vecs, n * n)
 
 
 def span_basis_mats(space: Subspace, n: int) -> list[Mat]:

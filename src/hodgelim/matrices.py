@@ -111,12 +111,24 @@ def t_rref(tm) -> tuple[TMat, list[int]]:
     Returns ``(reduced_rows, pivot_cols)`` with only the nonzero rows kept:
     leading entries are 1 and pivot columns are cleared above and below.
     """
+    rows, pivots, _, _ = _t_eliminate(tm)
+    return rows, pivots
+
+
+def _t_eliminate(tm) -> tuple[TMat, list[int], list[Triple], int]:
+    """Gauss--Jordan elimination behind :func:`t_rref`.
+
+    Returns the reduced rows and pivot columns, each pivot entry as it was
+    found before its row was scaled to 1, and the number of row swaps.
+    """
     if not tm:
-        return (), []
+        return (), [], [], 0
     work = [list(r) for r in tm]
     nrows = len(work)
     ncols = len(work[0])
     pivots = []
+    found = []
+    swaps = 0
     rank = 0
     for col in range(ncols):
         pr = -1
@@ -127,9 +139,12 @@ def t_rref(tm) -> tuple[TMat, list[int]]:
                 break
         if pr < 0:
             continue
-        work[rank], work[pr] = work[pr], work[rank]
+        if pr != rank:
+            work[rank], work[pr] = work[pr], work[rank]
+            swaps += 1
         prow = work[rank]
         piv = prow[col]
+        found.append(piv)
         if piv != T_ONE:
             pinv = t_inv(piv)
             for j in range(col, ncols):
@@ -152,7 +167,7 @@ def t_rref(tm) -> tuple[TMat, list[int]]:
         rank += 1
         if rank == nrows:
             break
-    return tuple(tuple(r) for r in work[:rank]), pivots
+    return tuple(tuple(r) for r in work[:rank]), pivots, found, swaps
 
 
 def t_is_zero_mat(tm: TMat) -> bool:
@@ -240,11 +255,9 @@ class Mat:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "Mat":
-        tcols = [_coerce_row(c) for c in cols]
-        if not tcols:
+        if not cols:
             raise ValueError("from_columns needs at least one column")
-        n = len(tcols[0])
-        return cls.from_triples(t_from_cols(tcols, n))
+        return cls(cols).transpose()
 
     @property
     def nrows(self) -> int:
@@ -395,34 +408,13 @@ class Mat:
     def det(self) -> GaussianRational:
         if self.nrows != self.ncols:
             raise ValueError("det of non-square matrix")
-        n = self.nrows
-        work = [list(r) for r in self.t]
-        sign = 1
+        _, pivots, found, swaps = _t_eliminate(self.t)
+        if len(pivots) < self.nrows:
+            return GR(0)
         acc = T_ONE
-        for col in range(n):
-            pr = -1
-            for r in range(col, n):
-                if not t_is_zero(work[r][col]):
-                    pr = r
-                    break
-            if pr < 0:
-                return GR.from_triple(T_ZERO)
-            if pr != col:
-                work[col], work[pr] = work[pr], work[col]
-                sign = -sign
-            piv = work[col][col]
+        for piv in found:
             acc = t_mul(acc, piv)
-            pinv = t_inv(piv)
-            for r in range(col + 1, n):
-                f = work[r][col]
-                if t_is_zero(f):
-                    continue
-                f = t_mul(f, pinv)
-                for j in range(col, n):
-                    work[r][j] = t_sub(work[r][j], t_mul(f, work[col][j]))
-        if sign < 0:
-            acc = t_neg(acc)
-        return GR.from_triple(acc)
+        return GR.from_triple(t_neg(acc) if swaps % 2 else acc)
 
     def solve(self, b) -> tuple[GaussianRational, ...] | None:
         """One solution of ``self @ x = b`` or None if inconsistent.

@@ -15,11 +15,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import VerificationError
-from .matrices import (Mat, TMat, TVec, _coerce_row, t_conj_mat, t_hstack,
-                       t_identity, t_kernel, t_matmul, t_matvec, t_rref,
-                       t_transpose)
-from .scalars import (GR, GaussianRational, T_ONE, T_ZERO, t_add, t_conj,
-                      t_is_zero, t_mul, t_neg, t_sub)
+from .matrices import (Mat, TMat, TVec, _coerce_row, t_conj_mat, t_identity,
+                       t_kernel, t_matmul, t_matvec, t_rref, t_transpose)
+from .scalars import GR, GaussianRational, t_is_zero, t_mul, t_neg, t_sub
 
 
 def t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
@@ -171,8 +169,8 @@ class Subspace:
         return Subspace.from_triples(t_conj_mat(self.rows), self.ambient)
 
     def is_conj_stable(self) -> bool:
-        return all(self.contains(tuple(t_conj(e) for e in r))
-                   for r in self.rows)
+        return all(_is_zero_vec(t_reduce(r, self.rows, self.pivots)[0])
+                   for r in t_conj_mat(self.rows))
 
     def has_real_basis(self) -> bool:
         return all(e[1] == 0 for r in self.rows for e in r)
@@ -223,26 +221,23 @@ def direct_sum_equals(parts: Sequence[Subspace], total: Subspace) -> bool:
 
 
 class Quotient:
-    """Exact coordinates on sup/sub through a canonical complement."""
+    """Exact coordinates on sup/sub through a canonical complement.
 
-    __slots__ = ("sub", "sup", "complement", "_ttop", "_rank_sub")
+    The complement's canonical rows vanish in sub's pivot columns, so
+    reducing a vector against sub and then against the complement splits
+    it into its two parts.
+    """
+
+    __slots__ = ("sub", "sup", "complement")
 
     def __init__(self, sub: Subspace, sup: Subspace):
         self.sub = sub
         self.sup = sup
         self.complement = sub.complement_in(sup)
-        n = sub.ambient
-        cols = list(sub.rows) + list(self.complement.rows)
-        self._rank_sub = len(sub.rows)
-        if cols:
-            b = tuple(tuple(c[i] for c in cols) for i in range(n))
-            rows, pivots = t_rref(t_hstack(b, t_identity(n)))
-            if pivots[:len(cols)] != list(range(len(cols))):
-                raise VerificationError(
-                    "subspace and complement are not independent")
-            self._ttop = tuple(r[len(cols):] for r in rows[:len(cols)])
-        else:
-            self._ttop = ()
+        if any(not t_is_zero(r[p]) for r in self.complement.rows
+               for p in sub.pivots):
+            raise VerificationError(
+                "complement does not vanish in the pivot columns of sub")
 
     @property
     def dim(self) -> int:
@@ -251,21 +246,19 @@ class Quotient:
     def project_coords(self, v) -> TVec:
         """Coordinates of v + sub in the complement basis (v must lie in sup)."""
         tv = _coerce_row(v)
-        if not self.sup.contains(tv):
+        if len(tv) != self.sub.ambient:
+            raise ValueError("vector length mismatch")
+        res, _ = t_reduce(tv, self.sub.rows, self.sub.pivots)
+        res, coords = t_reduce(res, self.complement.rows,
+                               self.complement.pivots)
+        if not _is_zero_vec(res):
             raise ValueError("vector not in the total space of the quotient")
-        x = t_matvec(self._ttop, tv)
-        return x[self._rank_sub:]
+        return coords
 
     def lift(self, coords) -> TVec:
         """The canonical representative with the given quotient coordinates."""
-        tc = _coerce_row(coords)
-        v = [T_ZERO] * self.sub.ambient
-        for c, row in zip(tc, self.complement.rows):
-            if not t_is_zero(c):
-                for j, e in enumerate(row):
-                    if not t_is_zero(e):
-                        v[j] = t_add(v[j], t_mul(c, e))
-        return tuple(v)
+        comp = Mat.from_triples(self.complement.rows, self.sub.ambient)
+        return (Mat([coords]) @ comp).t[0]
 
     def induced_matrix(self, op: Mat, dst: "Quotient | None" = None) -> Mat:
         """Matrix of the map induced by op from this quotient to dst.

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from hodgelim import io
 from hodgelim.builders import (DimTable, StringModel, build_max_ivi_k2,
                                carlson_toledo_bound, cktm_bound_k2,
                                diagonal_cone_orbit, hodge_tate_orbit,
@@ -10,8 +13,8 @@ from hodgelim.errors import VerificationError
 from hodgelim.filtrations import verify_phs
 from hodgelim.forms import in_isometry_algebra
 from hodgelim.matrices import Mat
-from hodgelim.orbits import (IVI, limit_context, verify_ivi, verify_maximality,
-                             verify_orbit)
+from hodgelim.orbits import (IVI, NilpotentOrbit, limit_context, verify_ivi,
+                             verify_maximality, verify_orbit)
 from hodgelim.scalars import GR, I
 
 
@@ -289,3 +292,26 @@ def test_mixed_length_rank_two_cone_caps_families_at_four():
     assert z.dim == 5
     assert not pairwise_commuting(span_basis_mats(z, n))
     assert centralizer_in(ctx.horizontal, list(rank1.generators), n).dim == 6
+
+
+# SHA-256 of the io JSON of every stock construction, recorded before the
+# string models were rebuilt from one walk over the strings.
+PINNED_CONSTRUCTIONS = ("16c7b8934dee03695bd470df99cea501"
+                        "0cc6bbe580253061eda834daaa395b35")
+
+
+def test_stock_constructions_are_pinned():
+    data = [io.ivi_to_json(build_max_ivi_k2(h20, h11))
+            for h20 in range(1, 5) for h11 in range(1, 7)]
+    for row in table1_catalog():
+        data.append(io.ivi_to_json(row.witness))
+        o = row.orbit
+        data += [io.orbit_to_json(NilpotentOrbit(o.weight, o.form,
+                                                 o.filtration, cone))
+                 for cone in row.cones]
+    data += [io.ivi_to_json(symmetric_family_ivi(d)) for d in (1, 2, 3)]
+    data += [io.orbit_to_json(diagonal_cone_orbit(d)) for d in (1, 2, 3)]
+    data += [io.orbit_to_json(hodge_tate_orbit(k, n))
+             for k in (1, 2, 3) for n in (1, 2, 3)]
+    digest = hashlib.sha256(io.dump_text(data).encode("utf-8")).hexdigest()
+    assert digest == PINNED_CONSTRUCTIONS

@@ -14,7 +14,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from hodgelim.builders import hodge_tate_orbit
 from hodgelim.endo import (centralizer_in, isometry_algebra, maps_into,
-                           nonzeros, solve_in_span)
+                           nonzeros, operator_span, solve_in_span)
 from hodgelim.filtrations import Bigrading
 from hodgelim.forms import BilForm, in_isometry_algebra
 from hodgelim.matrices import Mat
@@ -235,3 +235,10 @@ def test_solve_with_no_conditions_keeps_the_space():
 def test_solve_in_the_zero_space_is_zero():
     zero = Subspace.zero(9)
     assert solve_in_span(zero, 3, lambda nz: (nz[0][2],)) is zero
+
+
+def test_operator_span_checks_the_operator_size():
+    with pytest.raises(ValueError, match="length 4 in ambient dim 9"):
+        operator_span([Mat([[1, 0], [0, 1]])], 3)
+    span = operator_span([Mat([[1, 2], [0, 1]]), Mat([[2, 4], [0, 2]])], 2)
+    assert span == Subspace.span([[1, 2, 0, 1]], 4)

@@ -140,3 +140,13 @@ def test_predicates_and_hash():
 def test_from_columns():
     m = Mat.from_columns([[1, 2], [3, 4]])
     assert m == Mat([[1, 3], [2, 4]])
+
+
+def test_from_columns_rejects_ragged_and_keeps_empty_columns():
+    with pytest.raises(ValueError):
+        Mat.from_columns([(1,), (2, 3)])
+    with pytest.raises(ValueError):
+        Mat.from_columns([(1, 2), (3,)])
+    assert Mat.from_columns([(), (), ()]).shape == (0, 3)
+    with pytest.raises(ValueError):
+        Mat.from_columns([])

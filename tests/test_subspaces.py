@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hodgelim import GR, I, Mat, Subspace, Quotient, image, kernel
+from hodgelim.errors import VerificationError
 
 
 def random_subspace(rng, n, max_vecs=None):
@@ -155,3 +156,48 @@ def test_quotient_of_zero_sub():
     q = Quotient(Subspace.zero(2), Subspace.full(2))
     assert q.dim == 2
     assert q.project_coords([3, 4]) == (GR(3).triple, GR(4).triple)
+
+
+def test_quotient_lift_rejects_wrong_lengths():
+    q = Quotient(Subspace.span([[1, 1, 1]], 3), Subspace.full(3))
+    for coords in ([1, 2, 3], [5], []):
+        with pytest.raises(ValueError):
+            q.lift(coords)
+    with pytest.raises(ValueError):
+        q.project_coords([1, 2])
+    empty = Quotient(Subspace.full(2), Subspace.full(2))
+    assert empty.lift([]) == (GR(0).triple,) * 2
+    with pytest.raises(ValueError):
+        empty.lift([1])
+
+
+def test_quotient_of_a_proper_complex_subspace():
+    i = GR(0, 1)
+    a, b, c = [1, i, 0, 2], [0, 1, 1 + i, 0], [2, 0, 1, -i]
+    sup = Subspace.span([a, b, c], 4)
+    sub = Subspace.span([[x + y for x, y in zip(a, b)]], 4)
+    q = Quotient(sub, sup)
+    assert sup.dim == 3 and q.dim == 2
+    rng = random.Random("proper")
+    for _ in range(10):
+        coords = [rng.randint(-4, 4) + rng.randint(-3, 3) * i
+                  for _ in range(q.dim)]
+        v = q.lift(coords)
+        assert sup.contains(v) and q.complement.contains(v)
+        assert q.project_coords(v) == tuple(GR(x).triple for x in coords)
+        # moving by an element of sub does not change the coordinates
+        s = [3 * i * (x + y) for x, y in zip(a, b)]
+        w = [GR.from_triple(e) + x for e, x in zip(v, s)]
+        assert q.project_coords(w) == q.project_coords(v)
+    with pytest.raises(ValueError):
+        q.project_coords([1, 0, 0, 0])
+
+
+def test_quotient_rejects_a_complement_meeting_the_pivots_of_sub(monkeypatch):
+    # both reduction passes rely on the complement vanishing where sub has
+    # its pivots; a complement that does not is refused at construction
+    sub = Subspace.span([[1, 0, 0]], 3)
+    monkeypatch.setattr(Subspace, "complement_in",
+                        lambda self, sup: Subspace.span([[1, 1, 0]], 3))
+    with pytest.raises(VerificationError):
+        Quotient(sub, Subspace.full(3))
