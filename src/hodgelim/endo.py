@@ -152,9 +152,14 @@ def centralizer_in(space: Subspace, mats: Sequence[Mat], n: int) -> Subspace:
     return solve_in_span(space, n, conditions)
 
 
-def pairwise_commuting(mats: Sequence[Mat]) -> bool:
+def noncommuting_pair(mats: Sequence[Mat]) -> tuple[int, int] | None:
+    """The first pair i < j, in lexicographic order, with [A_i, A_j] != 0."""
     for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
+        for j, b in enumerate(mats[i + 1:], i + 1):
             if not (a @ b - b @ a).is_zero():
-                return False
-    return True
+                return i, j
+    return None
+
+
+def pairwise_commuting(mats: Sequence[Mat]) -> bool:
+    return noncommuting_pair(mats) is None

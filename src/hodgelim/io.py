@@ -12,6 +12,10 @@ files bundle these under fixed keys:
 * family               orbit keys plus {"abelian_basis"}
 * period map           {"z_part", "t_linear", "higher"}
 
+A period map is linear, so ``higher`` is always empty; the key is kept so
+that files written before stay readable.  Writers emit it as ``[]`` and
+readers reject anything else.
+
 Readers raise FormatError on anything malformed; writers always emit
 the canonical grammar (reduced fractions, positive denominators).
 """
@@ -305,26 +309,9 @@ def polymap_to_json(pm: PolyMap) -> dict:
     if tuple(z_vars + t_vars) != pm.variables:
         raise FormatError(
             "period-map files need z* variables followed by t* variables")
-    rows, cols = pm.shape
-    zero = Mat.zeros(rows, cols)
-    units = {}
-    for i, v in enumerate(pm.variables):
-        units[v] = tuple(1 if j == i else 0 for j in range(len(pm.variables)))
-    out = {
-        "z_part": [matrix_to_json(pm.terms.get(units[v], zero))
-                   for v in z_vars],
-        "t_linear": [matrix_to_json(pm.terms.get(units[v], zero))
-                     for v in t_vars],
-        "higher": [],
-    }
-    unit_set = set(units.values())
-    for expo in sorted(pm.terms):
-        if expo in unit_set:
-            continue
-        mono = {pm.variables[i]: e for i, e in enumerate(expo) if e}
-        out["higher"].append({"monomial": mono,
-                              "matrix": matrix_to_json(pm.terms[expo])})
-    return out
+    return {"z_part": [matrix_to_json(pm.coefficient(v)) for v in z_vars],
+            "t_linear": [matrix_to_json(pm.coefficient(v)) for v in t_vars],
+            "higher": []}
 
 
 def polymap_from_json(obj) -> PolyMap:
@@ -332,34 +319,13 @@ def polymap_from_json(obj) -> PolyMap:
     z_part, t_linear = obj["z_part"], obj["t_linear"]
     if not isinstance(z_part, list) or not isinstance(t_linear, list):
         raise FormatError("z_part and t_linear must be matrix arrays")
+    if obj.get("higher", []) != []:
+        raise FormatError("period maps are linear: higher must be empty")
     names = tuple(f"z{i + 1}" for i in range(len(z_part))) + tuple(
         f"t{i + 1}" for i in range(len(t_linear)))
-    if not names:
-        raise FormatError("period map with no variables")
-    nvars = len(names)
-    index = {v: i for i, v in enumerate(names)}
-    terms: dict[tuple[int, ...], Mat] = {}
-    for i, raw in enumerate(list(z_part) + list(t_linear)):
-        expo = tuple(1 if j == i else 0 for j in range(nvars))
-        terms[expo] = matrix_from_json(raw)
-    for item in obj.get("higher", []):
-        _require(item, "monomial", "matrix")
-        mono = item["monomial"]
-        if not isinstance(mono, dict):
-            raise FormatError("a monomial is a variable -> exponent map")
-        expo = [0] * nvars
-        for var, e in mono.items():
-            if var not in index:
-                raise FormatError(f"unknown variable {var!r} in a monomial")
-            if isinstance(e, bool) or not isinstance(e, int) or e < 0:
-                raise FormatError(f"bad exponent for {var!r}")
-            expo[index[var]] = e
-        key = tuple(expo)
-        if key in terms:
-            raise FormatError(f"duplicate monomial {mono}")
-        terms[key] = matrix_from_json(item["matrix"])
+    mats = [matrix_from_json(raw) for raw in z_part + t_linear]
     try:
-        return PolyMap(names, terms)
+        return PolyMap.linear(names, mats)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

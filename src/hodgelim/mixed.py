@@ -224,10 +224,15 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     graded piece gr_{weight+l} the form Q(C u, N^l conj v) must be positive
     definite Hermitian.
     """
+    if weight < 0:
+        raise ValueError(f"a polarized limit structure has weight >= 0, "
+                         f"got weight {weight}")
+    if n.shape != q.matrix.shape:
+        raise ValueError(f"N of shape {n.shape} does not act on the "
+                         f"space of the form, of shape {q.matrix.shape}")
     rep = Report(f"polarized limit structure (weight {weight})")
-    dim = q.dim
     rep.add("N is real", n.is_real())
-    nilp = n.is_square() and n.nrows == dim and n.pow(weight + 1).is_zero()
+    nilp = n.pow(weight + 1).is_zero()
     rep.add(f"N^{weight + 1} = 0", nilp)
     rep.add("N preserves the form infinitesimally", in_isometry_algebra(n, q))
 

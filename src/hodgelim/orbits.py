@@ -5,8 +5,8 @@ describes a degenerating family; the limit carries a mixed Hodge structure
 polarized on primitive graded pieces.  An IVI (infinitesimal variation of
 Hodge structure at infinity) enlarges the cone to an abelian subspace of
 the horizontal part of the isometry algebra.  This module verifies both
-notions, integrates an IVI into a polynomial period map, and certifies
-maximality by a centralizer computation.
+notions, integrates an IVI into a linear period map (the exponent of its
+nilpotent orbit), and certifies maximality by a centralizer computation.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .endo import (centralizer_in, isometry_algebra, operator_span,
-                   pairwise_commuting, span_basis_mats)
+from .endo import (centralizer_in, isometry_algebra, noncommuting_pair,
+                   operator_span, pairwise_commuting, span_basis_mats)
 from .errors import VerificationError
 from .filtrations import (DecFiltration, IncFiltration, shift_filtration,
                           verify_phs, weight_filtration)
@@ -23,7 +23,7 @@ from .forms import BilForm, in_isometry_algebra
 from .matrices import Mat
 from .mixed import deligne_bigrading, filtration_lowering, verify_pmhs
 from .reports import Report
-from .scalars import GR, as_scalar
+from .scalars import as_scalar
 from .subspaces import Subspace
 
 
@@ -71,6 +71,10 @@ class NilpotentOrbit:
     cone: NilpotentCone
 
     def __post_init__(self):
+        # k < 0 leaves no N with N^(k+1) = 0; a pure k < 0 is legitimate
+        if self.weight < 0 and self.cone.r:
+            raise ValueError(f"a nilpotent orbit has weight >= 0, "
+                             f"got weight {self.weight}")
         n = self.form.dim
         if self.filtration.ambient != n:
             raise ValueError("filtration and form dimensions differ")
@@ -284,11 +288,20 @@ def collapse_cone(ivi: IVI, coefficients=None) -> IVI:
 
 
 # ---------------------------------------------------------------------------
-# polynomial period maps
+# period maps
 # ---------------------------------------------------------------------------
 
+def _unit(i: int, k: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(k))
+
+
 class PolyMap:
-    """A matrix-valued polynomial in named variables, stored term by term."""
+    """A linear matrix-valued map Σ_v v·A_v in named variables.
+
+    This is the exponent Σ z_j N_j + Σ t_k A_k of the nilpotent orbit
+    exp(Σ z_j N_j + Σ t_k A_k)·F of an integrated family.  ``terms`` maps
+    the unit exponent vector of each variable to its nonzero coefficient.
+    """
 
     __slots__ = ("variables", "terms", "shape")
 
@@ -297,12 +310,14 @@ class PolyMap:
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
+        k = len(self.variables)
         clean = {}
         shape = None
         for expo, coeff in terms.items():
             expo = tuple(int(e) for e in expo)
-            if len(expo) != len(self.variables) or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent vector {expo}")
+            if len(expo) != k or sorted(expo) != [0] * (k - 1) + [1]:
+                raise ValueError(f"exponent vector {expo} is not a unit "
+                                 f"vector: period maps are linear")
             if shape is None:
                 shape = coeff.shape
             elif coeff.shape != shape:
@@ -310,91 +325,36 @@ class PolyMap:
             if not coeff.is_zero():
                 clean[expo] = coeff
         if shape is None:
-            raise ValueError("a polynomial map needs at least one term")
+            raise ValueError("a period map needs at least one term")
         self.terms = clean
         self.shape = shape
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @classmethod
+    def linear(cls, variables: Sequence[str],
+               coefficients: Sequence[Mat]) -> "PolyMap":
+        """Σ v·A_v with the coefficients given in variable order."""
+        k = len(variables)
+        return cls(variables, {_unit(i, k): a
+                               for i, a in enumerate(coefficients)})
+
+    def coefficient(self, var: str) -> Mat:
+        """The constant partial derivative in ``var``."""
+        if var not in self.variables:
+            raise ValueError(f"unknown variable {var!r}")
+        expo = _unit(self.variables.index(var), len(self.variables))
+        return self.terms.get(expo, Mat.zeros(*self.shape))
 
     def evaluate(self, point: Mapping[str, object]) -> Mat:
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise ValueError(f"missing values for {missing}")
-        vals = [as_scalar(point[v]) for v in self.variables]
-        acc = Mat.zeros(*self.shape)
-        for expo, coeff in self.terms.items():
-            c = GR(1)
-            for v, e in zip(vals, expo):
-                c = c * v ** e
-            acc = acc + coeff * c
-        return acc
-
-    def partial(self, var: str) -> "PolyMap":
-        if var not in self.variables:
-            raise ValueError(f"unknown variable {var!r}")
-        i = self.variables.index(var)
-        out = {}
-        for expo, coeff in self.terms.items():
-            if expo[i] == 0:
-                continue
-            lowered = expo[:i] + (expo[i] - 1,) + expo[i + 1:]
-            term = coeff * GR(expo[i])
-            out[lowered] = out.get(lowered, Mat.zeros(*self.shape)) + term
-        return PolyMap(self.variables,
-                       _ensure_nonempty(self.variables, out, self.shape))
-
-    def degree_terms(self, d: int) -> dict[tuple[int, ...], Mat]:
-        return {e: c for e, c in self.terms.items() if sum(e) == d}
-
-    def __add__(self, other: "PolyMap") -> "PolyMap":
-        if self.variables != other.variables:
-            raise ValueError("variable mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Mat.zeros(*self.shape)) + c
-        return PolyMap(self.variables,
-                       _ensure_nonempty(self.variables, out, self.shape))
-
-    def __neg__(self) -> "PolyMap":
-        return PolyMap(self.variables, _ensure_nonempty(
-            self.variables, {e: -c for e, c in self.terms.items()},
-            self.shape))
-
-    def __sub__(self, other: "PolyMap") -> "PolyMap":
-        return self + (-other)
+        return sum((self.coefficient(v) * as_scalar(point[v])
+                    for v in self.variables), Mat.zeros(*self.shape))
 
     def __eq__(self, other):
         return (isinstance(other, PolyMap)
                 and self.variables == other.variables
                 and self.terms == other.terms)
-
-    def __repr__(self):
-        return (f"PolyMap({len(self.variables)} variables, "
-                f"{len(self.terms)} terms)")
-
-
-def _ensure_nonempty(variables, terms, shape):
-    if terms:
-        return terms
-    return {(0,) * len(variables): Mat.zeros(*shape)}
-
-
-def poly_product(a: PolyMap, b: PolyMap) -> PolyMap:
-    if a.variables != b.variables:
-        raise ValueError("variable mismatch")
-    out = {}
-    shape = (a.shape[0], b.shape[1])
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            prod = c1 @ c2
-            out[e] = out.get(e, Mat.zeros(*shape)) + prod
-    return PolyMap(a.variables, _ensure_nonempty(a.variables, out, shape))
-
-
-def poly_commutator(a: PolyMap, b: PolyMap) -> PolyMap:
-    return poly_product(a, b) - poly_product(b, a)
 
 
 def integrate_ivi(ivi: IVI) -> PolyMap:
@@ -412,43 +372,35 @@ def integrate_ivi(ivi: IVI) -> PolyMap:
         raise ValueError("cone does not lie inside the family")
     rest = cone_span.complement_in(span)
     mats = list(orbit.cone.generators) + span_basis_mats(rest, n)
+    if not mats:
+        raise ValueError("cannot integrate an empty family")
     names = tuple(f"z{j + 1}" for j in range(orbit.cone.r)) + tuple(
         f"t{j + 1}" for j in range(rest.dim))
-    terms = {}
-    for i, m in enumerate(mats):
-        expo = tuple(1 if j == i else 0 for j in range(len(mats)))
-        terms[expo] = m
-    if not terms:
-        raise ValueError("cannot integrate an empty family")
-    return PolyMap(names, terms)
+    return PolyMap.linear(names, mats)
 
 
 def check_integrability(pm: PolyMap) -> Report:
-    """Do all pairs of partial derivatives commute identically?"""
+    """Do the partial derivatives, the coefficients, commute pairwise?
+
+    Their commutators are constant: a failure's monomial is always 0.
+    """
     rep = Report("integrability")
-    offending = None
-    for i, u in enumerate(pm.variables):
-        for v in pm.variables[i + 1:]:
-            comm = poly_commutator(pm.partial(u), pm.partial(v))
-            if not comm.is_zero():
-                expo = sorted(comm.terms)[0]
-                offending = (u, v, expo)
-                break
-        if offending:
-            break
-    if offending:
-        u, v, expo = offending
-        rep.add("partial derivatives commute", False,
-                pair=f"({u}, {v})", monomial=str(expo))
-    else:
+    names = pm.variables
+    pair = noncommuting_pair([pm.coefficient(v) for v in names])
+    if pair is None:
         rep.add("partial derivatives commute", True,
-                pairs=len(pm.variables) * (len(pm.variables) - 1) // 2)
+                pairs=len(names) * (len(names) - 1) // 2)
+    else:
+        i, j = pair
+        rep.add("partial derivatives commute", False,
+                pair=f"({names[i]}, {names[j]})",
+                monomial=str((0,) * len(names)))
     return rep
 
 
 def a_infinity(pm: PolyMap) -> Subspace:
-    """Span of the degree-one coefficients — recovers the family."""
+    """Span of the coefficients — recovers the family."""
     rows, cols = pm.shape
     if rows != cols:
         raise ValueError("period map is not square-matrix valued")
-    return operator_span(list(pm.degree_terms(1).values()), rows)
+    return operator_span(list(pm.terms.values()), rows)

@@ -1,15 +1,24 @@
+import copy
 import hashlib
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hodgelim import io
-from hodgelim.builders import hodge_tate_orbit, level_operator_k2
+from hodgelim.builders import (build_max_ivi_k2, hodge_tate_orbit,
+                               level_operator_k2, symmetric_family_ivi,
+                               table1_catalog)
 from hodgelim.cli import main
-from hodgelim.filtrations import weight_filtration
+from hodgelim.filtrations import DecFiltration, weight_filtration
+from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
-from hodgelim.orbits import IVI
+from hodgelim.orbits import IVI, NilpotentCone, NilpotentOrbit
+from hodgelim.scalars import I
+from hodgelim.subspaces import Subspace
 
 from genutil import make_split_mhs
 
@@ -102,6 +111,114 @@ def test_wrong_shape_exits_2(capsys, tmp_path):
     assert code == 2 and "missing keys" in err
 
 
+@pytest.mark.parametrize("argv", [["verify", "orbit"], ["verify", "ivi"],
+                                  ["verify", "pmhs"], ["integrate"]])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_negative_weight_exits_2_naming_it(capsys, tmp_path, argv, k):
+    o = hodge_tate_orbit(k, 2)
+    if argv[-1] == "orbit":
+        data = io.orbit_to_json(o)
+    elif argv[-1] == "pmhs":
+        data = io.pmhs_to_json(k, o.form, o.limit_weight_filtration(),
+                               o.filtration, o.cone.barycenter())
+    else:
+        data = io.ivi_to_json(IVI(o, o.cone.generators))
+    data["weight"] = -k  # same parity, so the form still parses
+    code, out, err = run(capsys, *argv, write(tmp_path, "neg.json", data))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"got weight {-k}\n")
+
+
+def pure_weight_minus_one_family():
+    # the Tate twist of an elliptic curve's H^1 with its one horizontal
+    # direction: a pure structure of weight -1, legitimately negative
+    q = BilForm(Mat([[0, 1], [-1, 0]]), parity=1)
+    f = DecFiltration({-1: Subspace.full(2), 0: Subspace.span([(1, I)], 2)})
+    o = NilpotentOrbit(-1, q, f, NilpotentCone(()))
+    x = Mat([[1, -I], [-I, -1]])
+    return IVI(o, (x,))
+
+
+def test_pure_family_of_negative_weight_verifies(capsys, tmp_path):
+    path = write(tmp_path, "pure.json",
+                 io.ivi_to_json(pure_weight_minus_one_family()))
+    code, out, _ = run(capsys, "verify", "ivi", path)
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = run(capsys, "integrate", path)
+    assert code == 0 and json.loads(out)["integrability"]["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# mutated files
+# ---------------------------------------------------------------------------
+
+def stock_files():
+    o = hodge_tate_orbit(2, 1)
+    w, n = o.limit_weight_filtration(), o.cone.barycenter()
+    pure = pure_weight_minus_one_family().orbit
+    return {"hs": io.hs_to_json(pure.weight, pure.form, pure.filtration),
+            "mhs": io.mhs_to_json(w, o.filtration),
+            "pmhs": io.pmhs_to_json(o.weight, o.form, w, o.filtration, n),
+            "orbit": io.orbit_to_json(o),
+            "ivi": io.ivi_to_json(symmetric_family_ivi(1))}
+
+
+STOCK = stock_files()
+BIG_INT = "<5000-digit integer>"  # spliced into the text after dumping
+REPLACEMENTS = [None, True, 0, -3, 1.5, "x", "1/0", [], {}, [[]],
+                "9" * 5000, BIG_INT]
+
+
+@st.composite
+def mutated_files(draw):
+    kind = draw(st.sampled_from(sorted(STOCK)))
+    data = copy.deepcopy(STOCK[kind])
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, data
+        for _ in range(draw(st.integers(1, 6))):
+            if not (isinstance(node, (dict, list)) and node):
+                break
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = node[key]
+        op = draw(st.sampled_from(["drop", "ragged", "weight", "replace"]))
+        if op == "drop" and parent is not None:
+            del parent[key]
+        elif (op == "ragged" and isinstance(node, list) and node
+              and all(isinstance(row, list) for row in node)):
+            row = node[draw(st.integers(0, len(node) - 1))]
+            if row and draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("1")
+        elif op == "weight" and isinstance(data, dict):
+            data["weight"] = draw(st.integers(-6, -1))
+        else:
+            new = copy.deepcopy(draw(st.sampled_from(REPLACEMENTS)))
+            if parent is None:
+                data = new
+            else:
+                parent[key] = new
+    return kind, data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_files())
+def test_mutated_files_exit_cleanly(tmp_path, case):
+    kind, data = case
+    path = tmp_path / "mutant.json"
+    text = io.dump_text(data).replace(json.dumps(BIG_INT), "9" * 5000)
+    path.write_text(text, encoding="utf-8")
+    for argv in (["verify", kind, str(path)], ["integrate", str(path)]):
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.getvalue().startswith("error: "), argv
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -189,15 +306,39 @@ def test_integrate_with_out_file(capsys, tmp_path):
     assert pm.variables == ("z1", "t1", "t2", "t3")
 
 
-def test_integrate_non_abelian_exits_1(capsys, tmp_path):
+def non_abelian_family():
     o = hodge_tate_orbit(2, 2)
     a = level_operator_k2(2, Mat([[0, 1], [0, 0]]))
     b = level_operator_k2(2, Mat([[0, 0], [1, 0]]))
-    fam = IVI(o, (o.cone.generators[0], a, b))
-    path = write(tmp_path, "nonab.json", io.ivi_to_json(fam))
+    return IVI(o, (o.cone.generators[0], a, b))
+
+
+def test_integrate_non_abelian_exits_1(capsys, tmp_path):
+    path = write(tmp_path, "nonab.json", io.ivi_to_json(non_abelian_family()))
     code, out, _ = run(capsys, "integrate", path)
     assert code == 1
     assert json.loads(out)["integrability"]["ok"] is False
+
+
+# SHA-256 over the exit code and standard output of ``integrate`` on the
+# stock families and one non-abelian family, recorded while period maps
+# were still general matrix polynomials.
+PINNED_INTEGRATE = ("593d9df3943fdf61489d922e095224ab"
+                    "560bf3552a53a3254021d71aea8982a1")
+
+
+def test_integrate_outputs_are_pinned(capsys, tmp_path):
+    families = [build_max_ivi_k2(h20, h11)
+                for h20 in range(1, 5) for h11 in range(1, 7)]
+    families += [row.witness for row in table1_catalog()]
+    families += [symmetric_family_ivi(d) for d in (1, 2, 3)]
+    families.append(non_abelian_family())
+    digest = hashlib.sha256()
+    for i, ivi in enumerate(families):
+        path = write(tmp_path, f"fam{i}.json", io.ivi_to_json(ivi))
+        code, out, _ = run(capsys, "integrate", path)
+        digest.update(f"{code}\n{out}".encode("utf-8"))
+    assert digest.hexdigest() == PINNED_INTEGRATE
 
 
 # ---------------------------------------------------------------------------

@@ -204,3 +204,19 @@ def test_non_nilpotent_detected():
     rep = verify_pmhs(1, q, w, f, Mat([[1, 0], [0, 1]]))
     assert not rep.ok
     assert "N^2 = 0" in rep.failed()
+
+
+@pytest.mark.parametrize("weight", [-1, -2, -5])
+def test_negative_weight_is_rejected_by_name(weight):
+    n, q, w, f = weight_two_string()
+    with pytest.raises(ValueError, match=f"got weight {weight}$"):
+        verify_pmhs(weight, q, w, f, n)
+
+
+def test_nilpotent_of_the_wrong_size_is_rejected_by_shape():
+    n, _, w, f = weight_one_limit()
+    _, q, _, _ = weight_two_string()
+    with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 3\)"):
+        verify_pmhs(2, q, w, f, n)
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 3\)"):
+        verify_pmhs(2, q, w, f, Mat([[0, 0, 0], [1, 0, 0]]))

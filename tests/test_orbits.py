@@ -8,7 +8,7 @@ from hodgelim.matrices import Mat, commutator
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit, PolyMap,
                              _interior_samples, a_infinity,
                              check_integrability, collapse_cone,
-                             integrate_ivi, is_maximal_abelian, poly_product,
+                             integrate_ivi, is_maximal_abelian,
                              verify_ivi, verify_maximality, verify_orbit)
 from hodgelim.scalars import GR, I
 
@@ -56,6 +56,16 @@ def test_orbit_verification_needs_a_generator():
     empty = NilpotentOrbit(o.weight, o.form, o.filtration, NilpotentCone(()))
     with pytest.raises(ValueError):
         verify_orbit(empty)
+
+
+def test_negative_weight_needs_an_empty_cone():
+    o = ht_orbit(2, 2)
+    for weight in (-1, -2):
+        with pytest.raises(ValueError, match=f"got weight {weight}$"):
+            NilpotentOrbit(weight, o.form, o.filtration, o.cone)
+    # a pure structure of negative weight is legitimate
+    pure = NilpotentOrbit(-2, o.form, o.filtration, NilpotentCone(()))
+    assert pure.weight == -2
 
 
 def test_non_commuting_cone_rejected():
@@ -156,27 +166,23 @@ def test_collapse_cone():
 
 
 # ---------------------------------------------------------------------------
-# polynomial period maps
+# period maps
 # ---------------------------------------------------------------------------
 
 def test_polymap_evaluate_and_partial():
+    # the partial derivative in a variable is its constant coefficient
     a, b = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])
-    pm = PolyMap(("x", "y"), {(1, 0): a, (0, 2): b})
-    assert pm.evaluate({"x": 3, "y": 2}) == a * GR(3) + b * GR(4)
-    assert pm.partial("x") == PolyMap(("x", "y"), {(0, 0): a})
-    assert pm.partial("y") == PolyMap(("x", "y"), {(0, 1): b * GR(2)})
+    pm = PolyMap(("x", "y", "w"), {(1, 0, 0): a, (0, 1, 0): b,
+                                   (0, 0, 1): Mat.zeros(2, 2)})
+    assert pm.terms == {(1, 0, 0): a, (0, 1, 0): b}
+    assert pm.evaluate({"x": 3, "y": 2, "w": 5}) == a * GR(3) + b * GR(2)
+    assert pm.coefficient("x") == a and pm.coefficient("y") == b
+    assert pm.coefficient("w") == Mat.zeros(2, 2)
+    assert pm == PolyMap.linear(("x", "y", "w"), [a, b])
     with pytest.raises(ValueError):
         pm.evaluate({"x": 1})
     with pytest.raises(ValueError):
-        pm.partial("z")
-
-
-def test_polymap_product_convolves():
-    a, b = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])
-    p = PolyMap(("z",), {(1,): a})
-    q = PolyMap(("z",), {(1,): b})
-    prod = poly_product(p, q)
-    assert prod.terms == {(2,): a @ b}
+        pm.coefficient("z")
 
 
 def test_integration_round_trip():
@@ -197,10 +203,13 @@ def test_integrability_negative_control():
 
 
 def test_integration_of_nonlinear_map():
-    # z*A + z^2/1 * A is still integrable (single variable)
+    # period maps are linear: any exponent but a unit vector is refused
     a = Mat([[0, 1], [0, 0]])
-    pm = PolyMap(("z",), {(1,): a, (2,): a})
-    assert check_integrability(pm).ok
+    with pytest.raises(ValueError):
+        PolyMap(("z",), {(1,): a, (2,): a})
+    for expo in [(0, 0), (2, 0), (-1, 1), (1, 1), (1,)]:
+        with pytest.raises(ValueError):
+            PolyMap(("z", "t"), {expo: a})
 
 
 def test_cktm_family_round_trip():
