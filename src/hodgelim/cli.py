@@ -140,7 +140,8 @@ def _cmd_catalog(args) -> int:
     ok = True
     rows_out = []
     for row in table1_catalog():
-        rep = verify_ivi(row.witness)
+        ctx = limit_context(row.witness.orbit) if args.search else None
+        rep = verify_ivi(row.witness, context=ctx)
         row_ok = rep.ok and rep.data["dim"] == row.expected_max
         entry = {
             "label": row.label,
@@ -152,7 +153,6 @@ def _cmd_catalog(args) -> int:
             "cone_ranks": [c.r for c in row.cones],
         }
         if args.search:
-            ctx = limit_context(row.witness.orbit)
             searches = []
             for cone in row.cones:
                 target = NilpotentOrbit(row.witness.orbit.weight,
@@ -181,8 +181,9 @@ def _cmd_search(args) -> int:
         start = orbit = io.orbit_from_json(payload)
     cfg = SearchConfig(restarts=args.restarts, seed=args.seed,
                        max_steps=args.max_steps)
-    res = greedy_max_abelian(start, cfg)
-    rep = verify_ivi(IVI(orbit, tuple(res.best)))
+    ctx = limit_context(orbit)
+    res = greedy_max_abelian(start, cfg, context=ctx)
+    rep = verify_ivi(IVI(orbit, tuple(res.best)), context=ctx)
     _print({"best_dim": res.best_dim,
             "certified": res.certified,
             "restart_dims": res.restart_dims,

@@ -8,14 +8,20 @@ list of nonzeros ``(i, j, x)``, so its cost follows the sparsity of the
 space rather than n².  Centralizers and the filtration-preserving parts of
 an algebra are solves; the isometry algebra of a form has a closed form
 and needs none.
+
+:class:`SpanCoordinates` puts a subspace L of operators in its own
+coordinates, with the structure constants of its brackets, so repeated
+centralizers inside L cost conditions in the bracket span's dimension
+rather than in n².
 """
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 from .forms import BilForm
-from .matrices import Mat, TVec, t_from_cols, t_kernel, t_matmul
-from .scalars import T_ZERO, Triple, t_add, t_mul, t_neg, t_sub
+from .matrices import (Mat, TMat, TVec, t_from_cols, t_hstack, t_kernel,
+                       t_matmul, t_transpose)
+from .scalars import T_ZERO, Triple, t_add, t_inv, t_mul, t_neg, t_sub
 from .subspaces import Subspace, t_reduce
 
 Nonzeros = list[tuple[int, int, Triple]]
@@ -63,10 +69,16 @@ def solve_in_span(space: Subspace, n: int,
     if space.is_zero():
         return space
     cols = [conditions(nonzeros(r, n)) for r in space.rows]
-    combos = t_kernel(t_from_cols(cols, len(cols[0])), space.dim)
+    return _kernel_part(space, t_from_cols(cols, len(cols[0])))
+
+
+def _kernel_part(space: Subspace, cond: TMat) -> Subspace:
+    """{sum_i y_i r_i : cond y = 0} for the canonical rows r_i of space."""
+    combos = t_kernel(cond, space.dim)
     if not combos:
-        return Subspace.zero(n * n)
-    return Subspace.from_triples(t_matmul(tuple(combos), space.rows), n * n)
+        return Subspace.zero(space.ambient)
+    return Subspace.from_triples(t_matmul(tuple(combos), space.rows),
+                                 space.ambient)
 
 
 def maps_into(pairs: Sequence[tuple[TVec, Subspace]],
@@ -118,16 +130,148 @@ def isometry_algebra(q: BilForm) -> Subspace:
     return Subspace.from_triples(vecs, n * n)
 
 
-def centralizer_in(space: Subspace, mats: Sequence[Mat], n: int) -> Subspace:
+class SpanCoordinates:
+    """A subspace L of flattened n x n operators in its own coordinates.
+
+    L's canonical basis z_1..z_m has pivot columns p_1..p_m, so every v in
+    L is sum_a v[p_a] z_a and its coordinates are its entries at the pivot
+    columns.  Every vector of L has its first nonzero at a pivot column,
+    so this projection commutes with RREF, reduction, canonical complements
+    and sums: a canonical subspace of L and its coordinate image determine
+    each other row by row.
+
+    The brackets [z_a, z_b] span a space of dimension ``rank`` = D with
+    canonical basis B_1..B_D and pivot columns q_1..q_D.  The structure
+    constants are [z_a, z_b] = sum_k c_ab[k] B_k, that is c_ab[k] =
+    [z_a, z_b][q_k].  ``columns[b]`` lists the nonzero (a, k, c_ab[k]), so
+    c_{.b} is what x_b contributes to the bracket with x = sum_b x_b z_b.
+    """
+
+    __slots__ = ("space", "rank", "columns")
+
+    def __init__(self, space: Subspace, n: int):
+        self.space = space
+        nz = [nonzeros(r, n) for r in space.rows]
+        rows_of = []
+        for entries in nz:
+            by_row = [[] for _ in range(n)]
+            for i, j, x in entries:
+                by_row[i].append((j, x))
+            rows_of.append(by_row)
+        # [z_a, z_b] for a < b from the nonzeros, as sparse dicts: z_a[i][j]
+        # adds z_a[i][j] z_b[j][l] at (i, l), and z_b[i][j] subtracts
+        # z_b[i][j] z_a[j][l]
+        brackets = []
+        for a in range(len(nz)):
+            for b in range(a + 1, len(nz)):
+                acc: dict[int, Triple] = {}
+                for left, right, add in ((nz[a], rows_of[b], t_add),
+                                         (nz[b], rows_of[a], t_sub)):
+                    for i, j, x in left:
+                        for l, e in right[j]:
+                            k = i * n + l
+                            acc[k] = add(acc.get(k, T_ZERO), t_mul(x, e))
+                acc = {k: e for k, e in acc.items() if e[0] or e[1]}
+                if acc:
+                    brackets.append((a, b, acc))
+        qs = _pivot_columns([acc for _, _, acc in brackets])
+        self.rank = len(qs)
+        self.columns: list[list[tuple[int, int, Triple]]] = [
+            [] for _ in range(len(nz))]
+        for a, b, acc in brackets:
+            for k, q in enumerate(qs):
+                c = acc.get(q)
+                if c is not None:
+                    self.columns[b].append((a, k, c))
+                    self.columns[a].append((b, k, t_neg(c)))
+
+    @property
+    def rows(self) -> TMat:
+        return self.space.rows
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def coords(self, v: TVec) -> TVec:
+        """The coordinates of a vector v of L: its entries at the pivots."""
+        return tuple(v[p] for p in self.space.pivots)
+
+    def lift(self, sub: Subspace) -> Subspace:
+        """The subspace of L whose coordinate image is ``sub``.
+
+        The lifted canonical basis is the canonical basis of the lift, with
+        the pivot of coordinate a moved to L's pivot column p_a.
+        """
+        return Subspace(self.space.ambient, t_matmul(sub.rows, self.rows),
+                        tuple(self.space.pivots[a] for a in sub.pivots))
+
+    def bracket_with(self, x: TVec) -> TMat:
+        """M_x = sum_b x_b c_{.b}: row a is [z_a, x] in B's coordinates."""
+        out = [[T_ZERO] * self.rank for _ in range(self.dim)]
+        for b, xb in enumerate(x):
+            if xb[0] or xb[1]:
+                for a, k, c in self.columns[b]:
+                    row = out[a]
+                    row[k] = t_add(row[k], t_mul(xb, c))
+        return tuple(tuple(row) for row in out)
+
+
+def _pivot_columns(vectors: Sequence[dict[int, Triple]]) -> list[int]:
+    """The pivot columns of the canonical basis of a span of sparse vectors.
+
+    They are the leading columns of any echelon basis of the span, so one
+    sparse forward elimination with no back substitution finds them.
+    """
+    echelon: dict[int, dict[int, Triple]] = {}
+    for vec in vectors:
+        v = dict(vec)
+        while v:
+            lead = min(v)
+            row = echelon.get(lead)
+            if row is None:
+                inv = t_inv(v[lead])
+                echelon[lead] = {k: t_mul(e, inv) for k, e in v.items()}
+                break
+            f = v[lead]
+            for k, e in row.items():
+                r = t_sub(v.get(k, T_ZERO), t_mul(f, e))
+                if r[0] or r[1]:
+                    v[k] = r
+                else:
+                    v.pop(k, None)
+    return sorted(echelon)
+
+
+def centralizer_in(space: Subspace, mats: Sequence,
+                   n: "int | SpanCoordinates") -> Subspace:
     """{X in space : [X, A] = 0 for all given A}.
 
-    [X, A] is built from the nonzeros of X, i.e. ad_A applied to vec(X):
-    X[i][j] adds X[i][j] A[j][l] at (i, l) and subtracts A[k][i] X[i][j]
-    at (k, j).
+    With ``n`` the operator size, ``space`` is a flattened operator
+    subspace and the A are n x n :class:`Mat`.  [X, A] is then built from
+    the nonzeros of X, i.e. ad_A applied to vec(X): X[i][j] adds
+    X[i][j] A[j][l] at (i, l) and subtracts A[k][i] X[i][j] at (k, j),
+    n² conditions per A.
+
+    With ``n`` a :class:`SpanCoordinates` of a subspace L, ``space`` is a
+    subspace of L's coordinate space C^m and the A are coordinate vectors
+    of elements of L.  Then [X, A] = sum_a X_a [z_a, A], and row a of
+    M_A = ``n.bracket_with(A)`` is [z_a, A] in the bracket span's
+    coordinates, so the conditions on the basis of ``space`` are one
+    product with M_A: D conditions per A, D the bracket span's dimension.
+    The result is a subspace of C^m, the coordinate image of the
+    flattened centralizer.
     """
     mats = list(mats)
     if not mats:
         return space
+    if isinstance(n, SpanCoordinates):
+        if space.is_zero():
+            return space
+        m = n.bracket_with(mats[0])
+        for a in mats[1:]:
+            m = t_hstack(m, n.bracket_with(a))
+        return _kernel_part(space, t_transpose(t_matmul(space.rows, m)))
     nn = n * n
     # per A: the nonzeros of each row and of each column
     rows_of = [[[(l, e) for l, e in enumerate(a.t[j]) if e[0] or e[1]]

@@ -342,6 +342,12 @@ def load_file(path: str) -> Any:
         raise FormatError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+    except ValueError:
+        # what json raises past Python's limit on integer string conversion
+        raise FormatError(f"{path} holds an integer literal with more "
+                          f"digits than Python converts") from None
 
 
 def dump_text(data: Any) -> str:

@@ -230,6 +230,10 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     if n.shape != q.matrix.shape:
         raise ValueError(f"N of shape {n.shape} does not act on the "
                          f"space of the form, of shape {q.matrix.shape}")
+    for name, filt in (("W", w), ("F", f)):
+        if filt.ambient != q.dim:
+            raise ValueError(f"{name} lives in dimension {filt.ambient}, "
+                             f"the form in dimension {q.dim}")
     rep = Report(f"polarized limit structure (weight {weight})")
     rep.add("N is real", n.is_real())
     nilp = n.pow(weight + 1).is_zero()

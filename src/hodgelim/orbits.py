@@ -215,8 +215,12 @@ def verify_orbit(orbit: NilpotentOrbit, extra_samples=None) -> Report:
     return rep
 
 
-def verify_ivi(ivi: IVI, extra_samples=None) -> Report:
-    """Check an abelian family at infinity, cone included."""
+def verify_ivi(ivi: IVI, extra_samples=None, context=None) -> Report:
+    """Check an abelian family at infinity, cone included.
+
+    ``context`` is the orbit's :func:`limit_context` when the caller has
+    it already; otherwise it is computed once the orbit verifies.
+    """
     orbit = ivi.orbit
     rep = Report(f"family at infinity (dim {len(ivi.family)})")
     if orbit.cone.r > 0:
@@ -235,7 +239,7 @@ def verify_ivi(ivi: IVI, extra_samples=None) -> Report:
     if orbit.cone.r:
         rep.add("cone lies inside the family",
                 orbit.cone.span(n) <= span)
-    ctx = limit_context(orbit)
+    ctx = context or limit_context(orbit)
     rep.add("family is horizontal of degree -1", span <= ctx.horizontal,
             horizontal_dim=ctx.horizontal.dim)
     rep.data["dim"] = span.dim

@@ -1,19 +1,32 @@
 """Randomized greedy search for maximal abelian horizontal families.
 
+Every abelian family over the cone lies in z_base, the cone's centralizer
+in the horizontal part.  The search puts z_base in its own coordinates
+(:class:`~hodgelim.endo.SpanCoordinates`): a vector of z_base is its
+entries at z_base's pivot columns, a length-m coordinate vector, and the
+brackets of z_base are stored as sparse structure constants in the
+D-dimensional span of those brackets.
+
 Each restart grows the cone span one direction at a time: draw a random
 combination from the complement of the current family inside its own
 centralizer, adjoin it, intersect the centralizer with the new element,
-repeat.  The loop ends exactly when the family equals its centralizer,
-so every restart terminates with a certificate of maximality.  Runs are
-deterministic for a given seed: restart i uses its own stream seeded by
-"seed:i", and the centralizer of the cone span is computed once.
+repeat.  The whole loop runs on coordinate vectors, and each centralizer
+is one product of the current basis with the new element's bracket
+matrix, then a kernel on D conditions instead of n².  Projection onto the
+pivot columns commutes with RREF, complements and sums, so the draws and
+the canonical bases are those of the flattened operators; the best family
+is lifted back once at the end.  The loop ends exactly when the family
+equals its centralizer, so every restart terminates with a certificate of
+maximality.  Runs are deterministic for a given seed: restart i uses its
+own stream seeded by "seed:i", and the centralizer of the cone span and
+its structure constants are computed once.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
-from .endo import as_mat, centralizer_in, span_basis_mats
+from .endo import SpanCoordinates, centralizer_in, span_basis_mats
 from .matrices import Mat, t_matmul
 from .orbits import IVI, NilpotentOrbit, limit_context
 from .scalars import GR, I
@@ -77,14 +90,19 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
     z_base = centralizer_in(ctx.horizontal, list(orbit.cone.generators), n) \
         if orbit.cone.r else ctx.horizontal
 
+    coordinates = SpanCoordinates(z_base, n)
+    m = coordinates.dim
+
     pool = tuple(config.coefficient_pool)
+    base_coords = Subspace.from_triples(
+        [coordinates.coords(r) for r in base.rows], m)
     best: Subspace | None = None
     best_certified = False
     restart_dims: list[int] = []
     for restart in range(config.restarts):
         rng = random.Random(f"{config.seed}:{restart}")
-        current = base
-        z = z_base
+        current = base_coords
+        z = Subspace.full(m)
         steps = 0
         while True:
             comp = current.complement_in(z)
@@ -99,11 +117,11 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
             while all(c.is_zero() for c in coeffs):
                 coeffs = [rng.choice(pool) for _ in range(comp.dim)]
             x = t_matmul((tuple(c.triple for c in coeffs),), comp.rows)[0]
-            current = current + Subspace.from_triples((x,), n * n)
-            z = centralizer_in(z, [as_mat(x, n)], n)
+            current = current + Subspace.from_triples((x,), m)
+            z = centralizer_in(z, [x], coordinates)
         restart_dims.append(current.dim)
         if best is None or current.dim > best.dim:
             best = current
             best_certified = certified
-    return SearchResult(span_basis_mats(best, n), best.dim,
-                        best_certified, restart_dims, config)
+    return SearchResult(span_basis_mats(coordinates.lift(best), n),
+                        best.dim, best_certified, restart_dims, config)

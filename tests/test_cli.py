@@ -105,6 +105,16 @@ def test_invalid_json_exits_2(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_overlong_integer_literal_exits_2_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"N": [[0, 0], [' + "9" * 5000 + ', 0]]}',
+                    encoding="utf-8")
+    code, out, err = run(capsys, "wfilt", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} ")
+    assert "set_int_max_str_digits" not in err
+
+
 def test_wrong_shape_exits_2(capsys, tmp_path):
     path = write(tmp_path, "thin.json", {"weight": 2})
     code, _, err = run(capsys, "verify", "hs", path)
@@ -404,6 +414,17 @@ PINNED_STDOUT = {
                    "940b810e5cde3e515796fa63ccbc5e16"),
 }
 
+# SHA-256 of the standard output of two more searches, recorded with the
+# flattened-operator search loop that preceded the search in centralizer
+# coordinates: a larger Hodge-Tate orbit, and a family file whose cone is
+# the start of the search.
+PINNED_SEARCH = {
+    "ht7": (0, "9623068d58551714e3e5fad905597e7d"
+               "8523fea3d4f499f1cb07a907e336ce18"),
+    "row0-ivi": (0, "535ae1d04e0e2c026199f1b353f811d4"
+                    "9ae4cc94d8e4e545618cc1462a801510"),
+}
+
 
 @pytest.mark.parametrize("command", sorted(PINNED_STDOUT))
 def test_seeded_search_output_is_pinned(capsys, tmp_path, command):
@@ -417,6 +438,21 @@ def test_seeded_search_output_is_pinned(capsys, tmp_path, command):
     code, out, _ = run(capsys, *argv, "--restarts", "20", "--seed", "0")
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert (code, digest) == PINNED_STDOUT[command]
+
+
+@pytest.mark.parametrize("name, restarts", [("ht7", "3"), ("row0-ivi", "5")])
+def test_more_seeded_searches_are_pinned(capsys, tmp_path, name, restarts):
+    if name == "ht7":
+        path = str(tmp_path / "orbit.json")
+        run(capsys, "build", "hodge-tate", "--k", "2", "--n", "7",
+            "--out", path)
+    else:
+        path = write(tmp_path, "family.json",
+                     io.ivi_to_json(table1_catalog()[0].witness))
+    code, out, _ = run(capsys, "search", path, "--restarts", restarts,
+                       "--seed", "0")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, digest) == PINNED_SEARCH[name]
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,23 @@ given span is written as orthogonality to the span's annihilator.
 """
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from hodgelim.builders import hodge_tate_orbit
-from hodgelim.endo import (centralizer_in, isometry_algebra, maps_into,
-                           nonzeros, operator_span, solve_in_span)
+from hodgelim.builders import hodge_tate_orbit, table1_catalog
+from hodgelim.endo import (SpanCoordinates, as_mat, centralizer_in, flatten,
+                           isometry_algebra, maps_into, nonzeros,
+                           operator_span, solve_in_span, span_basis_mats)
 from hodgelim.filtrations import Bigrading
 from hodgelim.forms import BilForm, in_isometry_algebra
-from hodgelim.matrices import Mat
+from hodgelim.matrices import Mat, t_matmul
 from hodgelim.mixed import filtration_lowering
-from hodgelim.orbits import limit_context
-from hodgelim.scalars import GR
+from hodgelim.orbits import NilpotentOrbit, limit_context
+from hodgelim.scalars import GR, T_ZERO
 from hodgelim.subspaces import Subspace
 
 from genutil import make_split_mhs, transport_mhs
@@ -242,3 +245,107 @@ def test_operator_span_checks_the_operator_size():
         operator_span([Mat([[1, 0], [0, 1]])], 3)
     span = operator_span([Mat([[1, 2], [0, 1]]), Mat([[2, 4], [0, 2]])], 2)
     assert span == Subspace.span([[1, 2, 0, 1]], 4)
+
+
+# ---------------------------------------------------------------------------
+# centralizers in coordinates: structure constants against Mat brackets
+# ---------------------------------------------------------------------------
+
+def search_orbits() -> dict[str, NilpotentOrbit]:
+    """The 13 table-1 cones, each on its row, and small Hodge-Tate orbits."""
+    orbits = {}
+    for i, row in enumerate(table1_catalog()):
+        o = row.orbit
+        for j, cone in enumerate(row.cones):
+            orbits[f"row{i}.cone{j}"] = NilpotentOrbit(
+                o.weight, o.form, o.filtration, cone)
+    for n in range(2, 6):
+        orbits[f"ht{n}"] = hodge_tate_orbit(2, n)
+    return orbits
+
+
+SEARCH_ORBITS = search_orbits()
+
+
+@lru_cache(maxsize=None)
+def z_base_coordinates(label: str) -> SpanCoordinates:
+    """The search's z_base: the cone's centralizer in the horizontal part."""
+    orbit = SEARCH_ORBITS[label]
+    n = orbit.ambient
+    hor = limit_context(orbit).horizontal
+    gens = list(orbit.cone.generators)
+    return SpanCoordinates(centralizer_in(hor, gens, n) if gens else hor, n)
+
+
+@pytest.mark.parametrize("label", sorted(SEARCH_ORBITS))
+def test_structure_constants_expand_every_bracket(label):
+    coords = z_base_coordinates(label)
+    n = SEARCH_ORBITS[label].ambient
+    zs = span_basis_mats(coords.space, n)
+    brackets = {(a, b): flatten(za @ zb - zb @ za)
+                for a, za in enumerate(zs) for b, zb in enumerate(zs)}
+    span = Subspace.from_triples(list(brackets.values()), n * n)
+    assert coords.rank == span.dim
+    constants = {}
+    for b, column in enumerate(coords.columns):
+        for a, k, c in column:
+            assert (a, b, k) not in constants
+            constants[a, b, k] = GR.from_triple(c)
+    for (a, b), bracket in brackets.items():
+        expansion = [GR(0)] * (n * n)
+        for k, basis in enumerate(span.rows):
+            c = constants.get((a, b, k))
+            if c is not None:
+                for i, e in enumerate(basis):
+                    expansion[i] += c * GR.from_triple(e)
+        assert tuple(e.triple for e in expansion) == bracket, (a, b)
+
+
+COORDINATE_POOL = (T_ZERO, T_ZERO, (1, 0, 1), (-1, 0, 1), (0, 1, 1),
+                   (1, 0, 2))
+
+
+def check_against_flattened(label: str, z: Subspace, x):
+    """The coordinate centralizer lifts to the flattened one, pivots too."""
+    coords = z_base_coordinates(label)
+    n = SEARCH_ORBITS[label].ambient
+    lifted_x = t_matmul((x,), coords.rows)[0]
+    assert coords.coords(lifted_x) == tuple(x)
+    got = centralizer_in(z, [x], coords)
+    assert got.ambient == coords.dim
+    lifted = coords.lift(got)
+    expected = centralizer_in(coords.lift(z), [as_mat(lifted_x, n)], n)
+    assert (lifted.rows, lifted.pivots) == (expected.rows, expected.pivots)
+    return got
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_centralizer_in_coordinates_lifts_to_the_flattened_one(data):
+    label = data.draw(st.sampled_from(sorted(SEARCH_ORBITS)))
+    coords = z_base_coordinates(label)
+    vector = st.tuples(*[st.sampled_from(COORDINATE_POOL)] * coords.dim)
+    x = data.draw(vector)
+    gens = data.draw(st.lists(vector, max_size=3))
+    z = Subspace.from_triples(gens, coords.dim) if gens \
+        else Subspace.full(coords.dim)
+    check_against_flattened(label, z, x)
+
+
+@pytest.mark.parametrize("label", ["row2.cone2", "row4.cone2", "row5.cone2"])
+def test_centralizer_in_coordinates_with_no_brackets(label):
+    coords = z_base_coordinates(label)  # a rank-3 cone: z_base is abelian
+    assert coords.rank == 0 and coords.dim == 3
+    full = Subspace.full(coords.dim)
+    for x in ((T_ZERO, (1, 0, 1), (0, 1, 1)), full.rows[0]):
+        assert check_against_flattened(label, full, x) == full
+
+
+def test_centralizer_in_coordinates_can_be_zero():
+    label = "ht3"
+    coords = z_base_coordinates(label)
+    b = next(b for b, column in enumerate(coords.columns) if column)
+    a = coords.columns[b][0][0]  # [z_a, z_b] != 0
+    unit = Subspace.full(coords.dim).rows
+    z = Subspace.from_triples([unit[a]], coords.dim)
+    assert check_against_flattened(label, z, unit[b]).is_zero()

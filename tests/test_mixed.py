@@ -220,3 +220,16 @@ def test_nilpotent_of_the_wrong_size_is_rejected_by_shape():
         verify_pmhs(2, q, w, f, n)
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 3\)"):
         verify_pmhs(2, q, w, f, Mat([[0, 0, 0], [1, 0, 0]]))
+
+
+@pytest.mark.parametrize("which", ["W", "F"])
+def test_filtration_of_the_wrong_size_is_rejected_by_dimension(which):
+    n, q, w, f = weight_two_string()
+    _, _, w_other, f_other = weight_one_limit()
+    if which == "W":
+        w = w_other
+    else:
+        f = f_other
+    with pytest.raises(ValueError,
+                       match=f"^{which} lives in dimension 2, .* dimension 3$"):
+        verify_pmhs(2, q, w, f, n)
