@@ -2,7 +2,10 @@
 """Time the exact kernels: matrix product and reduced row echelon form.
 
 Both run on seeded random Gaussian-rational matrices; the row reduction
-gets a rank-deficient input so it has real clearing work to do.
+gets a rank-deficient input so it has real clearing work to do.  Next to
+them, the two subspace kernels the verifiers lean on run on the sparse
+barycenter N of ``hodge_tate_orbit(2, 7)``: ``Subspace.map_by`` of the
+whole space (im N) and ``t_reduce`` of N's columns against im N.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --size 48 --repeats 7
@@ -17,8 +20,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hodgelim.matrices import t_matmul, t_rref  # noqa: E402
+from hodgelim.builders import hodge_tate_orbit  # noqa: E402
+from hodgelim.matrices import t_matmul, t_rref, t_transpose  # noqa: E402
 from hodgelim.scalars import t_add, t_norm  # noqa: E402
+from hodgelim.subspaces import Subspace, t_reduce  # noqa: E402
 
 
 def _triple(rng: random.Random) -> tuple[int, int, int]:
@@ -69,6 +74,30 @@ def main() -> int:
           f"(best of {args.repeats}):")
     print(f"  matmul  {best_of(args.repeats, t_matmul, a, b) * 1e3:8.2f} ms")
     print(f"  rref    {best_of(args.repeats, t_rref, r) * 1e3:8.2f} ms")
+
+    n = hodge_tate_orbit(2, 7).cone.barycenter()
+    whole = Subspace.full(n.ncols)
+    im = whole.map_by(n)
+    cols = t_transpose(n.t)
+    nnz = sum(1 for row in n.t for e in row if e[0] or e[1])
+    calls = 100
+    print(f"hodge_tate_orbit(2, 7) barycenter N, {n.nrows}x{n.ncols} with "
+          f"{nnz} nonzeros, im N of dim {im.dim} "
+          f"(best of {args.repeats}, {calls} calls each):")
+
+    def map_whole():
+        for _ in range(calls):
+            whole.map_by(n)
+
+    def reduce_cols():
+        for _ in range(calls):
+            for v in cols:
+                t_reduce(v, im.rows, im.pivots)
+
+    print(f"  map_by  {best_of(args.repeats, map_whole) * 1e6 / calls:8.1f} "
+          f"us  (C^{n.ncols} onto im N)")
+    print(f"  reduce  {best_of(args.repeats, reduce_cols) * 1e6 / calls:8.1f} "
+          f"us  ({len(cols)} columns of N against im N)")
     return 0
 
 

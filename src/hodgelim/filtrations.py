@@ -10,7 +10,10 @@ above the query, zero below the support, everything above it.
 
 The weight filtration of a nilpotent endomorphism is produced by a closed
 formula and then *re-verified* against its two defining properties on every
-call, so a bug in the formula cannot slip through silently.
+call, so a bug in the formula cannot slip through silently.  Those
+properties determine W(N) uniquely (Deligne, Weil II, 1.6.1), so a given
+W is compared with W(N) by checking them on W
+(:func:`weight_filtration_defect`) rather than by building W(N) again.
 """
 from __future__ import annotations
 
@@ -113,8 +116,9 @@ def weight_filtration(n: Mat) -> IncFiltration:
     """The monodromy weight filtration of a nilpotent matrix, centered at 0.
 
     Built by the closed formula W_l = sum_i (ker N^(l+i+1) ∩ im N^i) and
-    then checked against the two properties that characterize it:
-    N W_l ⊆ W_{l-2}, and N^l induces an isomorphism gr_l -> gr_{-l}.
+    then checked by :func:`weight_filtration_defect` against the
+    properties that characterize it: N W_l ⊆ W_{l-2}, and N^l induces an
+    isomorphism gr_l -> gr_{-l}.
     """
     if not n.is_square():
         raise ValueError("weight filtration of a non-square matrix")
@@ -145,23 +149,45 @@ def weight_filtration(n: Mat) -> IncFiltration:
             acc = acc + term
         steps[l] = acc
     w = IncFiltration(steps)
+    defect = weight_filtration_defect(w, n, powers)
+    if defect is not None:
+        raise VerificationError(f"weight filtration: {defect}")
+    return w
 
-    # self-check: the defining properties of the weight filtration
-    for l in range(-k0, k0 + 1):
+
+def weight_filtration_defect(w: IncFiltration, n: Mat,
+                             powers: list[Mat] | None = None) -> str | None:
+    """Why W is not the weight filtration of N centered at 0, or None.
+
+    W(N) is the unique finite exhaustive increasing filtration with
+    N W_l ⊆ W_{l-2} and N^l : gr_l ≅ gr_{-l} for every l >= 1 (Deligne,
+    Weil II, Publ. Math. IHÉS 52 (1980), 1.6.1), so a candidate passes
+    exactly when it equals W(N) and none needs to be built.  The levels
+    checked run from the bottom of W to the first level where W is the
+    whole space, which lies one past a listed top step that is not full,
+    and to its mirror image.  ``powers`` may hold N^0, N^1, ... already.
+    """
+    if n.shape != (w.ambient, w.ambient):
+        raise ValueError(f"N of shape {n.shape} does not act on the "
+                         f"filtered space of dimension {w.ambient}")
+    lo, hi = w.keys[0], w.keys[-1]
+    if not w.at(hi).is_full():
+        hi += 1
+    for l in range(lo, hi + 1):
         if not w.at(l).map_by(n) <= w.at(l - 2):
-            raise VerificationError("weight filtration: N does not lower "
-                                    "the level by two")
-    for l in range(1, k0 + 1):
+            return "N does not lower the level by two"
+    powers = list(powers) if powers else [Mat.identity(w.ambient)]
+    for l in range(1, max(hi, -lo) + 1):
         wl, wl1 = w.at(l), w.at(l - 1)
         wm, wm1 = w.at(-l), w.at(-l - 1)
         if wl.dim - wl1.dim != wm.dim - wm1.dim:
-            raise VerificationError("weight filtration: graded dimensions "
-                                    "are not symmetric")
+            return "graded dimensions are not symmetric"
+        while len(powers) <= l:
+            powers.append(powers[-1] @ n)
         pushed = wl.map_by(powers[l]) + wm1
         if pushed != wm:
-            raise VerificationError("weight filtration: N^l not surjective "
-                                    "onto the opposite graded piece")
-    return w
+            return "N^l not surjective onto the opposite graded piece"
+    return None
 
 
 # ---------------------------------------------------------------------------

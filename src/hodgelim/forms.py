@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import VerificationError
-from .matrices import (Mat, TMat, TVec, _coerce_row, _t_sub_mul, t_matmul,
+from .matrices import (Mat, TMat, TVec, _coerce_row, t_matmul, t_sub_mul,
                        t_transpose)
 from .scalars import GR, t_add, t_conj, t_inv, t_is_zero, t_mul
 from .subspaces import Subspace
@@ -142,7 +142,7 @@ def _inertia(tm: TMat) -> tuple[int, int, int]:
             for c in range(k + 1, n):
                 e = prow[c]
                 if not t_is_zero(e):
-                    row[c] = _t_sub_mul(row[c], f, e)
+                    row[c] = t_sub_mul(row[c], f, e)
     return pos, neg, n - pos - neg
 
 

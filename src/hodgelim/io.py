@@ -348,6 +348,9 @@ def load_file(path: str) -> Any:
         # what json raises past Python's limit on integer string conversion
         raise FormatError(f"{path} holds an integer literal with more "
                           f"digits than Python converts") from None
+    except RecursionError:
+        raise FormatError(f"{path} nests arrays or objects deeper than "
+                          f"the JSON parser follows") from None
 
 
 def dump_text(data: Any) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .scalars import (GR, GaussianRational, Triple, T_ONE, T_ZERO, as_scalar,
-                      t_add, t_conj, t_inv, t_is_zero, t_mul, t_neg, t_norm,
+                      t_add, t_conj, t_inv, t_mul, t_neg, t_norm,
                       t_sub)
 
 TMat = tuple[tuple[Triple, ...], ...]
@@ -57,7 +57,7 @@ def t_scale(tm: TMat, c: Triple) -> TMat:
     return tuple(tuple(t_mul(c, e) for e in row) for row in tm)
 
 
-def _t_sub_mul(x: Triple, f: Triple, y: Triple) -> Triple:
+def t_sub_mul(x: Triple, f: Triple, y: Triple) -> Triple:
     """x - f*y in one normalization pass."""
     a1, b1, d1 = x
     fa, fb, fd = f
@@ -99,7 +99,7 @@ def t_matvec(tm: TMat, v: TVec) -> TVec:
     for row in tm:
         acc = T_ZERO
         for e, x in zip(row, v):
-            if not t_is_zero(e) and not t_is_zero(x):
+            if (e[0] or e[1]) and (x[0] or x[1]):
                 acc = t_add(acc, t_mul(e, x))
         out.append(acc)
     return tuple(out)
@@ -162,7 +162,7 @@ def _t_eliminate(tm) -> tuple[TMat, list[int], list[Triple], int]:
             for j in range(col + 1, ncols):
                 e = prow[j]
                 if e[0] != 0 or e[1] != 0:
-                    row[j] = _t_sub_mul(row[j], f, e)
+                    row[j] = t_sub_mul(row[j], f, e)
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -171,7 +171,7 @@ def _t_eliminate(tm) -> tuple[TMat, list[int], list[Triple], int]:
 
 
 def t_is_zero_mat(tm: TMat) -> bool:
-    return all(t_is_zero(e) for row in tm for e in row)
+    return not any(e[0] or e[1] for row in tm for e in row)
 
 
 def t_kernel(tm: TMat, ncols: int) -> list[TVec]:

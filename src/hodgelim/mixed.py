@@ -13,8 +13,8 @@ from .forms import (BilForm, hermitian_positive_definite, in_isometry_algebra,
                     is_hermitian)
 from .filtrations import (Bigrading, DecFiltration, IncFiltration,
                           first_relation_holds, hs_from_filtration,
-                          shift_filtration, weight_filtration, weil_operator)
-from .matrices import Mat, t_conj_mat, t_kernel, t_matvec
+                          weight_filtration_defect, weil_operator)
+from .matrices import Mat, t_conj_mat, t_kernel, t_matmul
 from .reports import Report
 from .subspaces import Quotient, Subspace
 
@@ -91,12 +91,15 @@ def graded_filtration(w: IncFiltration, f: DecFiltration, l: int,
     return DecFiltration(steps)
 
 
-def verify_mhs(w: IncFiltration, f: DecFiltration) -> Report:
+def verify_mhs(w: IncFiltration, f: DecFiltration,
+               bigrading: Bigrading | None = None) -> Report:
     """Check that (W, F) is a mixed Hodge structure over R.
 
     Route one: the canonical bigrading exists with all its postconditions.
     Route two: F induces a pure Hodge structure of weight l on every
     graded piece gr^W_l.  Both run; their Hodge numbers must agree.
+    ``bigrading`` is :func:`deligne_bigrading` of (W, F) when the caller
+    has it already (a limit context does); it is not built again.
     """
     rep = Report("mixed Hodge structure")
     if w.ambient != f.ambient:
@@ -106,7 +109,7 @@ def verify_mhs(w: IncFiltration, f: DecFiltration) -> Report:
 
     bigr = None
     try:
-        bigr = deligne_bigrading(w, f)
+        bigr = bigrading or deligne_bigrading(w, f)
         rep.add("canonical bigrading", True, dims=bigr.dims())
         rep.data["bigrading_dims"] = {f"{p},{q}": d
                                       for (p, q), d in bigr.dims().items()}
@@ -216,13 +219,15 @@ def filtration_lowering(vb: Bigrading, algebra: Subspace,
 # ---------------------------------------------------------------------------
 
 def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
-                n: Mat) -> Report:
+                n: Mat, bigrading: Bigrading | None = None) -> Report:
     """Check that (W, F, N) is a polarized limit structure of pure origin.
 
-    W must be the weight filtration of N recentered at ``weight``; (W, F)
+    W must be the weight filtration of N recentered at ``weight``, which
+    is checked on W itself by the properties that determine W(N) uniquely
+    (:func:`~hodgelim.filtrations.weight_filtration_defect`); (W, F)
     must be a mixed Hodge structure; and on the primitive part of each
     graded piece gr_{weight+l} the form Q(C u, N^l conj v) must be positive
-    definite Hermitian.
+    definite Hermitian.  ``bigrading`` is handed to :func:`verify_mhs`.
     """
     if weight < 0:
         raise ValueError(f"a polarized limit structure has weight >= 0, "
@@ -246,14 +251,14 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
 
     if not nilp:
         return rep
-    wn = shift_filtration(weight_filtration(n), -weight)
-    rep.add("W is the recentered weight filtration of N", wn == w)
+    rep.add("W is the recentered weight filtration of N",
+            weight_filtration_defect(w.shift(weight), n) is None)
 
     rep.add("form parity matches weight", q.parity == weight % 2)
     rep.add("form is real", q.is_real())
     rep.add("F^a orthogonal to F^(k-a+1)", first_relation_holds(f, weight, q))
 
-    mhs = verify_mhs(w, f)
+    mhs = verify_mhs(w, f, bigrading)
     rep.extend(mhs, prefix="mhs: ")
     if not rep.ok:
         return rep
@@ -283,11 +288,11 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
         except VerificationError as e:
             ok, reason = False, f"gr_{weight + l}: {e}"
             break
-        weil = weil_operator(hs).t
-        npl = n.pow(l).t
+        weil = weil_operator(hs).transpose().t
+        npl = n.pow(l).transpose().t
         gram = q.gram_rows(
-            [top.lift(t_matvec(weil, v)) for v in prim.rows],
-            [t_matvec(npl, x) for x in t_conj_mat(map(top.lift, prim.rows))])
+            [top.lift(v) for v in t_matmul(prim.rows, weil)],
+            t_matmul(t_conj_mat(map(top.lift, prim.rows)), npl))
         if not is_hermitian(gram):
             ok, reason = False, f"primitive form at level {l} not Hermitian"
             break

@@ -18,7 +18,8 @@ from .endo import (centralizer_in, isometry_algebra, noncommuting_pair,
                    operator_span, pairwise_commuting, span_basis_mats)
 from .errors import VerificationError
 from .filtrations import (DecFiltration, IncFiltration, shift_filtration,
-                          verify_phs, weight_filtration)
+                          verify_phs, weight_filtration,
+                          weight_filtration_defect)
 from .forms import BilForm, in_isometry_algebra
 from .matrices import Mat
 from .mixed import deligne_bigrading, filtration_lowering, verify_pmhs
@@ -139,6 +140,13 @@ def limit_context(orbit: NilpotentOrbit) -> LimitContext:
     return LimitContext(orbit, w, vb, g, hor)
 
 
+def _check_context(context: LimitContext | None,
+                   orbit: NilpotentOrbit) -> None:
+    if (context is not None and context.orbit is not orbit
+            and context.orbit != orbit):
+        raise ValueError("the limit context was built for another orbit")
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -158,14 +166,23 @@ def _interior_samples(r: int, extra=None):
     return samples
 
 
-def verify_orbit(orbit: NilpotentOrbit, extra_samples=None) -> Report:
+def verify_orbit(orbit: NilpotentOrbit, extra_samples=None,
+                 context: LimitContext | None = None) -> Report:
     """Check the defining conditions of a nilpotent orbit at infinity.
 
     Needs at least one generator; a pure structure (empty cone) has no
     orbit to verify — use verify_ivi, which handles that case.
+
+    W is built once, at the barycenter, or taken from ``context`` (the
+    orbit's :func:`limit_context`, with its bigrading, when the caller has
+    it already).  Every other interior sample N' is compared with it by
+    the properties that determine W(N') uniquely
+    (:func:`~hodgelim.filtrations.weight_filtration_defect`), so no second
+    W is built.
     """
     if orbit.cone.r == 0:
         raise ValueError("orbit verification needs a nonempty cone")
+    _check_context(context, orbit)
     rep = Report(f"nilpotent orbit (weight {orbit.weight}, "
                  f"{orbit.cone.r} generators)")
     k = orbit.weight
@@ -193,10 +210,10 @@ def verify_orbit(orbit: NilpotentOrbit, extra_samples=None) -> Report:
         if not ns.pow(k + 1).is_zero():
             nilpotent = False
             break
-        ws = weight_filtration(ns)
         if base is None:
-            base = ws
-        elif ws != base:
+            base = (context.w.shift(k) if context is not None
+                    else weight_filtration(ns))
+        elif weight_filtration_defect(base, ns) is not None:
             constant = False
             break
     rep.add(f"interior elements satisfy N^{k + 1} = 0", nilpotent,
@@ -210,7 +227,8 @@ def verify_orbit(orbit: NilpotentOrbit, extra_samples=None) -> Report:
     w = shift_filtration(base, -k)
     rep.data["limit_weight_dims"] = {
         str(l): w.at(l).dim for l in w.support()}
-    rep.extend(verify_pmhs(k, orbit.form, w, f, orbit.cone.barycenter()),
+    rep.extend(verify_pmhs(k, orbit.form, w, f, orbit.cone.barycenter(),
+                           getattr(context, "bigrading", None)),
                prefix="limit: ")
     return rep
 
@@ -219,12 +237,16 @@ def verify_ivi(ivi: IVI, extra_samples=None, context=None) -> Report:
     """Check an abelian family at infinity, cone included.
 
     ``context`` is the orbit's :func:`limit_context` when the caller has
-    it already; otherwise it is computed once the orbit verifies.
+    it already, and is handed to :func:`verify_orbit`; otherwise it is
+    computed once the orbit verifies.  A context of another orbit raises
+    ValueError.
     """
     orbit = ivi.orbit
+    _check_context(context, orbit)
     rep = Report(f"family at infinity (dim {len(ivi.family)})")
     if orbit.cone.r > 0:
-        rep.extend(verify_orbit(orbit, extra_samples), prefix="orbit: ")
+        rep.extend(verify_orbit(orbit, extra_samples, context),
+                   prefix="orbit: ")
     else:
         rep.extend(verify_phs(orbit.filtration, orbit.weight, orbit.form),
                    prefix="pure: ")

@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 
 from .errors import VerificationError
 from .matrices import (Mat, TMat, TVec, _coerce_row, t_conj_mat, t_identity,
-                       t_kernel, t_matmul, t_matvec, t_rref, t_transpose)
-from .scalars import GR, GaussianRational, t_is_zero, t_mul, t_neg, t_sub
+                       t_kernel, t_matmul, t_rref, t_sub_mul, t_transpose)
+from .scalars import GR, GaussianRational, t_is_zero, t_neg
 
 
 def t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
@@ -27,16 +27,16 @@ def t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
     for row, p in zip(rows, pivots):
         c = r[p]
         coeffs.append(c)
-        if not t_is_zero(c):
+        if c[0] or c[1]:
             for j in range(p, len(r)):
                 e = row[j]
-                if not t_is_zero(e):
-                    r[j] = t_sub(r[j], t_mul(c, e))
+                if e[0] or e[1]:
+                    r[j] = t_sub_mul(r[j], c, e)
     return tuple(r), tuple(coeffs)
 
 
 def _is_zero_vec(v: TVec) -> bool:
-    return all(t_is_zero(e) for e in v)
+    return not any(e[0] or e[1] for e in v)
 
 
 class Subspace:
@@ -179,7 +179,7 @@ class Subspace:
         """Image of this subspace under the linear map m."""
         if m.ncols != self.ambient:
             raise ValueError("operator shape mismatch")
-        return Subspace.from_triples([t_matvec(m.t, r) for r in self.rows],
+        return Subspace.from_triples(t_matmul(self.rows, m.transpose().t),
                                      m.nrows)
 
     # -- output --------------------------------------------------------
@@ -268,8 +268,8 @@ class Quotient:
         """
         if dst is None:
             dst = self
-        cols = [dst.project_coords(t_matvec(op.t, c))
-                for c in self.complement.rows]
+        cols = [dst.project_coords(c)
+                for c in t_matmul(self.complement.rows, op.transpose().t)]
         if not cols:
             return Mat.zeros(dst.dim, 0)
         return Mat.from_triples(

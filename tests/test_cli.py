@@ -115,6 +115,14 @@ def test_overlong_integer_literal_exits_2_naming_the_file(capsys, tmp_path):
     assert "set_int_max_str_digits" not in err
 
 
+def test_deeply_nested_json_exits_2_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "wfilt", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} nests ")
+
+
 def test_wrong_shape_exits_2(capsys, tmp_path):
     path = write(tmp_path, "thin.json", {"weight": 2})
     code, _, err = run(capsys, "verify", "hs", path)

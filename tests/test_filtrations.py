@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import (Bigrading, DecFiltration, IncFiltration,
                                   hs_from_filtration, operator_filtration,
                                   shift_filtration, verify_phs,
-                                  weight_filtration, weil_operator)
+                                  weight_filtration, weight_filtration_defect,
+                                  weil_operator)
 from hodgelim.endo import isometry_algebra
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
@@ -145,6 +147,101 @@ def test_weight_filtration_rejects_non_nilpotent():
 def test_zero_operator_weight_filtration_is_a_single_jump():
     w = weight_filtration(Mat.zeros(3, 3))
     assert w.at(-1).dim == 0 and w.at(0).dim == 3
+
+
+def partitions(n, largest=None):
+    """The partitions of n as non-increasing tuples."""
+    largest = n if largest is None else largest
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, largest), 0, -1)
+            for rest in partitions(n - k, k)]
+
+
+@st.composite
+def nilpotent_pairs(draw):
+    """Two nilpotents M, N on C^2 up to C^7.
+
+    N is a Jordan matrix in the canonical or a seeded dense basis.  M has
+    the same W as N by construction (N itself, a multiple, N + N^2) or is
+    drawn freely (another Jordan type in N's basis, N's type in another
+    basis), so both outcomes of W(M) == W(N) occur.
+    """
+    dim = draw(st.integers(2, 7))
+    types = partitions(dim)
+    lam = draw(st.sampled_from(types))
+    seeds = draw(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+    dense = draw(st.booleans())
+    bases = [random_invertible(dim, random.Random(seed)) if dense
+             else Mat.identity(dim) for seed in seeds]
+    g = bases[0]
+
+    def moved(m, h):
+        return h @ m @ h.inverse()
+
+    n = moved(jordan_nilpotent(lam), g)
+    mode = draw(st.sampled_from(
+        ["other type", "other basis", "same", "scaled", "unipotent twist"]))
+    if mode == "same":
+        m = n
+    elif mode == "scaled":
+        m = n * draw(st.sampled_from([2, -1, GR(1, 3), I]))
+    elif mode == "unipotent twist":
+        m = n + n @ n
+    elif mode == "other type":
+        m = moved(jordan_nilpotent(draw(st.sampled_from(types))), g)
+    else:
+        m = moved(jordan_nilpotent(lam),
+                  random_invertible(dim, random.Random(seeds[1] + 1)))
+    return m, n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(nilpotent_pairs())
+def test_weight_filtration_defect_detects_exactly_a_different_w(pair):
+    """Deligne's uniqueness: W(M) passes N's defining properties iff
+    W(M) = W(N)."""
+    m, n = pair
+    wm = weight_filtration(m)
+    assert ((weight_filtration_defect(wm, n) is None)
+            == (wm == weight_filtration(n)))
+
+
+def test_weight_filtration_defect_on_every_pair_of_jordan_types():
+    for dim in range(1, 8):
+        ws = {lam: weight_filtration(jordan_nilpotent(lam))
+              for lam in partitions(dim)}
+        for lam, wl in ws.items():
+            n = jordan_nilpotent(lam)
+            for mu, wm in ws.items():
+                assert ((weight_filtration_defect(wm, n) is None)
+                        == (wm == wl)), (lam, mu)
+
+
+def test_weight_filtration_defect_reads_past_a_proper_top_step():
+    # N = 0 has W = one full step at 0; a line at 0 is full only at 1,
+    # which makes gr_1 nonzero against gr_{-1} = 0
+    line = IncFiltration({0: Subspace.span([(1, 0)], 2)})
+    assert weight_filtration_defect(line, Mat.zeros(2, 2)) == (
+        "graded dimensions are not symmetric")
+    assert weight_filtration_defect(weight_filtration(Mat.zeros(2, 2)),
+                                    Mat.zeros(2, 2)) is None
+    with pytest.raises(ValueError, match="does not act"):
+        weight_filtration_defect(line, Mat.zeros(3, 3))
+
+
+def test_weight_filtration_defect_names_each_property():
+    n = jordan_nilpotent((3,))
+    w = weight_filtration(n)
+    assert weight_filtration_defect(w, Mat.identity(3)) == (
+        "N does not lower the level by two")
+    assert weight_filtration_defect(w.shift(1), n) == (
+        "graded dimensions are not symmetric")
+    # e0 -> e1 alone lowers W(N) by two, but its square is 0 and cannot
+    # carry gr_2 onto gr_{-2}
+    flat = Mat([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    assert weight_filtration_defect(w, flat) == (
+        "N^l not surjective onto the opposite graded piece")
 
 
 # ---------------------------------------------------------------------------

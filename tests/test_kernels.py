@@ -3,7 +3,8 @@
 Known values and structural properties, plus differential checks against
 sympy's ``DomainMatrix`` over Q(i) on sparse matrices, which is the shape
 the operator-space solves feed the kernels: ``t_rref``, the elimination
-methods of ``Mat`` built on it, and the triple-level Gram of ``BilForm``.
+methods of ``Mat`` built on it, the triple-level Gram of ``BilForm``, and
+the images ``Subspace.map_by`` and ``Quotient.induced_matrix``.
 """
 import random
 
@@ -15,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat, t_matmul, t_rref
 from hodgelim.scalars import t_add, t_neg, t_norm
-from hodgelim.subspaces import Subspace
+from hodgelim.subspaces import Quotient, Subspace
 
 ZERO = (0, 0, 1)
 
@@ -242,3 +243,84 @@ def test_gram_rows_against_sympy_product(case):
     assert g.shape == (len(left), len(right))
     want = to_dm(left, n) * to_dm(m) * to_dm(right, n).transpose()
     assert g.t == from_dm(want)
+
+
+@st.composite
+def subspace_and_operator(draw):
+    """A subspace of C^n (possibly zero) and a p x n operator, p >= 0."""
+    n = draw(st.integers(1, 6))
+    rows = draw(sparse_tmats(n, draw(st.integers(0, 4))))
+    p = draw(st.integers(0, 5))
+    op = draw(sparse_tmats(n, p))
+    return Subspace.from_triples(rows, n), Mat.from_triples(op, n)
+
+
+def sympy_span(rows, ambient):
+    """Canonical rows and pivots of the span of rows, by sympy."""
+    if not rows or not ambient:
+        return (), ()
+    red, pivots = to_dm(rows).rref()
+    return (tuple(tuple(from_gi(e) for e in r)
+                  for r in red.to_list()[:len(pivots)]), tuple(pivots))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(subspace_and_operator())
+def test_map_by_against_sympy_oracle(case):
+    sub, op = case
+    image = sub.map_by(op)
+    assert image.ambient == op.nrows
+    want = ()
+    if sub.rows and op.nrows:
+        want = from_dm(to_dm(sub.rows) * to_dm(op.t, sub.ambient).transpose())
+    assert (image.rows, image.pivots) == sympy_span(want, op.nrows)
+
+
+def test_map_by_keeps_empty_shapes():
+    for n in (1, 3):
+        zero_rows = Mat.from_triples((), n)  # an operator C^n -> C^0
+        assert zero_rows.shape == (0, n)
+        image = Subspace.full(n).map_by(zero_rows)
+        assert image.ambient == 0 and image.is_zero()
+        assert Subspace.zero(n).map_by(Mat.identity(n)) == Subspace.zero(n)
+
+
+@st.composite
+def quotient_pairs(draw):
+    """Quotients sup/sub of C^n and sup'/sub' of C^p with op a p x n
+    operator carrying sup into sup' and sub into sub'."""
+    sup, op = draw(subspace_and_operator())
+    n, p = sup.ambient, op.nrows
+    # sub: the span of combinations of sup's rows
+    combos = draw(sparse_tmats(n, draw(st.integers(0, 3))))
+    sub = Subspace.from_triples(
+        t_matmul(tuple(r[:sup.dim] for r in combos), sup.rows)
+        if combos and sup.dim else (), n)
+    # the target holds op(sup) over op(sub), with extra room in both
+    more = [Subspace.from_triples(draw(sparse_tmats(p, 1)), p)
+            if p else Subspace.zero(0) for _ in range(2)]
+    dst_sub = sub.map_by(op) + more[0]
+    return (Quotient(sub, sup), op,
+            Quotient(dst_sub, sup.map_by(op) + dst_sub + more[1]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(quotient_pairs())
+def test_induced_matrix_against_sympy_oracle(case):
+    """A = induced_matrix(op) is the unique matrix with
+    op C^T - C'^T A in sub' column by column, C and C' the complement
+    bases of the source and target quotients."""
+    src, op, dst = case
+    a = src.induced_matrix(op, dst)
+    assert a.shape == (dst.dim, src.dim)
+    if not src.dim or not op.nrows:
+        assert a.is_zero()
+        return
+    lhs = to_dm(op.t) * to_dm(src.complement.rows).transpose()
+    if dst.dim:
+        lhs = lhs - to_dm(dst.complement.rows).transpose() * to_dm(a.t)
+    if dst.sub.is_zero():
+        assert lhs.is_zero_matrix
+    else:
+        sub_cols = to_dm(dst.sub.rows).transpose()
+        assert sub_cols.rank() == sub_cols.hstack(lhs).rank()

@@ -34,6 +34,15 @@ def weight_two_string():
     return n, q, w, f
 
 
+def pure_weight_one():
+    """N = 0 on a polarized weight-1 Hodge structure: W is one jump."""
+    q = BilForm(Mat([[0, 1], [-1, 0]]), parity=1)
+    w = IncFiltration({1: Subspace.full(2)})
+    f = DecFiltration({0: Subspace.full(2),
+                       1: Subspace.span([(GR(1), I)], 2)})
+    return Mat.zeros(2, 2), q, w, f
+
+
 # ---------------------------------------------------------------------------
 # canonical bigrading
 # ---------------------------------------------------------------------------
@@ -187,6 +196,44 @@ def test_wrong_weight_filtration_detected():
     rep = verify_pmhs(1, q, unshifted, f, n)
     assert not rep.ok
     assert "W is the recentered weight filtration of N" in rep.failed()
+
+
+def _top_step_cut(w):
+    """W with its top listed step replaced by the proper step below it.
+
+    For a one-step W the replacement is a line, so the filtration becomes
+    full only one level past its listed top.
+    """
+    steps = dict(w.steps)
+    top = w.keys[-1]
+    below = w.at(top - 1)
+    steps[top] = (below if not below.is_zero()
+                  else Subspace.span([(1,) + (0,) * (w.ambient - 1)],
+                                     w.ambient))
+    return IncFiltration(steps)
+
+
+@pytest.mark.parametrize("maker, weight, mutation", [
+    (weight_one_limit, 1, "shifted"), (weight_one_limit, 1, "N^2"),
+    (weight_one_limit, 1, "top cut"), (weight_two_string, 2, "shifted"),
+    (weight_two_string, 2, "N^2"), (weight_two_string, 2, "top cut"),
+    (pure_weight_one, 1, "top cut")])
+def test_recentered_weight_filtration_check_catches_wrong_w(maker, weight,
+                                                            mutation):
+    n, q, w, f = maker()
+    assert verify_pmhs(weight, q, w, f, n).ok
+    if mutation == "shifted":
+        bad = w.shift(1)
+    elif mutation == "N^2":
+        bad = shift_filtration(weight_filtration(n @ n), -weight)
+    else:
+        bad = _top_step_cut(w)
+    assert bad != w
+    failed = verify_pmhs(weight, q, bad, f, n).failed()
+    # the only failing check of the limit structure itself; the mixed
+    # Hodge route then fails on the same W
+    assert failed[0] == "W is the recentered weight filtration of N"
+    assert all(c.startswith("mhs: ") for c in failed[1:]), failed
 
 
 def test_non_infinitesimal_isometry_detected():

@@ -2,14 +2,15 @@ import pytest
 
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, level_operator_k2,
-                               symmetric_family_ivi)
+                               symmetric_family_ivi, table1_catalog)
 from hodgelim.errors import VerificationError
 from hodgelim.matrices import Mat, commutator
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit, PolyMap,
                              _interior_samples, a_infinity,
                              check_integrability, collapse_cone,
                              integrate_ivi, is_maximal_abelian,
-                             verify_ivi, verify_maximality, verify_orbit)
+                             limit_context, verify_ivi, verify_maximality,
+                             verify_orbit)
 from hodgelim.scalars import GR, I
 
 
@@ -87,22 +88,76 @@ def test_complex_generator_rejected():
     assert "generators are real" in rep.failed()
 
 
-def test_weight_jump_in_cone_interior_detected():
-    # diag(1,0) and diag(-1,1) level maps commute and are nilpotent, but
-    # the sum degenerates: the barycenter has rank-1 top map, other
-    # interior points rank 2
+def weight_jump_orbit(top=1):
+    # diag(top,0) and diag(-1,1) level maps commute and are nilpotent, but
+    # the sum degenerates: with top = 1 the barycenter has rank-1 top map,
+    # other interior points rank 2; with top = 2 the barycenter has rank 2
+    # and the sample (1, 2) rank 1
     o = ht_orbit(2, 2)
-    n1 = level_operator_k2(2, Mat([[1, 0], [0, 0]]))
+    n1 = level_operator_k2(2, Mat([[top, 0], [0, 0]]))
     n2 = level_operator_k2(2, Mat([[-1, 0], [0, 1]]))
-    bad = NilpotentOrbit(2, o.form, o.filtration, NilpotentCone((n1, n2)))
-    rep = verify_orbit(bad)
+    return NilpotentOrbit(2, o.form, o.filtration, NilpotentCone((n1, n2)))
+
+
+def test_weight_jump_in_cone_interior_detected():
+    rep = verify_orbit(weight_jump_orbit())
     assert not rep.ok
     assert "weight filtration constant on the sampled interior" in rep.failed()
+
+
+def test_weight_jump_is_detected_with_a_limit_context():
+    # a degenerate barycenter has no limit structure to hand over
+    with pytest.raises(VerificationError):
+        limit_context(weight_jump_orbit())
+    # a generic barycenter has one; the jump elsewhere is still seen
+    bad = weight_jump_orbit(top=2)
+    ctx = limit_context(bad)
+    rep = verify_orbit(bad, context=ctx)
+    assert rep.to_dict() == verify_orbit(bad).to_dict()
+    assert rep.failed() == [
+        "weight filtration constant on the sampled interior"]
+    family = IVI(bad, bad.cone.generators)
+    assert (verify_ivi(family, context=ctx).to_dict()
+            == verify_ivi(family).to_dict())
 
 
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
+
+def _context_suite():
+    out = [build_max_ivi_k2(h20, h11)
+           for h20 in range(1, 5) for h11 in range(1, 7)]
+    out += [row.witness for row in table1_catalog()]
+    out += [symmetric_family_ivi(d) for d in (1, 2, 3)]
+    return out
+
+
+def test_limit_context_reuse_leaves_reports_unchanged():
+    suite = _context_suite()
+    assert len(suite) == 33
+    for ivi in suite:
+        ctx = limit_context(ivi.orbit)
+        plain = verify_ivi(ivi)
+        assert plain.ok, plain.pretty()
+        assert verify_ivi(ivi, context=ctx).to_dict() == plain.to_dict()
+        if ivi.orbit.cone.r:
+            assert (verify_orbit(ivi.orbit, context=ctx).to_dict()
+                    == verify_orbit(ivi.orbit).to_dict())
+
+
+def test_limit_context_of_another_orbit_is_refused():
+    ivi = symmetric_family_ivi(2)
+    other = limit_context(ht_orbit(2, 2))
+    with pytest.raises(ValueError, match="another orbit"):
+        verify_ivi(ivi, context=other)
+    with pytest.raises(ValueError, match="another orbit"):
+        verify_orbit(ivi.orbit, context=other)
+    # an equal orbit built separately is the same orbit
+    again = symmetric_family_ivi(2)
+    assert again.orbit is not ivi.orbit
+    assert verify_ivi(ivi, context=limit_context(again.orbit)).ok
+
 
 def test_family_verification_and_dimension():
     ivi = symmetric_family_ivi(2)
