@@ -5,7 +5,9 @@ Both run on seeded random Gaussian-rational matrices; the row reduction
 gets a rank-deficient input so it has real clearing work to do.  Next to
 them, the two subspace kernels the verifiers lean on run on the sparse
 barycenter N of ``hodge_tate_orbit(2, 7)``: ``Subspace.map_by`` of the
-whole space (im N) and ``t_reduce`` of N's columns against im N.
+whole space (im N) and ``t_reduce`` of N's columns against im N.  Last,
+``limit_context(hodge_tate_orbit(2, n))`` for n = 9, 12, 16: W, the
+Deligne splitting and the horizontal part at growing dimension.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --size 48 --repeats 7
@@ -22,6 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hodgelim.builders import hodge_tate_orbit  # noqa: E402
 from hodgelim.matrices import t_matmul, t_rref, t_transpose  # noqa: E402
+from hodgelim.orbits import limit_context  # noqa: E402
 from hodgelim.scalars import t_add, t_norm  # noqa: E402
 from hodgelim.subspaces import Subspace, t_reduce  # noqa: E402
 
@@ -98,6 +101,15 @@ def main() -> int:
           f"us  (C^{n.ncols} onto im N)")
     print(f"  reduce  {best_of(args.repeats, reduce_cols) * 1e6 / calls:8.1f} "
           f"us  ({len(cols)} columns of N against im N)")
+
+    print(f"limit_context(hodge_tate_orbit(2, n)) (best of {args.repeats}):")
+    for strings in (9, 12, 16):
+        orbit = hodge_tate_orbit(2, strings)
+        ctx = limit_context(orbit)
+        print(f"  n = {strings:2d}  "
+              f"{best_of(args.repeats, limit_context, orbit) * 1e3:8.1f} ms"
+              f"  (ambient {orbit.ambient}, horizontal part of dim "
+              f"{ctx.horizontal.dim})")
     return 0
 
 

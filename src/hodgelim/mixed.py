@@ -14,8 +14,10 @@ from .forms import (BilForm, hermitian_positive_definite, in_isometry_algebra,
 from .filtrations import (Bigrading, DecFiltration, IncFiltration,
                           first_relation_holds, hs_from_filtration,
                           weight_filtration_defect, weil_operator)
-from .matrices import Mat, t_conj_mat, t_kernel, t_matmul
+from .matrices import (Mat, TVec, t_conj_mat, t_is_zero_mat, t_kernel,
+                       t_matmul, t_transpose)
 from .reports import Report
+from .scalars import T_ZERO, t_add, t_mul, t_sub
 from .subspaces import Quotient, Subspace
 
 
@@ -187,16 +189,6 @@ def lie_bigrading(vb: Bigrading, algebra: Subspace) -> Bigrading:
             "operator algebra is not compatible with the bigrading") from None
 
 
-def p_part(lb: Bigrading, a: int) -> Subspace:
-    """Sum of the operator bigrading pieces with first index a."""
-    return lb.row(a)
-
-
-def g_minus(lb: Bigrading) -> Subspace:
-    """Sum of the operator bigrading pieces with negative first index."""
-    return lb.sum_where(lambda a, b: a < 0)
-
-
 def filtration_lowering(vb: Bigrading, algebra: Subspace,
                         degree: int = -1) -> Subspace:
     """Single-kernel computation of the degree-``degree`` horizontal part.
@@ -212,6 +204,72 @@ def filtration_lowering(vb: Bigrading, algebra: Subspace,
     return solve_in_span(algebra, n, maps_into(
         [(v, targets[p]) for (p, _), s in vb.pieces.items() for v in s.rows],
         n))
+
+
+def horizontal_part(vb: Bigrading, q: BilForm, weight: int) -> Subspace:
+    """The horizontal part g^{-1,*} of the isometry algebra of ``q``.
+
+    Equals ``filtration_lowering(vb, isometry_algebra(q), -1)`` but needs
+    no solve.  Let V_p be the sum of the pieces I^{p,*}.  The splitting
+    must be compatible with the form, Q(V_a, V_b) = 0 unless a + b =
+    ``weight``: this holds for the Deligne splitting of a polarized limit
+    (Cattani--Kaplan--Schmid, Ann. Math. 123 (1986)) and is the first
+    Riemann relation for a pure structure.  It is checked block by block
+    on the Gram matrix of the pieces and raises VerificationError when it
+    fails, since only it licenses what follows.
+
+    For vectors a, v let X_{a,v} = a Q(v, .) - e v Q(a, .), with e = +1
+    for a symmetric Q and -1 for an antisymmetric one; every X_{a,v} is an
+    infinitesimal isometry.  With a in V_s, v in V_t and s + t =
+    weight - 1, compatibility makes X_{a,v} map V_{s+1} to V_s, V_{t+1}
+    to V_t and every other V_p to 0, and Q pairs V_{s+1} perfectly with
+    V_t.  In a basis adapted to the V_p, X has only the blocks X_{p-1,p},
+    and the isometry condition ties block (s, s+1) to block (t, t+1): the
+    first is free and fixes the second, or for s = t (odd weight) it is
+    C^-1 S with S symmetric.  So the X_{a,v}, over basis vectors a of V_s
+    and v of V_t with s <= t (and a before v when s = t), are a basis of
+    g^{-1,*}.
+    """
+    n = q.dim
+    if vb.ambient != n:
+        raise ValueError(f"the bigrading lives in dimension {vb.ambient}, "
+                         f"the form in dimension {n}")
+    blocks: dict[int, list[TVec]] = {}
+    for (p, _), piece in vb.pieces.items():
+        blocks.setdefault(p, []).extend(piece.rows)
+    # row i of pairing[p] is Q(blocks[p][i], .)
+    pairing = {p: t_matmul(rows, q.matrix.t) for p, rows in blocks.items()}
+    for a, qa in pairing.items():
+        for b, rows in blocks.items():
+            if a + b != weight and not t_is_zero_mat(
+                    t_matmul(qa, t_transpose(rows))):
+                raise VerificationError(
+                    f"the splitting is not compatible with the form: "
+                    f"Q(I^{{{a},*}}, I^{{{b},*}}) != 0 and "
+                    f"{a} + {b} != {weight}")
+
+    def nonzero(vec):
+        return [(i, e) for i, e in enumerate(vec) if e[0] or e[1]]
+
+    pairs = {p: [(nonzero(r), nonzero(qr))
+                 for r, qr in zip(blocks[p], pairing[p])] for p in blocks}
+    combine = t_sub if q.parity == 0 else t_add
+    vecs = []
+    for s, left in pairs.items():
+        t = weight - 1 - s
+        if t < s or t not in pairs:
+            continue
+        for i, (a, qa) in enumerate(left):
+            for v, qv in pairs[t][i:] if t == s else pairs[t]:
+                x = [T_ZERO] * (n * n)
+                for r, e in a:
+                    for c, f in qv:
+                        x[r * n + c] = t_mul(e, f)
+                for r, e in v:
+                    for c, f in qa:
+                        x[r * n + c] = combine(x[r * n + c], t_mul(e, f))
+                vecs.append(tuple(x))
+    return Subspace.from_triples(vecs, n * n)
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .endo import (centralizer_in, isometry_algebra, noncommuting_pair,
-                   operator_span, pairwise_commuting, span_basis_mats)
+from .endo import (centralizer_in, noncommuting_pair, operator_span,
+                   pairwise_commuting, span_basis_mats)
 from .errors import VerificationError
 from .filtrations import (DecFiltration, IncFiltration, shift_filtration,
                           verify_phs, weight_filtration,
                           weight_filtration_defect)
 from .forms import BilForm, in_isometry_algebra
 from .matrices import Mat
-from .mixed import deligne_bigrading, filtration_lowering, verify_pmhs
+from .mixed import deligne_bigrading, horizontal_part, verify_pmhs
 from .reports import Report
 from .scalars import as_scalar
 from .subspaces import Subspace
@@ -123,21 +123,31 @@ class IVI:
 
 @dataclass
 class LimitContext:
-    """Everything the limit mixed Hodge structure determines at once."""
+    """Everything the limit mixed Hodge structure determines at once.
+
+    ``horizontal`` is the degree -1 part g^{-1,*} of the isometry algebra,
+    read off the Deligne splitting by
+    :func:`~hodgelim.mixed.horizontal_part`.
+    """
 
     orbit: NilpotentOrbit
     w: IncFiltration
     bigrading: object
-    algebra: Subspace
-    horizontal: Subspace  # the degree -1 part of the algebra
+    horizontal: Subspace
 
 
 def limit_context(orbit: NilpotentOrbit) -> LimitContext:
+    """The limit weight filtration, Deligne splitting and horizontal part.
+
+    Raises VerificationError when (W, F) is not a mixed Hodge structure,
+    or when its splitting is not compatible with the form (Q(I^{a,*},
+    I^{b,*}) != 0 for some a + b != weight), which a polarized limit
+    never is.
+    """
     w = orbit.limit_weight_filtration()
     vb = deligne_bigrading(w, orbit.filtration)
-    g = isometry_algebra(orbit.form)
-    hor = filtration_lowering(vb, g, -1)
-    return LimitContext(orbit, w, vb, g, hor)
+    return LimitContext(orbit, w, vb,
+                        horizontal_part(vb, orbit.form, orbit.weight))
 
 
 def _check_context(context: LimitContext | None,
@@ -273,6 +283,9 @@ def verify_maximality(ivi: IVI) -> Report:
 
     The family is maximal abelian iff it equals its own centralizer there:
     any element of the centralizer outside the family would extend it.
+    The horizontal part comes from :func:`limit_context`, so an orbit
+    whose limit is not a mixed Hodge structure, or whose splitting is not
+    compatible with the form, raises VerificationError.
     """
     ctx = limit_context(ivi.orbit)
     span = ivi.span()

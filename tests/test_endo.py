@@ -14,15 +14,18 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from hodgelim.builders import hodge_tate_orbit, table1_catalog
+from hodgelim.builders import (build_max_ivi_k2, hodge_tate_orbit,
+                               symmetric_family_ivi, table1_catalog)
 from hodgelim.endo import (SpanCoordinates, as_mat, centralizer_in, flatten,
                            isometry_algebra, maps_into, nonzeros,
                            operator_span, solve_in_span, span_basis_mats)
+from hodgelim.errors import VerificationError
 from hodgelim.filtrations import Bigrading
 from hodgelim.forms import BilForm, in_isometry_algebra
 from hodgelim.matrices import Mat, t_matmul
-from hodgelim.mixed import filtration_lowering
-from hodgelim.orbits import NilpotentOrbit, limit_context
+from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
+                            horizontal_part)
+from hodgelim.orbits import NilpotentCone, NilpotentOrbit, limit_context
 from hodgelim.scalars import GR, T_ZERO
 from hodgelim.subspaces import Subspace
 
@@ -214,9 +217,97 @@ def test_horizontal_part_of_a_limit_matches_oracle():
     ctx = limit_context(hodge_tate_orbit(2, 2))
     n = ctx.orbit.ambient
     expected = oracle(lowering_equations(ctx.bigrading, -1, n), n * n,
-                      inside=ctx.algebra)
+                      inside=isometry_algebra(ctx.orbit.form))
     assert ctx.horizontal == expected
     assert not ctx.horizontal.is_zero()
+
+
+@pytest.mark.parametrize("k, strings, dim", [(1, 2, 3), (3, 1, 2)])
+def test_odd_weight_horizontal_part_matches_oracle(k, strings, dim):
+    # odd weight pairs the block V_s with itself at s = (k - 1) / 2, which
+    # gives strings * (strings + 1) / 2 dimensions; weight 3 adds
+    # Hom(V_1, V_0) with strings^2
+    ctx = limit_context(hodge_tate_orbit(k, strings))
+    n = ctx.orbit.ambient
+    expected = oracle(lowering_equations(ctx.bigrading, -1, n), n * n,
+                      inside=isometry_algebra(ctx.orbit.form))
+    assert ctx.horizontal == expected
+    assert ctx.horizontal.dim == dim
+
+
+# ---------------------------------------------------------------------------
+# the horizontal part in closed form against the solve inside the algebra
+# ---------------------------------------------------------------------------
+
+def moved_orbit(orbit: NilpotentOrbit, g: Mat) -> NilpotentOrbit:
+    """The orbit in coordinates x' = g x: the form becomes g^-T M g^-1."""
+    gi = g.inverse()
+    return NilpotentOrbit(
+        orbit.weight,
+        BilForm(gi.transpose() @ orbit.form.matrix @ gi, orbit.form.parity),
+        orbit.filtration.map_by(g),
+        NilpotentCone(tuple(g @ x @ gi for x in orbit.cone.generators)))
+
+
+def closed_form_orbits() -> dict[str, NilpotentOrbit]:
+    """The CKTM grid, the catalog, symmetric families, Hodge-Tate orbits
+    of weights 1 to 3, and small ones of these in dense bases."""
+    orbits = {f"cktm{h20},{h11}": build_max_ivi_k2(h20, h11).orbit
+              for h20 in range(1, 5) for h11 in range(1, 7)}
+    for i, row in enumerate(table1_catalog()):
+        o = row.witness.orbit
+        orbits[f"row{i}"] = o
+        for j, cone in enumerate(row.cones):
+            orbits[f"row{i}.cone{j}"] = NilpotentOrbit(
+                o.weight, o.form, o.filtration, cone)
+    for d in (1, 2, 3):
+        orbits[f"sym{d}"] = symmetric_family_ivi(d).orbit
+    for k in (1, 2, 3):
+        for strings in (1, 2, 3):
+            orbits[f"ht{k},{strings}"] = hodge_tate_orbit(k, strings)
+    small = ("ht1,2", "ht2,2", "ht3,1", "cktm1,2", "sym1", "row1.cone0")
+    for seed, label in enumerate(small):
+        g = dense_invertible(orbits[label].ambient, random.Random(seed))
+        orbits[f"dense:{label}"] = moved_orbit(orbits[label], g)
+    return orbits
+
+
+CLOSED_FORM_ORBITS = closed_form_orbits()
+
+
+@pytest.mark.parametrize("label", sorted(CLOSED_FORM_ORBITS))
+def test_horizontal_part_in_closed_form_matches_the_solve(label):
+    orbit = CLOSED_FORM_ORBITS[label]
+    ctx = limit_context(orbit)
+    got = horizontal_part(ctx.bigrading, orbit.form, orbit.weight)
+    solved = filtration_lowering(ctx.bigrading,
+                                 isometry_algebra(orbit.form), -1)
+    assert (got.rows, got.pivots) == (solved.rows, solved.pivots)
+    assert (ctx.horizontal.rows, ctx.horizontal.pivots) == (
+        solved.rows, solved.pivots)
+
+
+@pytest.mark.parametrize("matrix, pair", [
+    # Q(V_0, V_0) != 0: the identity form pairs each level with itself
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "I^{0,*}, I^{0,*}"),
+    # the standard pairing plus Q(L_0, L_1) != 0, where 2 + 1 != 2
+    ([[0, 1, 1], [1, -1, 0], [1, 0, 0]], "I^{1,*}, I^{2,*}"),
+])
+def test_a_form_that_breaks_compatibility_is_refused(matrix, pair):
+    o = hodge_tate_orbit(2, 1)
+    bad = NilpotentOrbit(2, BilForm(Mat(matrix), 0), o.filtration, o.cone)
+    vb = deligne_bigrading(bad.limit_weight_filtration(), bad.filtration)
+    with pytest.raises(VerificationError, match="not compatible") as exc:
+        horizontal_part(vb, bad.form, bad.weight)
+    assert pair in str(exc.value)
+    with pytest.raises(VerificationError, match="not compatible"):
+        limit_context(bad)
+
+
+def test_closed_form_needs_the_form_of_the_bigrading():
+    ctx = limit_context(hodge_tate_orbit(2, 1))
+    with pytest.raises(ValueError, match="dimension"):
+        horizontal_part(ctx.bigrading, hodge_tate_orbit(2, 2).form, 2)
 
 
 # ---------------------------------------------------------------------------

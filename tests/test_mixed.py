@@ -9,8 +9,8 @@ from hodgelim.filtrations import (DecFiltration, IncFiltration,
                                   shift_filtration, weight_filtration)
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
-from hodgelim.mixed import (deligne_bigrading, filtration_lowering, g_minus,
-                            graded_filtration, lie_bigrading, p_part,
+from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
+                            graded_filtration, horizontal_part, lie_bigrading,
                             verify_mhs, verify_pmhs)
 from hodgelim.scalars import GR, I
 from hodgelim.subspaces import Subspace
@@ -142,21 +142,23 @@ def test_lie_bigrading_rejects_incompatible_algebra():
 
 
 def test_horizontal_part_shortcut_matches_bigrading():
-    for maker in (weight_one_limit, weight_two_string):
+    for maker, weight in ((weight_one_limit, 1), (weight_two_string, 2)):
         _, q, w, f = maker()
         vb = deligne_bigrading(w, f)
         g = isometry_algebra(q)
         lb = lie_bigrading(vb, g)
-        assert filtration_lowering(vb, g, -1) == p_part(lb, -1)
-        assert filtration_lowering(vb, g, -2) == p_part(lb, -2)
+        assert filtration_lowering(vb, g, -1) == lb.row(-1)
+        assert filtration_lowering(vb, g, -2) == lb.row(-2)
+        assert horizontal_part(vb, q, weight) == lb.row(-1)
 
 
-def test_g_minus_collects_negative_rows():
+def test_negative_rows_of_the_operator_bigrading():
     _, q, w, f = weight_two_string()
     vb = deligne_bigrading(w, f)
     lb = lie_bigrading(vb, isometry_algebra(q))
-    assert g_minus(lb) == p_part(lb, -1)
-    assert g_minus(lb).dim == 1
+    negative = lb.sum_where(lambda a, b: a < 0)
+    assert negative == lb.row(-1)
+    assert negative.dim == 1
 
 
 # ---------------------------------------------------------------------------
