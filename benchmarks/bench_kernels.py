@@ -5,9 +5,12 @@ Both run on seeded random Gaussian-rational matrices; the row reduction
 gets a rank-deficient input so it has real clearing work to do.  Next to
 them, the two subspace kernels the verifiers lean on run on the sparse
 barycenter N of ``hodge_tate_orbit(2, 7)``: ``Subspace.map_by`` of the
-whole space (im N) and ``t_reduce`` of N's columns against im N.  Last,
+whole space (im N) and ``t_reduce`` of N's columns against im N.  Then
 ``limit_context(hodge_tate_orbit(2, n))`` for n = 9, 12, 16: W, the
-Deligne splitting and the horizontal part at growing dimension.
+Deligne splitting and the horizontal part at growing dimension.  Last, the
+fixed costs of a command: reading ``symmetric_family_ivi(3)``'s JSON with
+``io.ivi_from_json``, 50 in-process ``cli.main`` calls of ``bound cktm``,
+and ``pairwise_commuting`` on that family.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --size 48 --repeats 7
@@ -15,6 +18,8 @@ Deligne splitting and the horizontal part at growing dimension.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io as _stdio
 import os
 import random
 import sys
@@ -22,7 +27,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hodgelim.builders import hodge_tate_orbit  # noqa: E402
+from hodgelim import cli, io  # noqa: E402
+from hodgelim.builders import (hodge_tate_orbit,  # noqa: E402
+                               symmetric_family_ivi)
+from hodgelim.endo import pairwise_commuting  # noqa: E402
 from hodgelim.matrices import t_matmul, t_rref, t_transpose  # noqa: E402
 from hodgelim.orbits import limit_context  # noqa: E402
 from hodgelim.scalars import t_add, t_norm  # noqa: E402
@@ -110,6 +118,28 @@ def main() -> int:
               f"{best_of(args.repeats, limit_context, orbit) * 1e3:8.1f} ms"
               f"  (ambient {orbit.ambient}, horizontal part of dim "
               f"{ctx.horizontal.dim})")
+
+    ivi = symmetric_family_ivi(3)
+    data = io.ivi_to_json(ivi)
+    size = len(io.dump_text(data))
+    bound = ["bound", "cktm", "--h20", "2", "--h11", "3"]
+
+    def bound_calls():
+        with contextlib.redirect_stdout(_stdio.StringIO()):
+            for _ in range(50):
+                cli.main(bound)
+
+    m = ivi.family[0]
+    print(f"fixed costs of a command (best of {args.repeats}):")
+    print(f"  ivi_from_json      "
+          f"{best_of(args.repeats, io.ivi_from_json, data) * 1e3:8.2f} ms"
+          f"  (symmetric_family_ivi(3), {size} bytes of JSON)")
+    print(f"  cli.main           "
+          f"{best_of(args.repeats, bound_calls) * 1e3:8.2f} ms"
+          f"  (50 calls of {' '.join(bound)})")
+    print(f"  pairwise_commuting "
+          f"{best_of(args.repeats, pairwise_commuting, ivi.family) * 1e3:8.2f}"
+          f" ms  ({len(ivi.family)} operators of size {m.nrows})")
     return 0
 
 

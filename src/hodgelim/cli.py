@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import io
 from .builders import (build_max_ivi_k2, carlson_toledo_bound, cktm_bound_k2,
@@ -196,7 +197,10 @@ def _cmd_search(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once and shared by every call: parsing leaves no
+    state in it, and callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="hodgelim",
         description="Exact verification and construction of limiting "

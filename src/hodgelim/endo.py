@@ -300,7 +300,11 @@ def noncommuting_pair(mats: Sequence[Mat]) -> tuple[int, int] | None:
     """The first pair i < j, in lexicographic order, with [A_i, A_j] != 0."""
     for i, a in enumerate(mats):
         for j, b in enumerate(mats[i + 1:], i + 1):
-            if not (a @ b - b @ a).is_zero():
+            ab, ba = a @ b, b @ a
+            if ab != ba:  # exact: products hold normalized triples
+                if ab.shape != ba.shape:
+                    raise ValueError(
+                        f"shape mismatch: {ab.shape} vs {ba.shape}")
                 return i, j
     return None
 

@@ -22,6 +22,7 @@ the canonical grammar (reduced fractions, positive denominators).
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Any
 
 from .errors import FormatError
@@ -29,7 +30,7 @@ from .filtrations import DecFiltration, IncFiltration
 from .forms import BilForm
 from .matrices import Mat
 from .orbits import IVI, NilpotentCone, NilpotentOrbit, PolyMap
-from .scalars import GR, I
+from .scalars import GR, Triple, t_norm
 from .subspaces import Subspace
 
 __all__ = [
@@ -58,28 +59,35 @@ def scalar_to_json(x) -> str | dict:
     return {"re": str(x.re), "im": str(x.im)}
 
 
-def _rational(obj) -> GR:
+_parse = lru_cache(maxsize=1024)(GR.parse)  # a raised error is not cached
+
+
+def _rational(obj) -> Triple:
+    if isinstance(obj, str):
+        try:
+            return _parse(obj).triple
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
     if isinstance(obj, bool):
         raise FormatError("booleans are not scalars")
     if isinstance(obj, int):
-        return GR(obj)
-    if isinstance(obj, str):
-        try:
-            return GR.parse(obj)
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
+        return (obj, 0, 1)
     raise FormatError(f"expected a rational, got {type(obj).__name__}")
 
 
-def scalar_from_json(obj) -> GR:
+def _triple_from_json(obj) -> Triple:
     if isinstance(obj, dict):
         unknown = set(obj) - {"re", "im"}
         if unknown:
             raise FormatError(f"unknown scalar keys {sorted(unknown)}")
-        re = _rational(obj.get("re", 0))
-        im = _rational(obj.get("im", 0))
-        return re + im * I
+        a, _, d = _rational(obj.get("re", 0))
+        b, _, e = _rational(obj.get("im", 0))
+        return t_norm(a * e, b * d, d * e)
     return _rational(obj)
+
+
+def scalar_from_json(obj) -> GR:
+    return GR.from_triple(_triple_from_json(obj))
 
 
 def matrix_to_json(m: Mat) -> list:
@@ -91,16 +99,13 @@ def matrix_from_json(obj) -> Mat:
     if not isinstance(obj, list) or not obj:
         raise FormatError("a matrix is a non-empty array of rows")
     rows = []
-    width = None
     for row in obj:
         if not isinstance(row, list) or not row:
             raise FormatError("matrix rows are non-empty arrays")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(obj[0]):
             raise FormatError("matrix rows have different lengths")
-        rows.append([scalar_from_json(e) for e in row])
-    return Mat(rows)
+        rows.append(tuple(_triple_from_json(e) for e in row))
+    return Mat.from_triples(tuple(rows))
 
 
 def _vector_from_json(obj, ambient: int) -> tuple:
@@ -109,7 +114,7 @@ def _vector_from_json(obj, ambient: int) -> tuple:
     if len(obj) != ambient:
         raise FormatError(
             f"vector of length {len(obj)} in a dimension-{ambient} space")
-    return tuple(scalar_from_json(e) for e in obj)
+    return tuple(_triple_from_json(e) for e in obj)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +129,8 @@ def subspace_to_json(s: Subspace) -> list:
 def subspace_from_json(obj, ambient: int) -> Subspace:
     if not isinstance(obj, list):
         raise FormatError("a subspace is an array of spanning vectors")
-    vecs = [_vector_from_json(v, ambient) for v in obj]
-    return Subspace.span(vecs, ambient)
+    return Subspace.from_triples(
+        [_vector_from_json(v, ambient) for v in obj], ambient)
 
 
 def _steps_to_json(steps: dict[int, Subspace]) -> dict:

@@ -12,7 +12,7 @@ from hodgelim import io
 from hodgelim.builders import (build_max_ivi_k2, hodge_tate_orbit,
                                level_operator_k2, symmetric_family_ivi,
                                table1_catalog)
-from hodgelim.cli import main
+from hodgelim.cli import build_parser, main
 from hodgelim.filtrations import DecFiltration, weight_filtration
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
@@ -241,6 +241,58 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser for every call
+# ---------------------------------------------------------------------------
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_calls_on_the_shared_parser_match_calls_on_a_fresh_one(capsys,
+                                                               tmp_path):
+    orbit = write(tmp_path, "orbit.json",
+                  io.orbit_to_json(hodge_tate_orbit(2, 3)))
+    family = write(tmp_path, "family.json",
+                   io.ivi_to_json(symmetric_family_ivi(1)))
+    target = tmp_path / "out.json"
+    calls = [
+        ["search", orbit, "--restarts", "4", "--max-steps", "1"],
+        ["search", orbit, "--restarts", "4"],
+        ["integrate", family, "--out", str(target)],
+        ["integrate", family],
+        ["build", "hodge-tate", "--k", "2", "--n", "1", "--out", str(target)],
+        ["build", "cktm", "--h20", "1", "--h11", "2"],
+    ]
+    bad = ["search", orbit, "--max-steps", "many"]
+
+    def call(argv):
+        code, out, _ = run(capsys, *argv)
+        if not target.exists():
+            return code, out, None
+        written = target.read_text(encoding="utf-8")
+        target.unlink()
+        return code, out, written
+
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(call(argv))
+    # each pair's outputs differ, so a flag that leaked into the next call
+    # would show
+    assert first[0][1] != first[1][1]
+    assert first[2][1] != first[3][1] and first[3][2] is None
+    assert first[4][1] == "" and first[5][1] != ""
+
+    build_parser.cache_clear()
+    for k in [0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0]:
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert call(calls[k]) == first[k], calls[k]
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,17 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from hodgelim.builders import (build_max_ivi_k2, hodge_tate_orbit,
-                               symmetric_family_ivi, table1_catalog)
+from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
+                               hodge_tate_orbit, symmetric_family_ivi,
+                               table1_catalog)
 from hodgelim.endo import (SpanCoordinates, as_mat, centralizer_in, flatten,
-                           isometry_algebra, maps_into, nonzeros,
-                           operator_span, solve_in_span, span_basis_mats)
+                           isometry_algebra, maps_into, noncommuting_pair,
+                           nonzeros, operator_span, pairwise_commuting,
+                           solve_in_span, span_basis_mats)
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import Bigrading
 from hodgelim.forms import BilForm, in_isometry_algebra
-from hodgelim.matrices import Mat, t_matmul
+from hodgelim.matrices import Mat, commutator, t_matmul
 from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
                             horizontal_part)
 from hodgelim.orbits import NilpotentCone, NilpotentOrbit, limit_context
@@ -440,3 +442,85 @@ def test_centralizer_in_coordinates_can_be_zero():
     unit = Subspace.full(coords.dim).rows
     z = Subspace.from_triples([unit[a]], coords.dim)
     assert check_against_flattened(label, z, unit[b]).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# commutation tested by comparing products
+# ---------------------------------------------------------------------------
+
+def first_noncommuting_pair(mats):
+    """The dense oracle: the first pair whose commutator has a nonzero."""
+    pairs = [(i, j) for i in range(len(mats))
+             for j in range(i + 1, len(mats))
+             if not commutator(mats[i], mats[j]).is_zero()]
+    return pairs[0] if pairs else None
+
+
+def stock_commuting_sets():
+    ivis = [build_max_ivi_k2(h20, h11)
+            for h20 in range(1, 5) for h11 in range(1, 7)]
+    ivis += [row.witness for row in table1_catalog()]
+    ivis += [symmetric_family_ivi(d) for d in (1, 2, 3)]
+    sets = [list(ivi.family) for ivi in ivis]
+    sets += [list(ivi.orbit.cone.generators) for ivi in ivis]
+    sets += [list(cone.generators) for row in table1_catalog()
+             for cone in row.cones]
+    sets += [list(diagonal_cone_orbit(d).cone.generators) for d in (1, 2, 3)]
+    sets += [list(hodge_tate_orbit(k, n).cone.generators)
+             for k in (1, 2, 3) for n in (1, 2, 3)]
+    return sets
+
+
+def test_noncommuting_pair_returns_the_first_pair_in_order():
+    e12 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    e23 = Mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    diag = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    one = Mat.identity(3)
+    # every (0, j) commutes; (1, 2), (1, 3) and (2, 3) do not
+    assert noncommuting_pair([one, diag, e12, e23]) == (1, 2)
+    assert noncommuting_pair([one, e12, e12 * GR(5), e23]) == (1, 3)
+    assert noncommuting_pair([e12, e12, one]) is None
+    assert noncommuting_pair([]) is None and noncommuting_pair([e23]) is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, GR(0, 1)]),
+                         min_size=4, max_size=4), min_size=4, max_size=16))
+def test_noncommuting_pair_matches_the_dense_commutator(entries):
+    mats = [Mat([entries[k][:2], entries[k][2:]])
+            for k in range(len(entries))]
+    assert noncommuting_pair(mats) == first_noncommuting_pair(mats)
+
+
+def test_every_stock_family_and_cone_commutes():
+    for mats in stock_commuting_sets():
+        assert noncommuting_pair(mats) is None
+        assert first_noncommuting_pair(mats) is None
+        assert pairwise_commuting(mats)
+
+
+def test_noncommuting_pair_finds_a_one_entry_mutant():
+    family = list(symmetric_family_ivi(2).family)
+    n = family[0].nrows
+    found = 0
+    for k in (0, len(family) - 1):
+        for i in range(n):
+            for j in range(n):
+                rows = [list(r) for r in family[k].t]
+                a, b, d = rows[i][j]
+                rows[i][j] = (a + d, b, d)
+                mutant = family[:k] + [Mat(rows)] + family[k + 1:]
+                pair = noncommuting_pair(mutant)
+                assert pair == first_noncommuting_pair(mutant)
+                found += pair is not None
+    assert found > 0
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (3, 2)),
+                                    ((2, 3), (2, 3))])
+def test_noncommuting_pair_refuses_mismatched_shapes(shapes):
+    mats = [Mat.zeros(*shape) for shape in shapes]
+    with pytest.raises(ValueError):
+        noncommuting_pair(mats)
+    with pytest.raises(ValueError):
+        first_noncommuting_pair(mats)

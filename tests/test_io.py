@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hodgelim.builders import hodge_tate_orbit, symmetric_family_ivi
+from hodgelim import io
+from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
+                               hodge_tate_orbit, symmetric_family_ivi,
+                               table1_catalog)
 from hodgelim.errors import FormatError
 from hodgelim.filtrations import weight_filtration
 from hodgelim.io import (dec_filtration_from_json, dec_filtration_to_json,
@@ -14,7 +18,8 @@ from hodgelim.io import (dec_filtration_from_json, dec_filtration_to_json,
                          pmhs_from_json, pmhs_to_json, polymap_from_json,
                          polymap_to_json, scalar_from_json, scalar_to_json,
                          subspace_from_json, subspace_to_json)
-from hodgelim.orbits import IVI, PolyMap, integrate_ivi
+from hodgelim.matrices import Mat
+from hodgelim.orbits import IVI, NilpotentOrbit, PolyMap, integrate_ivi
 from hodgelim.scalars import GR, I
 from hodgelim.subspaces import Subspace
 
@@ -52,11 +57,126 @@ def test_scalar_rejects(bad):
 
 
 # ---------------------------------------------------------------------------
+# the triple reader against the GR path it replaced
+# ---------------------------------------------------------------------------
+
+def gr_path(obj) -> GR:
+    """Each literal to a GR by GR.parse, complex parts joined by GR
+    arithmetic: the reader before it produced triples directly."""
+    def rational(x) -> GR:
+        if isinstance(x, bool):
+            raise FormatError("booleans are not scalars")
+        if isinstance(x, int):
+            return GR(x)
+        if isinstance(x, str):
+            try:
+                return GR.parse(x)
+            except ValueError as exc:
+                raise FormatError(str(exc)) from None
+        raise FormatError(f"expected a rational, got {type(x).__name__}")
+
+    if isinstance(obj, dict):
+        unknown = set(obj) - {"re", "im"}
+        if unknown:
+            raise FormatError(f"unknown scalar keys {sorted(unknown)}")
+        return rational(obj.get("re", 0)) + rational(obj.get("im", 0)) * I
+    return rational(obj)
+
+
+def outcome(read, obj):
+    try:
+        return "value", read(obj)
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+def assert_reads_like_gr_path(obj):
+    expected = outcome(lambda x: gr_path(x).triple, obj)
+    assert outcome(io._triple_from_json, obj) == expected, obj
+    assert outcome(lambda x: scalar_from_json(x).triple, obj) == expected, obj
+
+
+LITERALS = [
+    "0", "-0", "+0", "7", "+7", "-3", "007", "-007/0010", "2/4", "-11/4",
+    " 5 ", "\t-2/3\n", "1/ 2", "1 /2", "- 1", "++1", "+-1",
+    "\u0663", "\u0661/\u0662", "\uff11\uff12", "\u0967\u0966/\u0969",
+    "1/\u0662", "1_0", "1/0", "1/-2", "1/+2", "1/02", "", " ", "/", "1/",
+    "/2", "1.5", "1e3", "0x10", "i", "1/2/3", "\u00b2",
+]
+SCALARS = LITERALS + [
+    0, -12, 10 ** 30, 1.5, 2.0, float("nan"), True, False, None, [], ["1"],
+    {}, {"re": "1/2"}, {"im": "-3"}, {"re": "2/6", "im": 4},
+    {"re": "1", "im": "1", "x": "0"}, {"real": "1"}, {"re": True},
+    {"im": None}, {"re": 1.5}, {"re": {"re": "1"}}, {"im": ["1"]},
+    {"re": "1/0"}, {"re": "\u0663", "im": "-\u0661/\u0664"},
+]
+
+
+@pytest.mark.parametrize("obj", SCALARS, ids=repr)
+def test_reader_matches_gr_path(obj):
+    assert_reads_like_gr_path(obj)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.text(alphabet="0123456789+-/ _.\t\u0663\u0669\uff10\uff15\u0967",
+            max_size=8),
+    st.text(max_size=6),
+    st.integers(),
+    st.dictionaries(st.sampled_from(["re", "im", "x"]),
+                    st.one_of(st.text("0123456789-/", max_size=4),
+                              st.integers(-5, 5), st.booleans()),
+                    max_size=3)))
+def test_reader_matches_gr_path_on_drawn_input(obj):
+    assert_reads_like_gr_path(obj)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "x", "1_0", "", {"re": "1/-2"}])
+def test_a_bad_literal_fails_every_time(bad):
+    # lru_cache keeps returned values only, so a failure is raised afresh
+    for _ in range(2):
+        with pytest.raises(FormatError):
+            scalar_from_json(bad)
+        with pytest.raises(FormatError):
+            matrix_from_json([[bad]])
+
+
+def stock_constructions():
+    data = [ivi_to_json(build_max_ivi_k2(h20, h11))
+            for h20 in range(1, 5) for h11 in range(1, 7)]
+    for row in table1_catalog():
+        data.append(ivi_to_json(row.witness))
+        o = row.orbit
+        data += [orbit_to_json(NilpotentOrbit(o.weight, o.form,
+                                              o.filtration, cone))
+                 for cone in row.cones]
+    data += [ivi_to_json(symmetric_family_ivi(d)) for d in (1, 2, 3)]
+    data += [orbit_to_json(diagonal_cone_orbit(d)) for d in (1, 2, 3)]
+    data += [orbit_to_json(hodge_tate_orbit(k, n))
+             for k in (1, 2, 3) for n in (1, 2, 3)]
+    return data
+
+
+def test_stock_files_read_like_the_gr_path():
+    for data in stock_constructions():
+        mats = [data["form"], *data["nilpotents"],
+                *data.get("abelian_basis", [])]
+        for raw in mats:
+            old = Mat([[gr_path(e) for e in row] for row in raw])
+            assert matrix_from_json(raw).t == old.t
+        ambient = len(data["form"])
+        for vecs in data["F"].values():
+            old = Subspace.span([[gr_path(e) for e in v] for v in vecs],
+                                ambient)
+            new = subspace_from_json(vecs, ambient)
+            assert (new.rows, new.pivots) == (old.rows, old.pivots)
+
+
+# ---------------------------------------------------------------------------
 # matrices and subspaces
 # ---------------------------------------------------------------------------
 
 def test_matrix_round_trip():
-    from hodgelim.matrices import Mat
     m = Mat([[GR(1), GR.parse("-2/3")], [I, GR(0)]])
     out = matrix_to_json(m)
     assert out[0] == ["1", "-2/3"]
@@ -233,7 +353,6 @@ def test_polymap_higher_terms():
 
 
 def test_polymap_variable_order_pinned():
-    from hodgelim.matrices import Mat
     m = Mat([[GR(1)]])
     with pytest.raises(FormatError):
         polymap_to_json(PolyMap(("t1", "z1"), {(1, 0): m}))
