@@ -7,7 +7,12 @@ them, the two subspace kernels the verifiers lean on run on the sparse
 barycenter N of ``hodge_tate_orbit(2, 7)``: ``Subspace.map_by`` of the
 whole space (im N) and ``t_reduce`` of N's columns against im N.  Then
 ``limit_context(hodge_tate_orbit(2, n))`` for n = 9, 12, 16: W, the
-Deligne splitting and the horizontal part at growing dimension.  Last, the
+Deligne splitting and the horizontal part at growing dimension.  The
+lattice in a dense basis follows: ``Subspace.__and__`` of two random
+complex subspaces of C^size that share a third of their dimension, and of
+F^1 and W_2 of the ``hodge_tate_orbit(2, 7)`` limit moved by a seeded
+dense real rational matrix, then ``deligne_bigrading`` of that moved
+limit.  Last, the
 fixed costs of a command: reading ``symmetric_family_ivi(3)``'s JSON with
 ``io.ivi_from_json``, 50 in-process ``cli.main`` calls of ``bound cktm``,
 and ``pairwise_commuting`` on that family.
@@ -31,7 +36,9 @@ from hodgelim import cli, io  # noqa: E402
 from hodgelim.builders import (hodge_tate_orbit,  # noqa: E402
                                symmetric_family_ivi)
 from hodgelim.endo import pairwise_commuting  # noqa: E402
-from hodgelim.matrices import t_matmul, t_rref, t_transpose  # noqa: E402
+from hodgelim.filtrations import IncFiltration  # noqa: E402
+from hodgelim.matrices import Mat, t_matmul, t_rref, t_transpose  # noqa: E402
+from hodgelim.mixed import deligne_bigrading  # noqa: E402
 from hodgelim.orbits import limit_context  # noqa: E402
 from hodgelim.scalars import t_add, t_norm  # noqa: E402
 from hodgelim.subspaces import Subspace, t_reduce  # noqa: E402
@@ -57,6 +64,16 @@ def rank_deficient(rng: random.Random, rows: int, cols: int) -> tuple:
         base.append(tuple(t_add(x, y) for x, y in zip(base[i], base[j])))
     rng.shuffle(base)
     return tuple(base)
+
+
+def dense_real(rng: random.Random, n: int) -> tuple:
+    """A seeded invertible n x n matrix of small real rationals."""
+    pool = ((-2, 0, 1), (-1, 0, 1), (0, 0, 1), (1, 0, 1), (2, 0, 1),
+            (1, 0, 2), (-1, 0, 2))
+    while True:
+        g = tuple(tuple(rng.choice(pool) for _ in range(n)) for _ in range(n))
+        if len(t_rref(g)[1]) == n:
+            return g
 
 
 def best_of(repeats: int, fn, *args) -> float:
@@ -118,6 +135,30 @@ def main() -> int:
               f"{best_of(args.repeats, limit_context, orbit) * 1e3:8.1f} ms"
               f"  (ambient {orbit.ambient}, horizontal part of dim "
               f"{ctx.horizontal.dim})")
+
+    dim = size // 2
+    common = random_matrix(rng, size // 6, size)
+    meet_a = Subspace.from_triples(
+        common + random_matrix(rng, dim - len(common), size), size)
+    meet_b = Subspace.from_triples(
+        common + random_matrix(rng, dim - len(common), size), size)
+    orbit = hodge_tate_orbit(2, 7)
+    g = Mat.from_triples(dense_real(rng, orbit.ambient))
+    w = orbit.limit_weight_filtration()
+    moved_w = IncFiltration({k: w.at(k).map_by(g) for k in w.support()})
+    moved_f = orbit.filtration.map_by(g)
+    f1, w2 = moved_f.at(1), moved_w.at(2)
+    reps = args.repeats
+    print(f"the lattice in a dense basis (best of {reps}):")
+    print(f"  intersect {best_of(reps, meet_a.__and__, meet_b) * 1e3:8.2f} ms"
+          f"  (two random dim-{meet_a.dim} subspaces of C^{size}, meeting "
+          f"in dim {(meet_a & meet_b).dim})")
+    print(f"  intersect {best_of(reps, f1.__and__, w2) * 1e3:8.2f} ms"
+          f"  (F^1 and W_2 of the moved hodge_tate_orbit(2, 7) limit, "
+          f"dims {f1.dim} and {w2.dim} in C^{orbit.ambient})")
+    print(f"  deligne   "
+          f"{best_of(reps, deligne_bigrading, moved_w, moved_f) * 1e3:8.2f}"
+          f" ms  (the moved hodge_tate_orbit(2, 7) limit)")
 
     ivi = symmetric_family_ivi(3)
     data = io.ivi_to_json(ivi)

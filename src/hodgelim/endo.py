@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .forms import BilForm
-from .matrices import (Mat, TMat, TVec, t_from_cols, t_hstack, t_kernel,
-                       t_matmul, t_transpose)
+from .matrices import (Mat, TMat, TVec, _t_combine, t_from_cols, t_hstack,
+                       t_kernel, t_matmul, t_transpose)
 from .scalars import T_ZERO, Triple, t_add, t_inv, t_mul, t_neg, t_sub
 from .subspaces import Subspace, t_reduce
 
@@ -147,7 +147,7 @@ class SpanCoordinates:
     c_{.b} is what x_b contributes to the bracket with x = sum_b x_b z_b.
     """
 
-    __slots__ = ("space", "rank", "columns")
+    __slots__ = ("space", "rank", "columns", "_flat")
 
     def __init__(self, space: Subspace, n: int):
         self.space = space
@@ -184,6 +184,9 @@ class SpanCoordinates:
                 if c is not None:
                     self.columns[b].append((a, k, c))
                     self.columns[a].append((b, k, t_neg(c)))
+        # columns[b] as nonzeros of the flattened dim x rank matrix c_{.b}
+        self._flat = [[(a * self.rank + k, c) for a, k, c in column]
+                      for column in self.columns]
 
     @property
     def rows(self) -> TMat:
@@ -208,13 +211,10 @@ class SpanCoordinates:
 
     def bracket_with(self, x: TVec) -> TMat:
         """M_x = sum_b x_b c_{.b}: row a is [z_a, x] in B's coordinates."""
-        out = [[T_ZERO] * self.rank for _ in range(self.dim)]
-        for b, xb in enumerate(x):
-            if xb[0] or xb[1]:
-                for a, k, c in self.columns[b]:
-                    row = out[a]
-                    row[k] = t_add(row[k], t_mul(xb, c))
-        return tuple(tuple(row) for row in out)
+        r = self.rank
+        flat = _t_combine([(xb, self._flat[b]) for b, xb in enumerate(x)
+                           if xb[0] or xb[1]], self.dim * r)
+        return tuple(flat[a * r:(a + 1) * r] for a in range(self.dim))
 
 
 def _pivot_columns(vectors: Sequence[dict[int, Triple]]) -> list[int]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from math import gcd
 from typing import Any
 
 from .errors import FormatError
@@ -52,11 +53,24 @@ __all__ = [
 # scalars and matrices
 # ---------------------------------------------------------------------------
 
+def _fraction_text(a: int, d: int) -> str:
+    """The text of a/d in lowest terms, as str(Fraction(a, d)) gives it."""
+    g = gcd(a, d)
+    if g > 1:
+        a //= g
+        d //= g
+    return f"{a}" if d == 1 else f"{a}/{d}"
+
+
+def _triple_to_json(t: Triple) -> str | dict:
+    a, b, d = t
+    if not b:
+        return f"{a}" if d == 1 else f"{a}/{d}"
+    return {"re": _fraction_text(a, d), "im": _fraction_text(b, d)}
+
+
 def scalar_to_json(x) -> str | dict:
-    x = x if isinstance(x, GR) else GR(x)
-    if x.is_real():
-        return str(x)
-    return {"re": str(x.re), "im": str(x.im)}
+    return _triple_to_json((x if isinstance(x, GR) else GR(x)).triple)
 
 
 _parse = lru_cache(maxsize=1024)(GR.parse)  # a raised error is not cached
@@ -91,8 +105,7 @@ def scalar_from_json(obj) -> GR:
 
 
 def matrix_to_json(m: Mat) -> list:
-    return [[scalar_to_json(m[i, j]) for j in range(m.ncols)]
-            for i in range(m.nrows)]
+    return [[_triple_to_json(e) for e in row] for row in m.t]
 
 
 def matrix_from_json(obj) -> Mat:
@@ -122,8 +135,7 @@ def _vector_from_json(obj, ambient: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def subspace_to_json(s: Subspace) -> list:
-    return [[scalar_to_json(GR.from_triple(e)) for e in row]
-            for row in s.rows]
+    return [[_triple_to_json(e) for e in row] for row in s.rows]
 
 
 def subspace_from_json(obj, ambient: int) -> Subspace:

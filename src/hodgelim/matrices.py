@@ -7,6 +7,8 @@ hashable, with operator overloading and the usual constructors.
 """
 from __future__ import annotations
 
+from itertools import compress
+from operator import or_
 from typing import Iterable, Sequence
 
 from .scalars import (GR, GaussianRational, Triple, T_ONE, T_ZERO, as_scalar,
@@ -68,8 +70,43 @@ def t_sub_mul(x: Triple, f: Triple, y: Triple) -> Triple:
     return t_norm(a1 * pd - pa * d1, b1 * pd - pb * d1, d1 * pd)
 
 
+def _t_combine(terms, m: int) -> TVec:
+    """The sum of f * row over ``terms``, pairs (f, nonzeros (j, e) of row).
+
+    Each of the m output entries accumulates as raw integers (A, B, D):
+    a product with the running denominator adds its numerators, any other
+    is cross-multiplied in.  One normalization per nonzero entry at the
+    end; an exact cancellation gives T_ZERO.
+    """
+    sa = [0] * m
+    sb = [0] * m
+    sd = [1] * m
+    for (fa, fb, fd), nz in terms:
+        for j, (ea, eb, ed) in nz:
+            pa = fa * ea - fb * eb
+            pb = fa * eb + fb * ea
+            pd = fd * ed
+            d = sd[j]
+            if d == pd:
+                sa[j] += pa
+                sb[j] += pb
+            else:
+                sa[j] = sa[j] * pd + pa * d
+                sb[j] = sb[j] * pd + pb * d
+                sd[j] = d * pd
+    out = [T_ZERO] * m
+    for j in compress(range(m), map(or_, sa, sb)):
+        out[j] = t_norm(sa[j], sb[j], sd[j])
+    return tuple(out)
+
+
 def t_matmul(a: TMat, b: TMat) -> TMat:
-    """Product of two triple-matrices; zero entries are skipped."""
+    """Product of two triple-matrices; zero entries are skipped.
+
+    The nonzeros of a row of b are listed on its first use in the call.
+    An output row with one term is that row of b, scaled entry by entry;
+    a longer sum goes through :func:`_t_combine`.
+    """
     n = len(a)
     if n == 0:
         return ()
@@ -77,32 +114,38 @@ def t_matmul(a: TMat, b: TMat) -> TMat:
     if k != len(b):
         raise ValueError(f"shape mismatch: {n}x{k} @ {len(b)}x?")
     m = len(b[0]) if k else 0
+    zero = (T_ZERO,) * m
+    bnz = [None] * k
+
+    def nonzeros(t):
+        nz = bnz[t]
+        if nz is None:
+            nz = bnz[t] = [(j, e) for j, e in enumerate(b[t]) if e[0] or e[1]]
+        return nz
+
     out = []
-    for i in range(n):
-        arow = a[i]
-        orow = [T_ZERO] * m
-        for t in range(k):
-            f = arow[t]
-            if f[0] == 0 and f[1] == 0:
+    for arow in a:
+        terms = [(t, f) for t, f in enumerate(arow) if f[0] or f[1]]
+        if len(terms) > 1:
+            out.append(_t_combine([(f, nonzeros(t)) for t, f in terms], m))
+        elif not terms:
+            out.append(zero)
+        else:
+            t, f = terms[0]
+            if f == T_ONE:
+                out.append(tuple(b[t]))
                 continue
-            brow = b[t]
-            for j in range(m):
-                e = brow[j]
-                if e[0] != 0 or e[1] != 0:
-                    orow[j] = t_add(orow[j], t_mul(f, e))
-        out.append(tuple(orow))
+            row = list(zero)
+            for j, e in nonzeros(t):
+                row[j] = t_mul(f, e)
+            out.append(tuple(row))
     return tuple(out)
 
 
 def t_matvec(tm: TMat, v: TVec) -> TVec:
-    out = []
-    for row in tm:
-        acc = T_ZERO
-        for e, x in zip(row, v):
-            if (e[0] or e[1]) and (x[0] or x[1]):
-                acc = t_add(acc, t_mul(e, x))
-        out.append(acc)
-    return tuple(out)
+    return tuple(_t_combine([(e, [(0, x)]) for e, x in zip(row, v)
+                             if (e[0] or e[1]) and (x[0] or x[1])], 1)[0]
+                 for row in tm)
 
 
 def t_rref(tm) -> tuple[TMat, list[int]]:

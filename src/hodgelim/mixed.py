@@ -27,6 +27,9 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
     I^{p,q} = F^p ∩ W_{p+q} ∩ (conj(F^q) ∩ W_{p+q}
                                 + sum_{i>=1} conj(F^{q-i}) ∩ W_{p+q-i-1}).
 
+    Each meet F^a ∩ W_l and conj(F^a) ∩ W_l is computed at most once per
+    call; the (p, q) loop reuses them.
+
     Postconditions checked on every call: the pieces are independent and
     span, they rebuild W and F by partial sums, and I^{p,q} is conjugate
     to I^{q,p} modulo the lower-index pieces.  A failure of any of these
@@ -38,19 +41,28 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
     fbar = f.conj()
     fmin, fmax = f.keys[0], f.keys[-1]
     wmin = w.keys[0]
+    meets: dict[tuple[bool, int, int], Subspace] = {}
+
+    def meet(conj: bool, a: int, l: int) -> Subspace:
+        """F^a ∩ W_l, or conj(F^a) ∩ W_l, computed once per call."""
+        key = (conj, a, l)
+        s = meets.get(key)
+        if s is None:
+            s = meets[key] = (fbar if conj else f).at(a) & w.at(l)
+        return s
+
     pieces = {}
     for p in range(fmin, fmax + 1):
         for q in range(fmin, fmax + 1):
             l = p + q
-            wl = w.at(l)
-            if wl.is_zero():
+            if w.at(l).is_zero():
                 continue
-            right = fbar.at(q) & wl
+            right = meet(True, q, l)
             i = 1
             while l - i - 1 >= wmin:
-                right = right + (fbar.at(q - i) & w.at(l - i - 1))
+                right = right + meet(True, q - i, l - i - 1)
                 i += 1
-            piece = (f.at(p) & wl) & right
+            piece = meet(False, p, l) & right
             if not piece.is_zero():
                 pieces[(p, q)] = piece
     if not pieces:
@@ -89,7 +101,7 @@ def graded_filtration(w: IncFiltration, f: DecFiltration, l: int,
     for p in range(f.keys[0], f.keys[-1] + 1):
         inter = f.at(p) & w.at(l)
         steps[p] = Subspace.from_triples(
-            [q.project_coords(v) for v in inter.rows], q.dim)
+            [q.project_triples(v) for v in inter.rows], q.dim)
     return DecFiltration(steps)
 
 

@@ -3,7 +3,10 @@
 A :class:`Subspace` stores the reduced row echelon basis of its spanning
 set, so two subspaces are equal as sets iff their stored bases are equal
 syntactically.  All the usual lattice operations (sum, intersection,
-inclusion, canonical complement) are exact.
+inclusion, canonical complement) are exact.  An intersection is one
+elimination (Zassenhaus): the rows of the smaller space, reduced against
+the other, are row-reduced next to their own coordinates, and the rows
+whose residual vanishes give the intersection's canonical basis.
 
 :class:`Quotient` gives coordinates on ``sup/sub`` via a canonical
 complement; because complements of real subspaces have real canonical
@@ -17,7 +20,7 @@ from typing import Iterable, Sequence
 from .errors import VerificationError
 from .matrices import (Mat, TMat, TVec, _coerce_row, t_conj_mat, t_identity,
                        t_kernel, t_matmul, t_rref, t_sub_mul, t_transpose)
-from .scalars import GR, GaussianRational, t_is_zero, t_neg
+from .scalars import GR, T_ONE, T_ZERO, GaussianRational, t_is_zero
 
 
 def t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
@@ -98,6 +101,8 @@ class Subspace:
     def coords(self, v) -> tuple[GaussianRational, ...]:
         """Coefficients of v in the canonical basis (raises if outside)."""
         tv = _coerce_row(v)
+        if len(tv) != self.ambient:
+            raise ValueError("vector length mismatch")
         res, coeffs = t_reduce(tv, self.rows, self.pivots)
         if not _is_zero_vec(res):
             raise ValueError("vector not in subspace")
@@ -122,10 +127,27 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other
         return Subspace.from_triples(self.rows + other.rows, self.ambient)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection via the stacked-kernel method."""
+        """Intersection by one elimination (Zassenhaus).
+
+        Let a be the space with fewer rows, with canonical rows r_1..r_k,
+        and let x_i be the residual of r_i reduced against the other
+        space.  A combination sum c_i r_i lies in the other space exactly
+        when sum c_i x_i = 0, so in the RREF of the rows (x_i | e_i) of
+        length n + k the rows whose pivot lies in the right half are
+        (0 | c) with the c a canonical basis of those combinations.  The
+        rows c @ a are the canonical basis of the intersection: r_i is 1
+        at a's pivot p_i and 0 at the other pivots of a, so a pivot j of
+        c becomes the pivot p_j.  The right half holds coordinates rather
+        than the rows r_i themselves, because in a dense basis the n - k
+        other columns of the r_i would be carried through every step.
+        """
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
         if self.is_zero() or other.is_zero():
@@ -134,13 +156,21 @@ class Subspace:
             return other
         if other.is_full():
             return self
-        a, b = self.rows, other.rows
-        stacked = tuple(
-            tuple(r[i] for r in a) + tuple(t_neg(r[i]) for r in b)
-            for i in range(self.ambient))
-        combos = t_kernel(stacked, len(a) + len(b))
-        return Subspace.from_triples(
-            t_matmul(tuple(c[:len(a)] for c in combos), a), self.ambient)
+        a, b = (self, other) if self.dim <= other.dim else (other, self)
+        residuals = [t_reduce(r, b.rows, b.pivots)[0] for r in a.rows]
+        if all(map(_is_zero_vec, residuals)):
+            return a  # a lies in b
+        n, k = self.ambient, a.dim
+        rows, pivots = t_rref(tuple(
+            x + (T_ZERO,) * i + (T_ONE,) + (T_ZERO,) * (k - 1 - i)
+            for i, x in enumerate(residuals)))
+        first = next((i for i, p in enumerate(pivots) if p >= n),
+                     len(pivots))
+        if first == len(pivots):
+            return Subspace.zero(n)
+        return Subspace(n, t_matmul(tuple(r[n:] for r in rows[first:]),
+                                    a.rows),
+                        tuple(a.pivots[p - n] for p in pivots[first:]))
 
     def complement_in(self, sup: "Subspace") -> "Subspace":
         """A canonical complement of self inside sup.
@@ -248,6 +278,11 @@ class Quotient:
         tv = _coerce_row(v)
         if len(tv) != self.sub.ambient:
             raise ValueError("vector length mismatch")
+        return self.project_triples(tv)
+
+    def project_triples(self, tv: TVec) -> TVec:
+        """:meth:`project_coords` of a vector of normalized triples of the
+        ambient length, taken without coercion or length check."""
         res, _ = t_reduce(tv, self.sub.rows, self.sub.pivots)
         res, coords = t_reduce(res, self.complement.rows,
                                self.complement.pivots)
@@ -268,7 +303,7 @@ class Quotient:
         """
         if dst is None:
             dst = self
-        cols = [dst.project_coords(c)
+        cols = [dst.project_triples(c)
                 for c in t_matmul(self.complement.rows, op.transpose().t)]
         if not cols:
             return Mat.zeros(dst.dim, 0)

@@ -19,8 +19,9 @@ from hodgelim.io import (dec_filtration_from_json, dec_filtration_to_json,
                          polymap_to_json, scalar_from_json, scalar_to_json,
                          subspace_from_json, subspace_to_json)
 from hodgelim.matrices import Mat
+from hodgelim.mixed import deligne_bigrading
 from hodgelim.orbits import IVI, NilpotentOrbit, PolyMap, integrate_ivi
-from hodgelim.scalars import GR, I
+from hodgelim.scalars import GR, I, t_norm
 from hodgelim.subspaces import Subspace
 
 
@@ -170,6 +171,67 @@ def test_stock_files_read_like_the_gr_path():
                                 ambient)
             new = subspace_from_json(vecs, ambient)
             assert (new.rows, new.pivots) == (old.rows, old.pivots)
+
+
+# ---------------------------------------------------------------------------
+# the triple writers against the GR path they replaced
+# ---------------------------------------------------------------------------
+
+def gr_scalar_to_json(x: GR):
+    """One GR per entry, complex parts through Fraction: the writers
+    before they wrote straight from triples."""
+    if x.is_real():
+        return str(x)
+    return {"re": str(x.re), "im": str(x.im)}
+
+
+def gr_matrix_to_json(m: Mat) -> list:
+    return [[gr_scalar_to_json(m[i, j]) for j in range(m.ncols)]
+            for i in range(m.nrows)]
+
+
+def gr_subspace_to_json(s: Subspace) -> list:
+    return [[gr_scalar_to_json(GR.from_triple(e)) for e in row]
+            for row in s.rows]
+
+
+def written_stock_files():
+    limit = build_max_ivi_k2(2, 3).orbit
+    return dump_text([
+        *stock_constructions(),
+        io.bigrading_to_json(deligne_bigrading(
+            limit.limit_weight_filtration(), limit.filtration)),
+        io.polymap_to_json(integrate_ivi(symmetric_family_ivi(2))),
+    ])
+
+
+def test_stock_files_write_like_the_gr_path(monkeypatch):
+    new = written_stock_files()
+    monkeypatch.setattr(io, "matrix_to_json", gr_matrix_to_json)
+    monkeypatch.setattr(io, "subspace_to_json", gr_subspace_to_json)
+    assert written_stock_files() == new
+
+
+drawn_triples = st.builds(
+    t_norm, st.integers(-60, 60),
+    st.one_of(st.just(0), st.integers(-9, 9)), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(drawn_triples, min_size=n, max_size=n), min_size=1,
+    max_size=4)))
+def test_writers_match_the_gr_path_on_drawn_entries(rows):
+    tm = tuple(tuple(r) for r in rows)
+    m = Mat.from_triples(tm)
+    assert matrix_to_json(m) == gr_matrix_to_json(m)
+    s = Subspace.from_triples(tm, m.ncols)
+    assert subspace_to_json(s) == gr_subspace_to_json(s)
+    for e in tm[0]:
+        x = GR.from_triple(e)
+        assert scalar_to_json(x) == gr_scalar_to_json(x)
+        if x.is_real():
+            assert scalar_to_json(x.re) == gr_scalar_to_json(x)
 
 
 # ---------------------------------------------------------------------------

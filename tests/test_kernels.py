@@ -4,7 +4,9 @@ Known values and structural properties, plus differential checks against
 sympy's ``DomainMatrix`` over Q(i) on sparse matrices, which is the shape
 the operator-space solves feed the kernels: ``t_rref``, the elimination
 methods of ``Mat`` built on it, the triple-level Gram of ``BilForm``, and
-the images ``Subspace.map_by`` and ``Quotient.induced_matrix``.
+the images ``Subspace.map_by`` and ``Quotient.induced_matrix``.  The
+one-accumulator product and the one-elimination intersection are also
+checked against the loops they replaced, kept here as oracles.
 """
 import random
 
@@ -14,8 +16,8 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from hodgelim.forms import BilForm
-from hodgelim.matrices import Mat, t_matmul, t_rref
-from hodgelim.scalars import t_add, t_neg, t_norm
+from hodgelim.matrices import Mat, t_kernel, t_matmul, t_matvec, t_rref
+from hodgelim.scalars import t_add, t_mul, t_neg, t_norm
 from hodgelim.subspaces import Quotient, Subspace
 
 ZERO = (0, 0, 1)
@@ -324,3 +326,162 @@ def test_induced_matrix_against_sympy_oracle(case):
     else:
         sub_cols = to_dm(dst.sub.rows).transpose()
         assert sub_cols.rank() == sub_cols.hstack(lhs).rank()
+
+
+# ---------------------------------------------------------------------------
+# the one-accumulator product against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def loop_matmul(a, b):
+    """The product with one t_add(acc, t_mul(f, e)) per term."""
+    m = len(b[0]) if b else 0
+    out = []
+    for arow in a:
+        orow = [ZERO] * m
+        for f, brow in zip(arow, b):
+            if f[0] or f[1]:
+                for j, e in enumerate(brow):
+                    if e[0] or e[1]:
+                        orow[j] = t_add(orow[j], t_mul(f, e))
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+SCALAR_POOL = [ZERO, ZERO, (1, 0, 1), (-1, 0, 1), (1, 0, 2), (-2, 0, 3),
+               (0, 1, 1), (3, -1, 4), (-5, 2, 6), (7, 0, 5), (1, 1, 3)]
+
+
+@st.composite
+def products_with_cancellations(draw):
+    """(a, b) where b's last row is -c times its first and some rows of a
+    carry c and 1 there, so those output entries cancel to exactly 0."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    entry = st.sampled_from(SCALAR_POOL)
+    c = draw(st.sampled_from([e for e in SCALAR_POOL if e != ZERO]))
+    b = [list(draw(st.lists(entry, min_size=m, max_size=m)))
+         for _ in range(k)]
+    b[-1] = [t_neg(t_mul(c, e)) for e in b[0]]
+    a, cancels = [], []
+    for _ in range(n):
+        row = draw(st.lists(entry, min_size=k, max_size=k))
+        cancels.append(draw(st.booleans()))
+        if cancels[-1]:
+            row = [c] + [ZERO] * (k - 2) + [(1, 0, 1)]
+        a.append(tuple(row))
+    return tuple(a), tuple(tuple(r) for r in b), cancels
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(products_with_cancellations())
+def test_matmul_and_matvec_against_the_loop_and_sympy(case):
+    a, b, cancels = case
+    got = t_matmul(a, b)
+    assert got == loop_matmul(a, b)
+    assert got == from_dm(to_dm(a) * to_dm(b))
+    for cancel, orow in zip(cancels, got):
+        if cancel:
+            assert all(e == (0, 0, 1) for e in orow)
+    for col in zip(*b):
+        want = tuple(r[0] for r in loop_matmul(a, tuple((e,) for e in col)))
+        assert t_matvec(a, col) == want
+
+
+def test_matmul_cancels_to_the_zero_triple():
+    half, third = (1, 1, 2), (-1, 0, 3)
+    a = ((half, (1, 0, 1), third),)
+    b = (((2, 0, 5),), ((-1, -1, 5),), ((0, 0, 1),))
+    # (1+i)/2 * 2/5 - (1+i)/5 = 0 over different denominators
+    assert t_matmul(a, b) == (((0, 0, 1),),)
+    assert t_matvec(a, ((2, 0, 5), (-1, -1, 5), (7, 0, 1))) == \
+        (t_mul(third, (7, 0, 1)),)
+    assert t_matvec(((), ()), ()) == ((0, 0, 1), (0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the one-elimination intersection against the stacked kernel
+# ---------------------------------------------------------------------------
+
+def stacked_kernel_meet(sa, sb):
+    """The intersection by the n x (a + b) stacked kernel, a product and a
+    second RREF: the method the Zassenhaus intersection replaced."""
+    n = sa.ambient
+    if sa.is_zero() or sb.is_zero():
+        return Subspace.zero(n)
+    a, b = sa.rows, sb.rows
+    stacked = tuple(tuple(r[i] for r in a) + tuple(t_neg(r[i]) for r in b)
+                    for i in range(n))
+    combos = t_kernel(stacked, len(a) + len(b))
+    return Subspace.from_triples(
+        loop_matmul(tuple(c[:len(a)] for c in combos), a), n)
+
+
+def sympy_meet(sa, sb):
+    """Canonical rows and pivots of the intersection, by sympy over QQ_I."""
+    n = sa.ambient
+    if sa.is_zero() or sb.is_zero():
+        return (), ()
+    stacked = to_dm(sa.rows).transpose().hstack(
+        -to_dm(sb.rows).transpose())
+    null = stacked.nullspace()
+    if not null.shape[0]:
+        return (), ()
+    combos = from_dm(null)
+    vecs = from_dm(to_dm(tuple(c[:sa.dim] for c in combos))
+                   * to_dm(sa.rows))
+    return sympy_span(vecs, n)
+
+
+def assert_meets_agree(sa, sb):
+    want = stacked_kernel_meet(sa, sb)
+    for got in (sa & sb, sb & sa):
+        assert (got.rows, got.pivots) == (want.rows, want.pivots)
+    assert (want.rows, want.pivots) == sympy_meet(sa, sb)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Pairs of subspaces of C^n: independent draws, or zero, full,
+    nested, equal (another spanning set) and transversal partners."""
+    n = draw(st.integers(1, 8))
+    sa = Subspace.from_triples(draw(sparse_tmats(n)), n)
+    kind = draw(st.sampled_from(
+        ["free", "zero", "full", "nested", "equal", "transversal"]))
+    if kind == "free":
+        sb = Subspace.from_triples(draw(sparse_tmats(n)), n)
+    elif kind == "zero":
+        sb = Subspace.zero(n)
+    elif kind == "full":
+        sb = Subspace.full(n)
+    elif kind == "nested":
+        sb = Subspace.from_triples(sa.rows + draw(sparse_tmats(n)), n)
+    elif kind == "equal":
+        mix = [tuple(t_add(x, y) for x, y in zip(r, sa.rows[0]))
+               for r in sa.rows[1:]]
+        sb = Subspace.from_triples(list(sa.rows[:1]) + mix, n)
+        assert sb == sa
+    else:
+        unit = Subspace.full(n).rows
+        sb = Subspace.from_triples(
+            [unit[j] for j in range(n) if j not in sa.pivots], n)
+    return sa, sb
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(subspace_pairs())
+def test_intersection_against_the_stacked_kernel_and_sympy(pair):
+    assert_meets_agree(*pair)
+
+
+def test_intersection_in_dense_bases():
+    rng = random.Random("meet-dense")
+    for _ in range(25):
+        n = rng.randint(2, 7)
+        g = random_tmat(rng, n, n, span=3)
+        common = random_tmat(rng, rng.randint(0, 2), n)
+        a = common + random_tmat(rng, rng.randint(0, n - 1), n)
+        b = common + random_tmat(rng, rng.randint(0, n - 1), n)
+        sa = Subspace.from_triples(t_matmul(a, g) if a else (), n)
+        sb = Subspace.from_triples(t_matmul(b, g) if b else (), n)
+        assert_meets_agree(sa, sb)

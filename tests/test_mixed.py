@@ -1,8 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
 from genutil import make_split_mhs, random_real_invertible, transport_mhs
+from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
+                               hodge_tate_orbit, symmetric_family_ivi,
+                               table1_catalog)
 from hodgelim.endo import isometry_algebra, operator_span
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import (DecFiltration, IncFiltration,
@@ -71,6 +75,48 @@ def test_bigrading_of_nilpotent_limit():
     _, _, w2, f2 = weight_two_string()
     assert deligne_bigrading(w2, f2).dims() == {(0, 0): 1, (1, 1): 1,
                                                 (2, 2): 1}
+
+
+# SHA-256 of the Deligne pieces of every stock limit structure and of a few
+# moved into seeded dense rational bases, recorded before each meet
+# F^a ∩ W_l was computed once per call and intersections took one
+# elimination.
+PINNED_BIGRADINGS = ("e41c55500406d3fed6e90dfe68294f6e"
+                     "508d6b57fb0159aeb6d3a246fdf18c0e")
+
+
+def stock_limits():
+    orbits = [build_max_ivi_k2(h20, h11).orbit
+              for h20 in range(1, 5) for h11 in range(1, 7)]
+    orbits += [row.orbit for row in table1_catalog()]
+    orbits += [symmetric_family_ivi(d).orbit for d in (1, 2, 3)]
+    orbits += [diagonal_cone_orbit(d) for d in (1, 2, 3)]
+    orbits += [hodge_tate_orbit(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+    return [(o.limit_weight_filtration(), o.filtration) for o in orbits]
+
+
+def dense_rational_move(n: int, rng: random.Random) -> Mat:
+    pool = (GR(-2), GR(-1), GR(0), GR(1), GR(2), GR(1) / 2, GR(-1) / 2)
+    while True:
+        g = Mat([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+        if g.rank() == n:
+            return g
+
+
+def test_bigrading_pieces_are_pinned():
+    limits = stock_limits()
+    rng = random.Random("deligne-pin")
+    moved = []
+    for w, f in (limits[7], limits[24], limits[-2]):
+        g = dense_rational_move(w.ambient, rng)
+        moved.append((IncFiltration({l: w.at(l).map_by(g)
+                                     for l in w.support()}), f.map_by(g)))
+    text = []
+    for w, f in limits + moved:
+        for (p, q), piece in sorted(deligne_bigrading(w, f).pieces.items()):
+            text.append(f"{p},{q}:{piece.pivots}:{piece.rows}")
+    digest = hashlib.sha256("\n".join(text).encode("utf-8")).hexdigest()
+    assert digest == PINNED_BIGRADINGS
 
 
 def test_bigrading_rejects_incompatible_pair():

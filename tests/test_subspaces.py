@@ -43,6 +43,16 @@ def test_membership_and_coords():
         s.coords([0, 0, 1])
 
 
+def test_membership_checks_the_length():
+    # coords used to skip the check: a short vector read as its prefix
+    # and a long one ended in an IndexError
+    s = Subspace.span([[1, 0, 0]], 3)
+    for v in ([1], [1, 0, 0, 5], []):
+        for method in (s.coords, s.reduce, s.contains):
+            with pytest.raises(ValueError, match="vector length mismatch"):
+                method(v)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32))
 def test_dimension_formula(seed):
@@ -150,6 +160,17 @@ def test_quotient_induced_matrix():
     ind = q.induced_matrix(n)
     # complement basis is (e0, e1) canonical; N e0 = e1, N e1 = 0 mod sub
     assert ind == Mat([[0, 0], [1, 0]])
+
+
+def test_quotient_projects_triples_like_coerced_vectors():
+    i = GR(0, 1)
+    sup = Subspace.span([[1, i, 0, 2], [0, 1, 1 + i, 0], [2, 0, 1, -i]], 4)
+    q = Quotient(Subspace.span([[1, 1 + i, 1 + i, 2]], 4), sup)
+    for v in sup.basis_vectors() + [[3, 3 + 3 * i, 3 + 3 * i, 6]]:
+        triples = tuple(GR(x).triple for x in v)
+        assert q.project_triples(triples) == q.project_coords(v)
+    with pytest.raises(ValueError, match="total space"):
+        q.project_triples(tuple(GR(x).triple for x in [0, 0, 0, 1]))
 
 
 def test_quotient_of_zero_sub():
