@@ -11,11 +11,13 @@ Deligne splitting and the horizontal part at growing dimension.  The
 lattice in a dense basis follows: ``Subspace.__and__`` of two random
 complex subspaces of C^size that share a third of their dimension, and of
 F^1 and W_2 of the ``hodge_tate_orbit(2, 7)`` limit moved by a seeded
-dense real rational matrix, then ``deligne_bigrading`` of that moved
-limit.  Last, the
-fixed costs of a command: reading ``symmetric_family_ivi(3)``'s JSON with
-``io.ivi_from_json``, 50 in-process ``cli.main`` calls of ``bound cktm``,
-and ``pairwise_commuting`` on that family.
+dense real rational matrix, then ``deligne_bigrading`` and
+``verify_pmhs`` of that moved limit.  ``verify_maximality`` of
+``symmetric_family_ivi(3)`` times the operator-space solves behind a
+certificate.  Last, the fixed costs of a command: reading
+``symmetric_family_ivi(3)``'s JSON with ``io.ivi_from_json``, 50
+in-process ``cli.main`` calls of ``bound cktm``, and
+``pairwise_commuting`` on that family.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --size 48 --repeats 7
@@ -37,9 +39,10 @@ from hodgelim.builders import (hodge_tate_orbit,  # noqa: E402
                                symmetric_family_ivi)
 from hodgelim.endo import pairwise_commuting  # noqa: E402
 from hodgelim.filtrations import IncFiltration  # noqa: E402
+from hodgelim.forms import BilForm  # noqa: E402
 from hodgelim.matrices import Mat, t_matmul, t_rref, t_transpose  # noqa: E402
-from hodgelim.mixed import deligne_bigrading  # noqa: E402
-from hodgelim.orbits import limit_context  # noqa: E402
+from hodgelim.mixed import deligne_bigrading, verify_pmhs  # noqa: E402
+from hodgelim.orbits import limit_context, verify_maximality  # noqa: E402
 from hodgelim.scalars import t_add, t_norm  # noqa: E402
 from hodgelim.subspaces import Subspace, t_reduce  # noqa: E402
 
@@ -159,8 +162,18 @@ def main() -> int:
     print(f"  deligne   "
           f"{best_of(reps, deligne_bigrading, moved_w, moved_f) * 1e3:8.2f}"
           f" ms  (the moved hodge_tate_orbit(2, 7) limit)")
+    gi = g.inverse()
+    moved_q = BilForm(gi.transpose() @ orbit.form.matrix @ gi,
+                      orbit.form.parity)
+    moved_n = g @ orbit.cone.barycenter() @ gi
+    pmhs = (orbit.weight, moved_q, moved_w, moved_f, moved_n)
+    print(f"  verify_pmhs {best_of(reps, verify_pmhs, *pmhs) * 1e3:6.2f}"
+          f" ms  (the same moved limit)")
 
     ivi = symmetric_family_ivi(3)
+    print(f"verify_maximality(symmetric_family_ivi(3)) "
+          f"{best_of(reps, verify_maximality, ivi) * 1e3:8.2f} ms "
+          f"(best of {reps})")
     data = io.ivi_to_json(ivi)
     size = len(io.dump_text(data))
     bound = ["bound", "cktm", "--h20", "2", "--h11", "3"]

@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .forms import BilForm
-from .matrices import (Mat, TMat, TVec, _t_combine, t_from_cols, t_hstack,
-                       t_kernel, t_matmul, t_transpose)
+from .matrices import (Mat, TMat, TVec, _t_combine, t_hstack, t_kernel,
+                       t_matmul, t_transpose)
 from .scalars import T_ZERO, Triple, t_add, t_inv, t_mul, t_neg, t_sub
 from .subspaces import Subspace, t_reduce
 
@@ -65,20 +65,19 @@ def solve_in_span(space: Subspace, n: int,
     returns one flat tuple of triples, linear in X and of the same length
     for every X.  The result {X in space : conditions(X) == 0} is the
     product of the kernel combinations with the basis, in flattened form.
+    A condition that vanishes on every basis operator is dropped.
     """
     if space.is_zero():
         return space
     cols = [conditions(nonzeros(r, n)) for r in space.rows]
-    return _kernel_part(space, t_from_cols(cols, len(cols[0])))
+    return _kernel_part(space, [row for row in zip(*cols)
+                                if any(e[0] or e[1] for e in row)])
 
 
 def _kernel_part(space: Subspace, cond: TMat) -> Subspace:
     """{sum_i y_i r_i : cond y = 0} for the canonical rows r_i of space."""
-    combos = t_kernel(cond, space.dim)
-    if not combos:
-        return Subspace.zero(space.ambient)
-    return Subspace.from_triples(t_matmul(tuple(combos), space.rows),
-                                 space.ambient)
+    return space.lift(Subspace.from_triples(t_kernel(cond, space.dim),
+                                            space.dim))
 
 
 def maps_into(pairs: Sequence[tuple[TVec, Subspace]],
@@ -138,7 +137,7 @@ class SpanCoordinates:
     columns.  Every vector of L has its first nonzero at a pivot column,
     so this projection commutes with RREF, reduction, canonical complements
     and sums: a canonical subspace of L and its coordinate image determine
-    each other row by row.
+    each other row by row, and ``space.lift`` takes the image back to L.
 
     The brackets [z_a, z_b] span a space of dimension ``rank`` = D with
     canonical basis B_1..B_D and pivot columns q_1..q_D.  The structure
@@ -188,33 +187,12 @@ class SpanCoordinates:
         self._flat = [[(a * self.rank + k, c) for a, k, c in column]
                       for column in self.columns]
 
-    @property
-    def rows(self) -> TMat:
-        return self.space.rows
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def coords(self, v: TVec) -> TVec:
-        """The coordinates of a vector v of L: its entries at the pivots."""
-        return tuple(v[p] for p in self.space.pivots)
-
-    def lift(self, sub: Subspace) -> Subspace:
-        """The subspace of L whose coordinate image is ``sub``.
-
-        The lifted canonical basis is the canonical basis of the lift, with
-        the pivot of coordinate a moved to L's pivot column p_a.
-        """
-        return Subspace(self.space.ambient, t_matmul(sub.rows, self.rows),
-                        tuple(self.space.pivots[a] for a in sub.pivots))
-
     def bracket_with(self, x: TVec) -> TMat:
         """M_x = sum_b x_b c_{.b}: row a is [z_a, x] in B's coordinates."""
         r = self.rank
         flat = _t_combine([(xb, self._flat[b]) for b, xb in enumerate(x)
-                           if xb[0] or xb[1]], self.dim * r)
-        return tuple(flat[a * r:(a + 1) * r] for a in range(self.dim))
+                           if xb[0] or xb[1]], self.space.dim * r)
+        return tuple(flat[a * r:(a + 1) * r] for a in range(self.space.dim))
 
 
 def _pivot_columns(vectors: Sequence[dict[int, Triple]]) -> list[int]:

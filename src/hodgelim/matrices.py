@@ -245,12 +245,6 @@ def t_hstack(a: TMat, b: TMat) -> TMat:
     return tuple(ra + rb for ra, rb in zip(a, b))
 
 
-def t_from_cols(cols: Sequence[TVec], nrows: int) -> TMat:
-    if not cols:
-        return tuple(() for _ in range(nrows))
-    return tuple(tuple(c[i] for c in cols) for i in range(nrows))
-
-
 # ---------------------------------------------------------------------------
 # Mat
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Two independent routes are kept deliberately separate.  The canonical
 bigrading is produced by a closed formula and checked against structural
 postconditions; the graded-quotient route re-verifies the same data through
 pure Hodge structures on each W-graded piece.  ``verify_mhs`` runs both.
+Once it has passed, ``verify_pmhs`` reads the polarization of the
+primitive parts off the pieces of the verified splitting and builds no
+graded piece of its own.
 """
 from __future__ import annotations
 
@@ -11,14 +14,14 @@ from .endo import maps_into, solve_in_span
 from .errors import VerificationError
 from .forms import (BilForm, hermitian_positive_definite, in_isometry_algebra,
                     is_hermitian)
-from .filtrations import (Bigrading, DecFiltration, IncFiltration,
-                          first_relation_holds, hs_from_filtration,
-                          weight_filtration_defect, weil_operator)
-from .matrices import (Mat, TVec, t_conj_mat, t_is_zero_mat, t_kernel,
-                       t_matmul, t_transpose)
+from .filtrations import (_I_POWERS, Bigrading, DecFiltration,
+                          IncFiltration, first_relation_holds,
+                          hs_from_filtration, weight_filtration_defect)
+from .matrices import (Mat, TVec, t_conj_mat, t_is_zero_mat, t_matmul,
+                       t_transpose)
 from .reports import Report
 from .scalars import T_ZERO, t_add, t_mul, t_sub
-from .subspaces import Quotient, Subspace
+from .subspaces import Quotient, Subspace, kernel
 
 
 def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
@@ -297,7 +300,13 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     (:func:`~hodgelim.filtrations.weight_filtration_defect`); (W, F)
     must be a mixed Hodge structure; and on the primitive part of each
     graded piece gr_{weight+l} the form Q(C u, N^l conj v) must be positive
-    definite Hermitian.  ``bigrading`` is handed to :func:`verify_mhs`.
+    definite Hermitian.  The form is well defined on gr, so it is taken on
+    the lift by the Deligne splitting: the pieces I^{p,q} ∩ ker N^{l+1}
+    with p + q = weight + l, on which C is i^(p-q) (Deligne, Publ. IHES
+    40 (1971); Cattani--Kaplan--Schmid, Ann. Math. 123 (1986)).
+    ``bigrading`` must be ``deligne_bigrading(w, f)``; it is built once
+    when not given.  One that N does not map by type (-1, -1) raises
+    VerificationError.
     """
     if weight < 0:
         raise ValueError(f"a polarized limit structure has weight >= 0, "
@@ -328,50 +337,55 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     rep.add("form is real", q.is_real())
     rep.add("F^a orthogonal to F^(k-a+1)", first_relation_holds(f, weight, q))
 
+    if bigrading is None:
+        try:
+            bigrading = deligne_bigrading(w, f)
+        except VerificationError:
+            pass  # verify_mhs reports it
     mhs = verify_mhs(w, f, bigrading)
     rep.extend(mhs, prefix="mhs: ")
     if not rep.ok:
         return rep
 
-    # primitive positivity level by level
+    # N is now a morphism of mixed Hodge structures of type (-1, -1); only
+    # this check licenses reading gr, its primitive part and C off I^{a,b}
+    for (a, b), piece in bigrading.pieces.items():
+        if not piece.map_by(n) <= bigrading.piece(a - 1, b - 1):
+            raise VerificationError(
+                f"N does not map I^{{{a},{b}}} into I^{{{a - 1},{b - 1}}}: "
+                "the bigrading is not the Deligne splitting of (W, F)")
     prim_dims = {}
-    ok = True
     reason = None
     for l in range(0, w.keys[-1] - weight + 1):
-        top = graded_piece(w, weight + l)
-        if top.dim == 0:
+        level = [(a - b, s) for (a, b), s in bigrading.pieces.items()
+                 if a + b == weight + l]
+        if not level:
             continue
-        bottom = graded_piece(w, weight - l - 2)
         npl1 = n.pow(l + 1)
         if not w.at(weight + l).map_by(npl1) <= w.at(weight - l - 2):
-            ok, reason = False, f"N^{l + 1} does not shift W by 2l+2 at level {l}"
+            reason = f"N^{l + 1} does not shift W by 2l+2 at level {l}"
             break
-        induced = top.induced_matrix(npl1, bottom)
-        prim = Subspace.from_triples(t_kernel(induced.t, induced.ncols),
-                                     top.dim)
-        prim_dims[weight + l] = prim.dim
-        if prim.is_zero():
+        ker = kernel(npl1)
+        left, right = [], []
+        for d, s in level:
+            c = _I_POWERS[d % 4]
+            for u in (s & ker).rows:
+                left.append(tuple(t_mul(c, e) for e in u))
+                right.append(u)
+        prim_dims[weight + l] = len(right)
+        if not right:
             continue
-        try:
-            fl = graded_filtration(w, f, weight + l, top)
-            hs = hs_from_filtration(fl, weight + l)
-        except VerificationError as e:
-            ok, reason = False, f"gr_{weight + l}: {e}"
-            break
-        weil = weil_operator(hs).transpose().t
-        npl = n.pow(l).transpose().t
-        gram = q.gram_rows(
-            [top.lift(v) for v in t_matmul(prim.rows, weil)],
-            t_matmul(t_conj_mat(map(top.lift, prim.rows)), npl))
+        gram = q.gram_rows(left, t_matmul(t_conj_mat(right),
+                                          n.pow(l).transpose().t))
         if not is_hermitian(gram):
-            ok, reason = False, f"primitive form at level {l} not Hermitian"
+            reason = f"primitive form at level {l} not Hermitian"
             break
         if not hermitian_positive_definite(gram):
-            ok, reason = False, f"primitive form at level {l} not positive"
+            reason = f"primitive form at level {l} not positive"
             break
     if reason:
         rep.add("primitive pieces are positive", False, reason=reason)
     else:
-        rep.add("primitive pieces are positive", ok, dims=prim_dims)
+        rep.add("primitive pieces are positive", True, dims=prim_dims)
     rep.data["primitive_dims"] = {str(k): v for k, v in prim_dims.items()}
     return rep

@@ -161,7 +161,7 @@ def _check_context(context: LimitContext | None,
 # verification
 # ---------------------------------------------------------------------------
 
-def _interior_samples(r: int, extra=None):
+def _interior_samples(r: int):
     """Deterministic positive sample points in the open cone."""
     samples = [(1,) * r]
     if r <= 5:
@@ -171,12 +171,10 @@ def _interior_samples(r: int, extra=None):
         # coordinate i carries bit i mod 5 of j, so the points are distinct
         samples.extend(tuple(1 + ((j >> (i % 5)) & 1) for i in range(r))
                        for j in range(1, 32))
-    if extra:
-        samples.extend(tuple(p) for p in extra)
     return samples
 
 
-def verify_orbit(orbit: NilpotentOrbit, extra_samples=None,
+def verify_orbit(orbit: NilpotentOrbit,
                  context: LimitContext | None = None) -> Report:
     """Check the defining conditions of a nilpotent orbit at infinity.
 
@@ -211,7 +209,7 @@ def verify_orbit(orbit: NilpotentOrbit, extra_samples=None,
     if not rep.ok:
         return rep
 
-    samples = _interior_samples(orbit.cone.r, extra_samples)
+    samples = _interior_samples(orbit.cone.r)
     base = None
     constant = True
     nilpotent = True
@@ -243,7 +241,7 @@ def verify_orbit(orbit: NilpotentOrbit, extra_samples=None,
     return rep
 
 
-def verify_ivi(ivi: IVI, extra_samples=None, context=None) -> Report:
+def verify_ivi(ivi: IVI, context=None) -> Report:
     """Check an abelian family at infinity, cone included.
 
     ``context`` is the orbit's :func:`limit_context` when the caller has
@@ -255,8 +253,7 @@ def verify_ivi(ivi: IVI, extra_samples=None, context=None) -> Report:
     _check_context(context, orbit)
     rep = Report(f"family at infinity (dim {len(ivi.family)})")
     if orbit.cone.r > 0:
-        rep.extend(verify_orbit(orbit, extra_samples, context),
-                   prefix="orbit: ")
+        rep.extend(verify_orbit(orbit, context), prefix="orbit: ")
     else:
         rep.extend(verify_phs(orbit.filtration, orbit.weight, orbit.form),
                    prefix="pure: ")

@@ -33,7 +33,8 @@ from .orbits import IVI, NilpotentOrbit, limit_context
 from .scalars import GR, I
 from .subspaces import Subspace
 
-DEFAULT_POOL = (GR(0), GR(1), GR(-1), GR(2), I, GR(1) + I)
+# the coefficients a random draw picks from
+COEFFICIENTS = (GR(0), GR(1), GR(-1), GR(2), I, GR(1) + I)
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class SearchConfig:
     restarts: int = 200
     seed: int | str = 0
     max_steps: int | None = None
-    coefficient_pool: tuple = DEFAULT_POOL
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -120,11 +120,10 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
         if orbit.cone.r else ctx.horizontal
 
     coordinates = SpanCoordinates(z_base, n)
-    m = coordinates.dim
+    m = z_base.dim
 
-    pool = tuple(config.coefficient_pool)
     base_coords = Subspace.from_triples(
-        [coordinates.coords(r) for r in base.rows], m)
+        [tuple(r[p] for p in z_base.pivots) for r in base.rows], m)
     best: Subspace | None = None
     best_certified = False
     restart_dims: list[int] = []
@@ -142,9 +141,9 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
                 certified = False
                 break
             steps += 1
-            coeffs = [rng.choice(pool) for _ in range(comp.dim)]
+            coeffs = [rng.choice(COEFFICIENTS) for _ in range(comp.dim)]
             while all(c.is_zero() for c in coeffs):
-                coeffs = [rng.choice(pool) for _ in range(comp.dim)]
+                coeffs = [rng.choice(COEFFICIENTS) for _ in range(comp.dim)]
             x = t_matmul((tuple(c.triple for c in coeffs),), comp.rows)[0]
             current = current + Subspace.from_triples((x,), m)
             z = centralizer_in(z, [x], coordinates)
@@ -152,5 +151,5 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
         if best is None or current.dim > best.dim:
             best = current
             best_certified = certified
-    return SearchResult(span_basis_mats(coordinates.lift(best), n),
+    return SearchResult(span_basis_mats(z_base.lift(best), n),
                         best.dim, best_certified, restart_dims, config)

@@ -141,12 +141,11 @@ class Subspace:
         space.  A combination sum c_i r_i lies in the other space exactly
         when sum c_i x_i = 0, so in the RREF of the rows (x_i | e_i) of
         length n + k the rows whose pivot lies in the right half are
-        (0 | c) with the c a canonical basis of those combinations.  The
-        rows c @ a are the canonical basis of the intersection: r_i is 1
-        at a's pivot p_i and 0 at the other pivots of a, so a pivot j of
-        c becomes the pivot p_j.  The right half holds coordinates rather
-        than the rows r_i themselves, because in a dense basis the n - k
-        other columns of the r_i would be carried through every step.
+        (0 | c) with the c a canonical basis of those combinations, and
+        the intersection is ``a.lift`` of their span.  The right half
+        holds coordinates rather than the rows r_i themselves, because in
+        a dense basis the n - k other columns of the r_i would be carried
+        through every step.
         """
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
@@ -166,11 +165,23 @@ class Subspace:
             for i, x in enumerate(residuals)))
         first = next((i for i, p in enumerate(pivots) if p >= n),
                      len(pivots))
-        if first == len(pivots):
-            return Subspace.zero(n)
-        return Subspace(n, t_matmul(tuple(r[n:] for r in rows[first:]),
-                                    a.rows),
-                        tuple(a.pivots[p - n] for p in pivots[first:]))
+        return a.lift(Subspace(k, tuple(r[n:] for r in rows[first:]),
+                               tuple(p - n for p in pivots[first:])))
+
+    def lift(self, sub: "Subspace") -> "Subspace":
+        """The subspace of self whose coordinates form ``sub``.
+
+        A vector of self is sum_a c_a r_a over the canonical rows r_a, and
+        c_a is its entry at the pivot p_a, since r_a is 1 there and the
+        other rows are 0.  So the rows of ``sub`` times the r_a are
+        canonical, a pivot j of ``sub`` becomes the pivot p_j, and no
+        elimination is needed.
+        """
+        if sub.ambient != self.dim:
+            raise ValueError(f"coordinates in dimension {sub.ambient} for "
+                             f"a subspace of dimension {self.dim}")
+        return Subspace(self.ambient, t_matmul(sub.rows, self.rows),
+                        tuple(self.pivots[j] for j in sub.pivots))
 
     def complement_in(self, sup: "Subspace") -> "Subspace":
         """A canonical complement of self inside sup.

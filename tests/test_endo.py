@@ -28,7 +28,7 @@ from hodgelim.matrices import Mat, commutator, t_matmul
 from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
                             horizontal_part)
 from hodgelim.orbits import NilpotentCone, NilpotentOrbit, limit_context
-from hodgelim.scalars import GR, T_ZERO
+from hodgelim.scalars import GR, T_ZERO, t_sub
 from hodgelim.subspaces import Subspace
 
 from genutil import make_split_mhs, transport_mhs
@@ -328,6 +328,25 @@ def test_solve_with_no_conditions_keeps_the_space():
     assert solve_in_span(space, 4, maps_into([], 4)) == space
 
 
+def test_solve_drops_conditions_that_are_zero_on_every_operator():
+    space = isometry_algebra(make_form(4, 1, True, seed=3))
+
+    def entry(nz, i, j):
+        return next((x for a, b, x in nz if (a, b) == (i, j)), T_ZERO)
+
+    def conditions(nz):
+        return (T_ZERO, entry(nz, 0, 0), T_ZERO, T_ZERO,
+                t_sub(entry(nz, 1, 2), entry(nz, 2, 1)), T_ZERO)
+
+    got = solve_in_span(space, 4, conditions)
+    equations = [[QQ_I.zero] * 16 for _ in range(2)]
+    equations[0][0] = QQ_I.one
+    equations[1][1 * 4 + 2], equations[1][2 * 4 + 1] = QQ_I.one, -QQ_I.one
+    assert got == oracle(equations, 16, inside=space)
+    assert 0 < got.dim < space.dim
+    assert got == solve_in_span(space, 4, lambda nz: conditions(nz)[1::3])
+
+
 def test_solve_in_the_zero_space_is_zero():
     zero = Subspace.zero(9)
     assert solve_in_span(zero, 3, lambda nz: (nz[0][2],)) is zero
@@ -401,13 +420,14 @@ COORDINATE_POOL = (T_ZERO, T_ZERO, (1, 0, 1), (-1, 0, 1), (0, 1, 1),
 def check_against_flattened(label: str, z: Subspace, x):
     """The coordinate centralizer lifts to the flattened one, pivots too."""
     coords = z_base_coordinates(label)
+    space = coords.space
     n = SEARCH_ORBITS[label].ambient
-    lifted_x = t_matmul((x,), coords.rows)[0]
-    assert coords.coords(lifted_x) == tuple(x)
+    lifted_x = t_matmul((x,), space.rows)[0]
+    assert tuple(lifted_x[p] for p in space.pivots) == tuple(x)
     got = centralizer_in(z, [x], coords)
-    assert got.ambient == coords.dim
-    lifted = coords.lift(got)
-    expected = centralizer_in(coords.lift(z), [as_mat(lifted_x, n)], n)
+    assert got.ambient == space.dim
+    lifted = space.lift(got)
+    expected = centralizer_in(space.lift(z), [as_mat(lifted_x, n)], n)
     assert (lifted.rows, lifted.pivots) == (expected.rows, expected.pivots)
     return got
 
@@ -416,20 +436,19 @@ def check_against_flattened(label: str, z: Subspace, x):
 @given(st.data())
 def test_centralizer_in_coordinates_lifts_to_the_flattened_one(data):
     label = data.draw(st.sampled_from(sorted(SEARCH_ORBITS)))
-    coords = z_base_coordinates(label)
-    vector = st.tuples(*[st.sampled_from(COORDINATE_POOL)] * coords.dim)
+    m = z_base_coordinates(label).space.dim
+    vector = st.tuples(*[st.sampled_from(COORDINATE_POOL)] * m)
     x = data.draw(vector)
     gens = data.draw(st.lists(vector, max_size=3))
-    z = Subspace.from_triples(gens, coords.dim) if gens \
-        else Subspace.full(coords.dim)
+    z = Subspace.from_triples(gens, m) if gens else Subspace.full(m)
     check_against_flattened(label, z, x)
 
 
 @pytest.mark.parametrize("label", ["row2.cone2", "row4.cone2", "row5.cone2"])
 def test_centralizer_in_coordinates_with_no_brackets(label):
     coords = z_base_coordinates(label)  # a rank-3 cone: z_base is abelian
-    assert coords.rank == 0 and coords.dim == 3
-    full = Subspace.full(coords.dim)
+    assert coords.rank == 0 and coords.space.dim == 3
+    full = Subspace.full(coords.space.dim)
     for x in ((T_ZERO, (1, 0, 1), (0, 1, 1)), full.rows[0]):
         assert check_against_flattened(label, full, x) == full
 
@@ -439,8 +458,8 @@ def test_centralizer_in_coordinates_can_be_zero():
     coords = z_base_coordinates(label)
     b = next(b for b, column in enumerate(coords.columns) if column)
     a = coords.columns[b][0][0]  # [z_a, z_b] != 0
-    unit = Subspace.full(coords.dim).rows
-    z = Subspace.from_triples([unit[a]], coords.dim)
+    unit = Subspace.full(coords.space.dim).rows
+    z = Subspace.from_triples([unit[a]], coords.space.dim)
     assert check_against_flattened(label, z, unit[b]).is_zero()
 
 

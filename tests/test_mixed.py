@@ -1,23 +1,27 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from genutil import make_split_mhs, random_real_invertible, transport_mhs
-from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
-                               hodge_tate_orbit, symmetric_family_ivi,
-                               table1_catalog)
+from hodgelim import mixed
+from hodgelim.builders import (StringModel, build_max_ivi_k2,
+                               diagonal_cone_orbit, hodge_tate_orbit,
+                               symmetric_family_ivi, table1_catalog)
 from hodgelim.endo import isometry_algebra, operator_span
 from hodgelim.errors import VerificationError
-from hodgelim.filtrations import (DecFiltration, IncFiltration,
-                                  shift_filtration, weight_filtration)
-from hodgelim.forms import BilForm
-from hodgelim.matrices import Mat
+from hodgelim.filtrations import (Bigrading, DecFiltration, IncFiltration,
+                                  hs_from_filtration, shift_filtration,
+                                  weight_filtration, weil_operator)
+from hodgelim.forms import BilForm, hermitian_positive_definite, is_hermitian
+from hodgelim.matrices import Mat, t_conj_mat, t_matmul
 from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
-                            graded_filtration, horizontal_part, lie_bigrading,
-                            verify_mhs, verify_pmhs)
+                            graded_filtration, graded_piece, horizontal_part,
+                            lie_bigrading, verify_mhs, verify_pmhs)
+from hodgelim.orbits import NilpotentCone
 from hodgelim.scalars import GR, I
-from hodgelim.subspaces import Subspace
+from hodgelim.subspaces import Subspace, kernel
 
 
 def weight_one_limit():
@@ -328,3 +332,132 @@ def test_filtration_of_the_wrong_size_is_rejected_by_dimension(which):
     with pytest.raises(ValueError,
                        match=f"^{which} lives in dimension 2, .* dimension 3$"):
         verify_pmhs(2, q, w, f, n)
+
+
+# ---------------------------------------------------------------------------
+# primitive positivity on the Deligne pieces against the graded quotients
+# ---------------------------------------------------------------------------
+
+def quotient_positivity(weight, q, w, f, n):
+    """The positivity check through the graded quotients gr_{weight+l}.
+
+    Each gr is a Quotient with its own Hodge structure and Weil operator;
+    the primitive part is the kernel of the induced N^{l+1}, and its
+    vectors are lifted through the complement.  Returns the check's
+    verdict, its reason and the primitive dimensions.
+    """
+    prim_dims = {}
+    for l in range(0, w.keys[-1] - weight + 1):
+        top = graded_piece(w, weight + l)
+        if top.dim == 0:
+            continue
+        bottom = graded_piece(w, weight - l - 2)
+        npl1 = n.pow(l + 1)
+        if not w.at(weight + l).map_by(npl1) <= w.at(weight - l - 2):
+            return (False, f"N^{l + 1} does not shift W by 2l+2 at level {l}",
+                    prim_dims)
+        prim = kernel(top.induced_matrix(npl1, bottom))
+        prim_dims[weight + l] = prim.dim
+        if prim.is_zero():
+            continue
+        hs = hs_from_filtration(graded_filtration(w, f, weight + l, top),
+                                weight + l)
+        weil = weil_operator(hs).transpose().t
+        gram = q.gram_rows(
+            [top.lift(v) for v in t_matmul(prim.rows, weil)],
+            t_matmul(t_conj_mat(map(top.lift, prim.rows)),
+                     n.pow(l).transpose().t))
+        if not is_hermitian(gram):
+            return (False, f"primitive form at level {l} not Hermitian",
+                    prim_dims)
+        if not hermitian_positive_definite(gram):
+            return (False, f"primitive form at level {l} not positive",
+                    prim_dims)
+    return True, None, prim_dims
+
+
+def sweep_orbits():
+    """Hodge-Tate, CKTM and catalog cones, and string models of weight 1-4."""
+    orbits = [hodge_tate_orbit(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+    orbits += [build_max_ivi_k2(h20, h11).orbit
+               for h20 in (1, 2, 3) for h11 in (1, 2, 3, 4)]
+    orbits += [replace(row.orbit, cone=cone) for row in table1_catalog()
+               for cone in row.cones]
+    orbits.append(diagonal_cone_orbit(2))
+    for k, specs in ((1, [("R", 1), ("C", 1, 0)]),
+                     (2, [("R", 2), ("C", 2, 1), ("R", 1)]),
+                     (3, [("R", 3), ("C", 3, 1), ("C", 3, 0)]),
+                     (4, [("R", 3), ("C", 4, 2)])):
+        model = StringModel(k, specs)
+        orbits.append(model.orbit(NilpotentCone((model.n_std,))))
+    return [o for o in orbits if o.cone.r]
+
+
+def sweep_limits():
+    """(weight, Q, W, F, N) of each sweep orbit at its barycenter, with N
+    negated, the form negated, N doubled, and moved into a seeded dense
+    basis with N kept and negated."""
+    rng = random.Random("pmhs-sweep")
+    for o in sweep_orbits():
+        k, q, w, f = (o.weight, o.form, o.limit_weight_filtration(),
+                      o.filtration)
+        n = o.cone.barycenter()
+        yield k, q, w, f, n
+        yield k, q, w, f, -n
+        yield k, BilForm(-q.matrix, q.parity), w, f, n
+        yield k, q, w, f, n * 2
+        g = dense_rational_move(o.ambient, rng)
+        gi = g.inverse()
+        moved = (k, BilForm(gi.transpose() @ q.matrix @ gi, q.parity),
+                 IncFiltration({l: w.at(l).map_by(g) for l in w.support()}),
+                 f.map_by(g))
+        yield moved + (g @ n @ gi,)
+        yield moved + (-(g @ n @ gi),)
+
+
+def test_positivity_on_the_pieces_matches_the_graded_quotients():
+    failures = set()
+    count = 0
+    for k, q, w, f, n in sweep_limits():
+        rep = verify_pmhs(k, q, w, f, n)
+        check = rep.checks[-1]
+        assert check.name == "primitive pieces are positive", rep.pretty()
+        ok, reason, dims = quotient_positivity(k, q, w, f, n)
+        assert check.ok == ok
+        assert check.detail == ({"dims": dims} if ok else {"reason": reason})
+        assert rep.data["primitive_dims"] == {str(d): v
+                                              for d, v in dims.items()}
+        given = verify_pmhs(k, q, w, f, n, deligne_bigrading(w, f))
+        assert given.to_dict() == rep.to_dict()
+        if not ok:
+            failures.add(reason)
+        count += 1
+    assert count == 222
+    assert failures == {f"primitive form at level {l} not positive"
+                        for l in range(4)}
+
+
+def test_positivity_builds_no_graded_piece_of_its_own(monkeypatch):
+    n, q, w, f = weight_two_string()
+    built = []
+    real = mixed.graded_piece
+    monkeypatch.setattr(mixed, "graded_piece",
+                        lambda w, l: built.append(l) or real(w, l))
+    verify_mhs(w, f)
+    by_verify_mhs = list(built)
+    built.clear()
+    assert verify_pmhs(2, q, w, f, n).ok
+    assert built == by_verify_mhs
+
+
+def test_bigrading_that_n_does_not_map_by_type_is_rejected():
+    n, q, w, f = weight_two_string()
+    assert verify_pmhs(2, q, w, f, n, deligne_bigrading(w, f)).ok
+    # N e0 = e1 and N e1 = e2; e0 + e1 spans a complement of W_1 in W_2
+    # too, but N takes it to e1 + e2, outside I^{1,1}
+    wrong = Bigrading({(2, 2): Subspace.span([(1, 1, 0)], 3),
+                       (1, 1): Subspace.span([(0, 1, 0)], 3),
+                       (0, 0): Subspace.span([(0, 0, 1)], 3)})
+    assert verify_mhs(w, f, wrong).ok
+    with pytest.raises(VerificationError, match=r"I\^\{2,2\} into I\^\{1,1\}"):
+        verify_pmhs(2, q, w, f, n, wrong)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodgelim import GR, I, Mat, Subspace, Quotient, image, kernel
 from hodgelim.errors import VerificationError
+from hodgelim.matrices import t_matmul
 
 
 def random_subspace(rng, n, max_vecs=None):
@@ -69,6 +70,48 @@ def test_intersection_example():
     a = Subspace.span([[1, 0, 0], [0, 1, 0]], 3)
     b = Subspace.span([[0, 1, 0], [0, 0, 1]], 3)
     assert (a & b) == Subspace.span([[0, 1, 0]], 3)
+
+
+def lift_oracle(s, sub):
+    """The span of the coordinate rows times s's rows, row-reduced."""
+    return Subspace.from_triples(t_matmul(sub.rows, s.rows), s.ambient)
+
+
+def test_lift_is_canonical_without_elimination():
+    rng = random.Random("lift")
+    spaces = [Subspace.zero(4), Subspace.full(4)]
+    spaces += [random_subspace(rng, n) for n in (1, 3, 5, 7) for _ in range(4)]
+    for s in spaces:
+        m = s.dim
+        subs = [Subspace.zero(m), Subspace.full(m)]
+        subs += [random_subspace(rng, m) for _ in range(3)]
+        for sub in subs:
+            got, want = s.lift(sub), lift_oracle(s, sub)
+            assert (got.rows, got.pivots) == (want.rows, want.pivots)
+            assert got.ambient == s.ambient and got.dim == sub.dim
+        assert s.lift(Subspace.full(m)) == s
+        assert s.lift(Subspace.zero(m)).is_zero()
+
+
+def test_lift_of_the_coordinates_of_a_nested_space():
+    rng = random.Random("lift-nested")
+    for _ in range(12):
+        t = random_subspace(rng, 6)
+        s = Subspace.from_triples(
+            t_matmul(random_subspace(rng, t.dim).rows, t.rows), 6)
+        assert s <= t
+        coords = Subspace.from_triples(
+            [tuple(r[p] for p in t.pivots) for r in s.rows], t.dim)
+        lifted = t.lift(coords)
+        assert (lifted.rows, lifted.pivots) == (s.rows, s.pivots)
+
+
+def test_lift_rejects_coordinates_of_another_dimension():
+    s = Subspace.span([[1, 0, 2], [0, 1, 3]], 3)
+    with pytest.raises(ValueError, match="dimension 3 .* dimension 2"):
+        s.lift(Subspace.full(3))
+    with pytest.raises(ValueError):
+        s.lift(Subspace.zero(1))
 
 
 def test_complement():
