@@ -141,8 +141,7 @@ def _cmd_catalog(args) -> int:
     ok = True
     rows_out = []
     for row in table1_catalog():
-        ctx = limit_context(row.witness.orbit) if args.search else None
-        rep = verify_ivi(row.witness, context=ctx)
+        rep = verify_ivi(row.witness)
         row_ok = rep.ok and rep.data["dim"] == row.expected_max
         entry = {
             "label": row.label,
@@ -154,6 +153,7 @@ def _cmd_catalog(args) -> int:
             "cone_ranks": [c.r for c in row.cones],
         }
         if args.search:
+            ctx = limit_context(row.witness.orbit)
             searches = []
             for cone in row.cones:
                 target = NilpotentOrbit(row.witness.orbit.weight,
@@ -182,9 +182,8 @@ def _cmd_search(args) -> int:
         start = orbit = io.orbit_from_json(payload)
     cfg = SearchConfig(restarts=args.restarts, seed=args.seed,
                        max_steps=args.max_steps)
-    ctx = limit_context(orbit)
-    res = greedy_max_abelian(start, cfg, context=ctx)
-    rep = verify_ivi(IVI(orbit, tuple(res.best)), context=ctx)
+    res = greedy_max_abelian(start, cfg)
+    rep = verify_ivi(IVI(orbit, tuple(res.best)))
     _print({"best_dim": res.best_dim,
             "certified": res.certified,
             "restart_dims": res.restart_dims,

@@ -6,7 +6,7 @@ up, below its support it is the whole space and above it is zero.  An
 increasing filtration ``W`` is dual: value at the largest listed index not
 above the query, zero below the support, everything above it.
 
-``shift(W, s)`` is the filtration with ``shift(W, s)_j = W_{j+s}``.
+``W.shift(s)`` is the filtration with ``W.shift(s)_j = W_{j+s}``.
 
 The weight filtration of a nilpotent endomorphism is produced by a closed
 formula and then *re-verified* against its two defining properties on every
@@ -106,10 +106,6 @@ class IncFiltration(_Filtration):
     def shift(self, s: int) -> "IncFiltration":
         """The filtration j -> W_{j+s}."""
         return IncFiltration({k - s: v for k, v in self.steps.items()})
-
-
-def shift_filtration(w: IncFiltration, s: int) -> IncFiltration:
-    return w.shift(s)
 
 
 def weight_filtration(n: Mat) -> IncFiltration:

@@ -116,7 +116,7 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
     Route two: F induces a pure Hodge structure of weight l on every
     graded piece gr^W_l.  Both run; their Hodge numbers must agree.
     ``bigrading`` is :func:`deligne_bigrading` of (W, F) when the caller
-    has it already (a limit context does); it is not built again.
+    has it already (an orbit's limit does); it is not built again.
     """
     rep = Report("mixed Hodge structure")
     if w.ambient != f.ambient:
@@ -320,7 +320,10 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                              f"the form in dimension {q.dim}")
     rep = Report(f"polarized limit structure (weight {weight})")
     rep.add("N is real", n.is_real())
-    nilp = n.pow(weight + 1).is_zero()
+    powers = [Mat.identity(q.dim), n]  # N^0 .. N^(weight+1)
+    for _ in range(weight):
+        powers.append(powers[-1] @ n)
+    nilp = powers[-1].is_zero()
     rep.add(f"N^{weight + 1} = 0", nilp)
     rep.add("N preserves the form infinitesimally", in_isometry_algebra(n, q))
 
@@ -331,7 +334,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     if not nilp:
         return rep
     rep.add("W is the recentered weight filtration of N",
-            weight_filtration_defect(w.shift(weight), n) is None)
+            weight_filtration_defect(w.shift(weight), n, powers) is None)
 
     rep.add("form parity matches weight", q.parity == weight % 2)
     rep.add("form is real", q.is_real())
@@ -361,7 +364,8 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                  if a + b == weight + l]
         if not level:
             continue
-        npl1 = n.pow(l + 1)
+        # a level with pieces has l <= weight, so powers[l + 1] exists
+        npl1 = powers[l + 1]
         if not w.at(weight + l).map_by(npl1) <= w.at(weight - l - 2):
             reason = f"N^{l + 1} does not shift W by 2l+2 at level {l}"
             break
@@ -376,7 +380,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
         if not right:
             continue
         gram = q.gram_rows(left, t_matmul(t_conj_mat(right),
-                                          n.pow(l).transpose().t))
+                                          powers[l].transpose().t))
         if not is_hermitian(gram):
             reason = f"primitive form at level {l} not Hermitian"
             break

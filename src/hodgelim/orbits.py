@@ -11,13 +11,14 @@ nilpotent orbit), and certifies maximality by a centralizer computation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .endo import (centralizer_in, noncommuting_pair, operator_span,
                    pairwise_commuting, span_basis_mats)
 from .errors import VerificationError
-from .filtrations import (DecFiltration, IncFiltration, shift_filtration,
+from .filtrations import (Bigrading, DecFiltration, IncFiltration,
                           verify_phs, weight_filtration,
                           weight_filtration_defect)
 from .forms import BilForm, in_isometry_algebra
@@ -87,12 +88,14 @@ class NilpotentOrbit:
     def ambient(self) -> int:
         return self.form.dim
 
+    @cached_property
+    def limit(self) -> LimitContext:
+        """The limit structure; no field, so ``==`` and ``replace`` skip it."""
+        return LimitContext(self)
+
     def limit_weight_filtration(self) -> IncFiltration:
         """W of the generic cone element, recentered at the weight."""
-        if self.cone.r == 0:
-            return IncFiltration({self.weight: Subspace.full(self.ambient)})
-        return shift_filtration(
-            weight_filtration(self.cone.barycenter()), -self.weight)
+        return self.limit.w
 
 
 @dataclass(frozen=True)
@@ -118,43 +121,51 @@ class IVI:
 
 
 # ---------------------------------------------------------------------------
-# limit context shared by the verifiers and the search
+# the limit structure, owned by its orbit
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LimitContext:
-    """Everything the limit mixed Hodge structure determines at once.
+    """An orbit's limit mixed Hodge structure, each part built on first use.
 
-    ``horizontal`` is the degree -1 part g^{-1,*} of the isometry algebra,
-    read off the Deligne splitting by
-    :func:`~hodgelim.mixed.horizontal_part`.
+    ``w`` is W(N) of the barycenter recentered at the weight (trivial for
+    an empty cone), ``bigrading`` the Deligne splitting of (W, F), and
+    ``horizontal`` the part g^{-1,*} of the isometry algebra read off it by
+    :func:`~hodgelim.mixed.horizontal_part`.  A build that raises is not
+    kept, so it raises again on the next read.
     """
 
-    orbit: NilpotentOrbit
-    w: IncFiltration
-    bigrading: object
-    horizontal: Subspace
+    def __init__(self, orbit: NilpotentOrbit):
+        # an equal copy: the orbit keeps its limit, and a limit keeping the
+        # orbit would make a cycle that only the cycle collector frees
+        self.orbit = replace(orbit)
+
+    @cached_property
+    def w(self) -> IncFiltration:
+        o = self.orbit
+        if o.cone.r == 0:
+            return IncFiltration({o.weight: Subspace.full(o.ambient)})
+        return weight_filtration(o.cone.barycenter()).shift(-o.weight)
+
+    @cached_property
+    def bigrading(self) -> Bigrading:
+        return deligne_bigrading(self.w, self.orbit.filtration)
+
+    @cached_property
+    def horizontal(self) -> Subspace:
+        return horizontal_part(self.bigrading, self.orbit.form,
+                               self.orbit.weight)
 
 
 def limit_context(orbit: NilpotentOrbit) -> LimitContext:
-    """The limit weight filtration, Deligne splitting and horizontal part.
+    """The orbit's :attr:`~NilpotentOrbit.limit`, with every part built.
 
     Raises VerificationError when (W, F) is not a mixed Hodge structure,
     or when its splitting is not compatible with the form (Q(I^{a,*},
     I^{b,*}) != 0 for some a + b != weight), which a polarized limit
     never is.
     """
-    w = orbit.limit_weight_filtration()
-    vb = deligne_bigrading(w, orbit.filtration)
-    return LimitContext(orbit, w, vb,
-                        horizontal_part(vb, orbit.form, orbit.weight))
-
-
-def _check_context(context: LimitContext | None,
-                   orbit: NilpotentOrbit) -> None:
-    if (context is not None and context.orbit is not orbit
-            and context.orbit != orbit):
-        raise ValueError("the limit context was built for another orbit")
+    orbit.limit.horizontal  # builds w and the bigrading on the way
+    return orbit.limit
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +185,20 @@ def _interior_samples(r: int):
     return samples
 
 
-def verify_orbit(orbit: NilpotentOrbit,
-                 context: LimitContext | None = None) -> Report:
+def verify_orbit(orbit: NilpotentOrbit) -> Report:
     """Check the defining conditions of a nilpotent orbit at infinity.
 
     Needs at least one generator; a pure structure (empty cone) has no
     orbit to verify — use verify_ivi, which handles that case.
 
-    W is built once, at the barycenter, or taken from ``context`` (the
-    orbit's :func:`limit_context`, with its bigrading, when the caller has
-    it already).  Every other interior sample N' is compared with it by
-    the properties that determine W(N') uniquely
+    W is the orbit's limit W, built at the barycenter (the first sample).
+    Every other interior sample N' is compared with it by the properties
+    that determine W(N') uniquely
     (:func:`~hodgelim.filtrations.weight_filtration_defect`), so no second
     W is built.
     """
     if orbit.cone.r == 0:
         raise ValueError("orbit verification needs a nonempty cone")
-    _check_context(context, orbit)
     rep = Report(f"nilpotent orbit (weight {orbit.weight}, "
                  f"{orbit.cone.r} generators)")
     k = orbit.weight
@@ -209,51 +217,42 @@ def verify_orbit(orbit: NilpotentOrbit,
     if not rep.ok:
         return rep
 
-    samples = _interior_samples(orbit.cone.r)
-    base = None
-    constant = True
-    nilpotent = True
-    for s in samples:
-        ns = orbit.cone.element(s)
-        if not ns.pow(k + 1).is_zero():
-            nilpotent = False
-            break
-        if base is None:
-            base = (context.w.shift(k) if context is not None
-                    else weight_filtration(ns))
-        elif weight_filtration_defect(base, ns) is not None:
-            constant = False
-            break
+    elements = [orbit.cone.element(s)
+                for s in _interior_samples(orbit.cone.r)]
+    nilpotent = all(ns.pow(k + 1).is_zero() for ns in elements)
     rep.add(f"interior elements satisfy N^{k + 1} = 0", nilpotent,
-            samples=len(samples))
+            samples=len(elements))
     if not nilpotent:
         return rep
+    w = orbit.limit.w
+    centered = w.shift(k)
+    constant = all(weight_filtration_defect(centered, ns) is None
+                   for ns in elements[1:])
     rep.add("weight filtration constant on the sampled interior", constant)
     if not constant:
         return rep
 
-    w = shift_filtration(base, -k)
     rep.data["limit_weight_dims"] = {
         str(l): w.at(l).dim for l in w.support()}
-    rep.extend(verify_pmhs(k, orbit.form, w, f, orbit.cone.barycenter(),
-                           getattr(context, "bigrading", None)),
+    try:
+        bigrading = orbit.limit.bigrading
+    except VerificationError:
+        bigrading = None  # verify_pmhs reports it
+    rep.extend(verify_pmhs(k, orbit.form, w, f, elements[0], bigrading),
                prefix="limit: ")
     return rep
 
 
-def verify_ivi(ivi: IVI, context=None) -> Report:
+def verify_ivi(ivi: IVI) -> Report:
     """Check an abelian family at infinity, cone included.
 
-    ``context`` is the orbit's :func:`limit_context` when the caller has
-    it already, and is handed to :func:`verify_orbit`; otherwise it is
-    computed once the orbit verifies.  A context of another orbit raises
-    ValueError.
+    The orbit's limit structure, built by :func:`verify_orbit`, also gives
+    the horizontal part.
     """
     orbit = ivi.orbit
-    _check_context(context, orbit)
     rep = Report(f"family at infinity (dim {len(ivi.family)})")
     if orbit.cone.r > 0:
-        rep.extend(verify_orbit(orbit, context), prefix="orbit: ")
+        rep.extend(verify_orbit(orbit), prefix="orbit: ")
     else:
         rep.extend(verify_phs(orbit.filtration, orbit.weight, orbit.form),
                    prefix="pure: ")
@@ -268,9 +267,9 @@ def verify_ivi(ivi: IVI, context=None) -> Report:
     if orbit.cone.r:
         rep.add("cone lies inside the family",
                 orbit.cone.span(n) <= span)
-    ctx = context or limit_context(orbit)
-    rep.add("family is horizontal of degree -1", span <= ctx.horizontal,
-            horizontal_dim=ctx.horizontal.dim)
+    horizontal = orbit.limit.horizontal
+    rep.add("family is horizontal of degree -1", span <= horizontal,
+            horizontal_dim=horizontal.dim)
     rep.data["dim"] = span.dim
     return rep
 
@@ -280,17 +279,17 @@ def verify_maximality(ivi: IVI) -> Report:
 
     The family is maximal abelian iff it equals its own centralizer there:
     any element of the centralizer outside the family would extend it.
-    The horizontal part comes from :func:`limit_context`, so an orbit
-    whose limit is not a mixed Hodge structure, or whose splitting is not
-    compatible with the form, raises VerificationError.
+    The horizontal part is the orbit's limit one, so an orbit whose limit
+    is not a mixed Hodge structure, or whose splitting is not compatible
+    with the form, raises VerificationError.
     """
-    ctx = limit_context(ivi.orbit)
+    horizontal = ivi.orbit.limit.horizontal
     span = ivi.span()
     rep = Report("maximality in the horizontal part")
-    if not span <= ctx.horizontal:
+    if not span <= horizontal:
         rep.add("family is horizontal", False)
         return rep
-    z = centralizer_in(ctx.horizontal, list(ivi.family), ivi.orbit.ambient)
+    z = centralizer_in(horizontal, list(ivi.family), ivi.orbit.ambient)
     rep.add("family equals its centralizer", z == span,
             dim=span.dim, centralizer_dim=z.dim)
     rep.data["dim"] = span.dim

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import (Bigrading, DecFiltration, IncFiltration,
                                   hs_from_filtration, operator_filtration,
-                                  shift_filtration, verify_phs,
-                                  weight_filtration, weight_filtration_defect,
-                                  weil_operator)
+                                  verify_phs, weight_filtration,
+                                  weight_filtration_defect, weil_operator)
 from hodgelim.endo import isometry_algebra
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
@@ -100,7 +99,7 @@ def test_filtration_rejects_non_nested_steps():
 
 def test_shift_relabels_indices():
     w = IncFiltration({-1: Subspace.span([(0, 1)], 2), 1: Subspace.full(2)})
-    s = shift_filtration(w, -1)
+    s = w.shift(-1)
     assert [s.at(j).dim for j in (0, 1, 2)] == [1, 1, 2]
     for j in range(-3, 4):
         assert s.at(j) == w.at(j - 1)

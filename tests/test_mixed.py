@@ -12,8 +12,8 @@ from hodgelim.builders import (StringModel, build_max_ivi_k2,
 from hodgelim.endo import isometry_algebra, operator_span
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import (Bigrading, DecFiltration, IncFiltration,
-                                  hs_from_filtration, shift_filtration,
-                                  weight_filtration, weil_operator)
+                                  hs_from_filtration, weight_filtration,
+                                  weil_operator)
 from hodgelim.forms import BilForm, hermitian_positive_definite, is_hermitian
 from hodgelim.matrices import Mat, t_conj_mat, t_matmul
 from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
@@ -27,7 +27,7 @@ from hodgelim.subspaces import Subspace, kernel
 def weight_one_limit():
     n = Mat([[0, 0], [1, 0]])
     q = BilForm(Mat([[0, 1], [-1, 0]]), parity=1)
-    w = shift_filtration(weight_filtration(n), -1)
+    w = weight_filtration(n).shift(-1)
     f = DecFiltration({0: Subspace.full(2), 1: Subspace.span([(1, 0)], 2)})
     return n, q, w, f
 
@@ -35,7 +35,7 @@ def weight_one_limit():
 def weight_two_string():
     n = Mat([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     q = BilForm(Mat([[0, 0, 1], [0, -1, 0], [1, 0, 0]]), parity=0)
-    w = shift_filtration(weight_filtration(n), -2)
+    w = weight_filtration(n).shift(-2)
     f = DecFiltration({0: Subspace.full(3),
                        1: Subspace.span([(1, 0, 0), (0, 1, 0)], 3),
                        2: Subspace.span([(1, 0, 0)], 3)})
@@ -277,7 +277,7 @@ def test_recentered_weight_filtration_check_catches_wrong_w(maker, weight,
     if mutation == "shifted":
         bad = w.shift(1)
     elif mutation == "N^2":
-        bad = shift_filtration(weight_filtration(n @ n), -weight)
+        bad = weight_filtration(n @ n).shift(-weight)
     else:
         bad = _top_step_cut(w)
     assert bad != w
@@ -461,3 +461,27 @@ def test_bigrading_that_n_does_not_map_by_type_is_rejected():
     assert verify_mhs(w, f, wrong).ok
     with pytest.raises(VerificationError, match=r"I\^\{2,2\} into I\^\{1,1\}"):
         verify_pmhs(2, q, w, f, n, wrong)
+
+
+def hodge_tate_limit():
+    o = hodge_tate_orbit(3, 2)
+    return (o.cone.barycenter(), o.form, o.limit_weight_filtration(),
+            o.filtration)
+
+
+@pytest.mark.parametrize("maker, weight", [
+    (weight_one_limit, 1), (weight_two_string, 2), (pure_weight_one, 1),
+    (hodge_tate_limit, 3)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_listed_zero_and_full_steps_leave_the_pmhs_report_unchanged(
+        maker, weight, sign):
+    n, q, w, f = maker()
+    n = n * sign
+    # the same W, listing a zero step below 0 and a full step above
+    # 2 * weight: the positivity loop then walks levels past N^(weight+1)
+    # that have no pieces
+    padded = IncFiltration({**w.steps, -2: Subspace.zero(w.ambient),
+                            2 * weight + 3: Subspace.full(w.ambient)})
+    assert padded == w and padded.keys != w.keys
+    plain = verify_pmhs(weight, q, w, f, n)
+    assert verify_pmhs(weight, q, padded, f, n).to_dict() == plain.to_dict()

@@ -1,5 +1,11 @@
+import gc
+import weakref
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from hodgelim import mixed, orbits
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, level_operator_k2,
                                symmetric_family_ivi, table1_catalog)
@@ -106,19 +112,42 @@ def test_weight_jump_in_cone_interior_detected():
 
 
 def test_weight_jump_is_detected_with_a_limit_context():
-    # a degenerate barycenter has no limit structure to hand over
+    # a degenerate barycenter has no limit structure to build
     with pytest.raises(VerificationError):
         limit_context(weight_jump_orbit())
     # a generic barycenter has one; the jump elsewhere is still seen
     bad = weight_jump_orbit(top=2)
-    ctx = limit_context(bad)
-    rep = verify_orbit(bad, context=ctx)
-    assert rep.to_dict() == verify_orbit(bad).to_dict()
+    limit_context(bad)
+    fresh = weight_jump_orbit(top=2)
+    assert fresh == bad and fresh is not bad
+    rep = verify_orbit(bad)
+    assert rep.to_dict() == verify_orbit(fresh).to_dict()
     assert rep.failed() == [
         "weight filtration constant on the sampled interior"]
-    family = IVI(bad, bad.cone.generators)
-    assert (verify_ivi(family, context=ctx).to_dict()
-            == verify_ivi(family).to_dict())
+    assert (verify_ivi(IVI(bad, bad.cone.generators)).to_dict()
+            == verify_ivi(IVI(weight_jump_orbit(top=2),
+                              bad.cone.generators)).to_dict())
+
+
+def test_a_limit_build_that_raises_is_not_kept():
+    orbit = weight_jump_orbit()
+    for _ in range(2):
+        with pytest.raises(VerificationError):
+            limit_context(orbit)
+    assert ("weight filtration constant on the sampled interior"
+            in verify_orbit(orbit).failed())
+
+
+def test_an_orbit_and_its_limit_are_freed_by_reference_counting():
+    orbit = symmetric_family_ivi(1).orbit
+    limit_context(orbit)
+    refs = weakref.ref(orbit), weakref.ref(orbit.limit)
+    gc.disable()
+    try:
+        del orbit
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -137,26 +166,42 @@ def test_limit_context_reuse_leaves_reports_unchanged():
     suite = _context_suite()
     assert len(suite) == 33
     for ivi in suite:
-        ctx = limit_context(ivi.orbit)
-        plain = verify_ivi(ivi)
+        limit_context(ivi.orbit)
+        # replace builds an equal orbit that has built nothing yet
+        plain = verify_ivi(IVI(replace(ivi.orbit), ivi.family))
         assert plain.ok, plain.pretty()
-        assert verify_ivi(ivi, context=ctx).to_dict() == plain.to_dict()
+        assert verify_ivi(ivi).to_dict() == plain.to_dict()
         if ivi.orbit.cone.r:
-            assert (verify_orbit(ivi.orbit, context=ctx).to_dict()
-                    == verify_orbit(ivi.orbit).to_dict())
+            assert (verify_orbit(ivi.orbit).to_dict()
+                    == verify_orbit(replace(ivi.orbit)).to_dict())
 
 
-def test_limit_context_of_another_orbit_is_refused():
-    ivi = symmetric_family_ivi(2)
-    other = limit_context(ht_orbit(2, 2))
-    with pytest.raises(ValueError, match="another orbit"):
-        verify_ivi(ivi, context=other)
-    with pytest.raises(ValueError, match="another orbit"):
-        verify_orbit(ivi.orbit, context=other)
-    # an equal orbit built separately is the same orbit
-    again = symmetric_family_ivi(2)
-    assert again.orbit is not ivi.orbit
-    assert verify_ivi(ivi, context=limit_context(again.orbit)).ok
+@pytest.mark.parametrize("make", [lambda: symmetric_family_ivi(2),
+                                  lambda: build_max_ivi_k2(3, 3)])
+def test_limit_parts_are_built_once_per_orbit(make, monkeypatch):
+    ivi = make()
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(orbits, "weight_filtration")
+    count(orbits, "deligne_bigrading")
+    count(mixed, "deligne_bigrading")
+    once = {"weight_filtration": 1, "deligne_bigrading": 1}
+    assert verify_ivi(ivi).ok
+    assert calls == once
+    assert verify_maximality(ivi).ok
+    assert limit_context(ivi.orbit) is ivi.orbit.limit
+    assert calls == once
+    # the memo is no field: an equal orbit builds its own
+    again = replace(ivi.orbit)
+    assert again == ivi.orbit and again.limit is not ivi.orbit.limit
 
 
 def test_family_verification_and_dimension():
