@@ -7,7 +7,10 @@ them, the two subspace kernels the verifiers lean on run on the sparse
 barycenter N of ``hodge_tate_orbit(2, 7)``: ``Subspace.map_by`` of the
 whole space (im N) and ``t_reduce`` of N's columns against im N.  Then
 ``limit_context(hodge_tate_orbit(2, n))`` for n = 9, 12, 16: W, the
-Deligne splitting and the horizontal part at growing dimension.  The
+Deligne splitting and the horizontal part at growing dimension, and the
+greedy search on ``hodge_tate_orbit(2, 9)`` with 10 restarts and on
+``hodge_tate_orbit(2, 5)`` with 200, at seed 0 and with the orbit's limit
+structure built beforehand, so only the search is timed (best of 3).  The
 lattice in a dense basis follows: ``Subspace.__and__`` of two random
 complex subspaces of C^size that share a third of their dimension, and of
 F^1 and W_2 of the ``hodge_tate_orbit(2, 7)`` limit moved by a seeded
@@ -49,6 +52,7 @@ from hodgelim.mixed import deligne_bigrading, verify_pmhs  # noqa: E402
 from hodgelim.orbits import (IVI, limit_context, verify_ivi,  # noqa: E402
                              verify_maximality)
 from hodgelim.scalars import t_add, t_norm  # noqa: E402
+from hodgelim.search import SearchConfig, greedy_max_abelian  # noqa: E402
 from hodgelim.subspaces import Subspace, t_reduce  # noqa: E402
 
 
@@ -153,6 +157,14 @@ def main() -> int:
         print(f"  n = {strings:2d}  {t * 1e3:8.1f} ms"
               f"  (ambient {orbit.ambient}, horizontal part of dim "
               f"{limit_context(orbit).horizontal.dim})")
+
+    print("greedy_max_abelian(hodge_tate_orbit(2, n)), seed 0 (best of 3):")
+    for strings, restarts in ((9, 10), (5, 200)):
+        orbit = hodge_tate_orbit(2, strings)
+        limit_context(orbit)
+        config = SearchConfig(restarts=restarts, seed=0)
+        t = best_of(3, greedy_max_abelian, orbit, config)
+        print(f"  n = {strings}, {restarts:3d} restarts {t * 1e3:8.1f} ms")
 
     dim = size // 2
     common = random_matrix(rng, size // 6, size)

@@ -19,10 +19,9 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .forms import BilForm
-from .matrices import (Mat, TMat, TVec, _t_combine, t_hstack, t_kernel,
-                       t_matmul, t_transpose)
+from .matrices import Mat, TMat, TVec, _t_combine, t_hstack, t_matmul
 from .scalars import T_ZERO, Triple, t_add, t_inv, t_mul, t_neg, t_sub
-from .subspaces import Subspace, t_reduce
+from .subspaces import Subspace, kernel, t_reduce
 
 Nonzeros = list[tuple[int, int, Triple]]
 
@@ -69,15 +68,25 @@ def solve_in_span(space: Subspace, n: int,
     """
     if space.is_zero():
         return space
-    cols = [conditions(nonzeros(r, n)) for r in space.rows]
-    return _kernel_part(space, [row for row in zip(*cols)
-                                if any(e[0] or e[1] for e in row)])
+    return _kernel_part(space, [conditions(nonzeros(r, n))
+                                for r in space.rows])
 
 
-def _kernel_part(space: Subspace, cond: TMat) -> Subspace:
-    """{sum_i y_i r_i : cond y = 0} for the canonical rows r_i of space."""
-    return space.lift(Subspace.from_triples(t_kernel(cond, space.dim),
-                                            space.dim))
+def _kernel_part(space: Subspace, cols: TMat) -> Subspace:
+    """{sum_i y_i r_i : sum_i y_i cols[i] = 0} for the canonical rows r_i
+    of space, ``cols[i]`` being the conditions evaluated on r_i.
+
+    Conditions that vanish on every r_i are dropped; when none is left,
+    ``space`` itself is returned and nothing is eliminated.  Otherwise
+    :func:`~hodgelim.subspaces.kernel` gives the canonical coordinates
+    of the solutions from one elimination, and ``space.lift`` takes them
+    back into ``space`` without another.
+    """
+    zero = (T_ZERO,) * len(cols)  # a zero triple is normalized to T_ZERO
+    cond = [row for row in zip(*cols) if row != zero]
+    if not cond:
+        return space
+    return space.lift(kernel(Mat.from_triples(tuple(cond), space.dim)))
 
 
 def maps_into(pairs: Sequence[tuple[TVec, Subspace]],
@@ -237,8 +246,10 @@ def centralizer_in(space: Subspace, mats: Sequence,
     M_A = ``n.bracket_with(A)`` is [z_a, A] in the bracket span's
     coordinates, so the conditions on the basis of ``space`` are one
     product with M_A: D conditions per A, D the bracket span's dimension.
-    The result is a subspace of C^m, the coordinate image of the
-    flattened centralizer.
+    Conditions that vanish on the whole basis are dropped, and when none
+    is left ``space`` is returned as it is, with no elimination.  The
+    result is a subspace of C^m, the coordinate image of the flattened
+    centralizer.
     """
     mats = list(mats)
     if not mats:
@@ -249,7 +260,7 @@ def centralizer_in(space: Subspace, mats: Sequence,
         m = n.bracket_with(mats[0])
         for a in mats[1:]:
             m = t_hstack(m, n.bracket_with(a))
-        return _kernel_part(space, t_transpose(t_matmul(space.rows, m)))
+        return _kernel_part(space, t_matmul(space.rows, m))
     nn = n * n
     # per A: the nonzeros of each row and of each column
     rows_of = [[[(l, e) for l, e in enumerate(a.t[j]) if e[0] or e[1]]

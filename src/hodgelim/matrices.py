@@ -218,21 +218,29 @@ def t_is_zero_mat(tm: TMat) -> bool:
 
 
 def t_kernel(tm: TMat, ncols: int) -> list[TVec]:
-    """Basis of the right null space, as length-``ncols`` vectors.
+    """Canonical (RREF) basis of the right null space, in pivot order.
 
-    Standard parametrization: one vector per free column, with a 1 in the
-    free position and back-filled pivot entries.
+    One elimination, with the columns in reverse order: its free columns
+    are then the leftmost ones, and the null vector of free column f has
+    a 1 at f, zeros at the other free columns and its other nonzeros at
+    pivot columns right of f (a reversed row's entries lie right of its
+    pivot).  Taken in order of f these vectors are already reduced, with
+    pivot f, so the span needs no second elimination.
     """
-    rows, pivots = t_rref(tm)
+    rows, pivots = t_rref(tuple(r[::-1] for r in tm))
+    last = ncols - 1
     pivset = set(pivots)
     basis = []
     for free in range(ncols):
-        if free in pivset:
+        col = last - free
+        if col in pivset:
             continue
         v = [T_ZERO] * ncols
         v[free] = T_ONE
-        for i, p in enumerate(pivots):
-            v[p] = t_neg(rows[i][free])
+        for row, p in zip(rows, pivots):
+            e = row[col]
+            if e[0] or e[1]:
+                v[last - p] = t_neg(e)
         basis.append(tuple(v))
     return basis
 
@@ -423,7 +431,7 @@ class Mat:
         return len(t_rref(self.t)[1])
 
     def kernel(self) -> list[tuple[GaussianRational, ...]]:
-        """Basis for the right null space as column vectors."""
+        """Canonical basis for the right null space, as column vectors."""
         return [tuple(GR.from_triple(e) for e in v)
                 for v in t_kernel(self.t, self.ncols)]
 

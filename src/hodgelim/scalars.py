@@ -25,11 +25,13 @@ T_I: Triple = (0, 1, 1)
 
 def t_norm(a: int, b: int, d: int) -> Triple:
     """Normalize a raw (a, b, d) integer triple."""
+    if d == 1:
+        return (a, b, 1)
     if d == 0:
         raise ZeroDivisionError("scalar with zero denominator")
     if d < 0:
         a, b, d = -a, -b, -d
-    g = gcd(gcd(a, b), d)
+    g = gcd(a, b, d)
     if g > 1:
         a //= g
         b //= g

@@ -8,18 +8,21 @@ brackets of z_base are stored as sparse structure constants in the
 D-dimensional span of those brackets.
 
 Each restart grows the cone span one direction at a time: draw a random
-combination from the complement of the current family inside its own
-centralizer, adjoin it, intersect the centralizer with the new element,
-repeat.  The whole loop runs on coordinate vectors, and each centralizer
-is one product of the current basis with the new element's bracket
-matrix, then a kernel on D conditions instead of n².  Projection onto the
-pivot columns commutes with RREF, complements and sums, so the draws and
-the canonical bases are those of the flattened operators; the best family
-is lifted back once at the end.  The loop ends exactly when the family
-equals its centralizer, so every restart terminates with a certificate of
-maximality.  Runs are deterministic for a given seed: restart i uses its
-own stream seeded by "seed:i", and the centralizer of the cone span and
-its structure constants are computed once.
+combination x from the complement of the current family inside its own
+centralizer z, adjoin it, intersect z with the centralizer of x, repeat.
+The family commutes with x, so x's centralizer in z is the family plus
+x's centralizer in the complement: each step solves on the complement
+alone, one product of its basis with x's bracket matrix, then a kernel
+on D conditions instead of n², and a step whose conditions all vanish
+keeps z and eliminates nothing.  The whole loop runs on coordinate
+vectors.  Projection onto the pivot columns commutes with RREF,
+complements and sums, so the draws and the canonical bases are those of
+the flattened operators; the best family is lifted back once at the
+end.  The loop ends exactly when the family equals its centralizer, so
+every restart terminates with a certificate of maximality.  Runs are
+deterministic for a given seed: restart i uses its own stream seeded by
+"seed:i", and the centralizer of the cone span and its structure
+constants are computed once.
 """
 from __future__ import annotations
 
@@ -146,7 +149,12 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
                 coeffs = [rng.choice(COEFFICIENTS) for _ in range(comp.dim)]
             x = t_matmul((tuple(c.triple for c in coeffs),), comp.rows)[0]
             current = current + Subspace.from_triples((x,), m)
-            z = centralizer_in(z, [x], coordinates)
+            # z = current' + comp with current' (the family before x) in
+            # the centralizer of x, so x's centralizer in z is current
+            # plus its centralizer in comp, which contains x
+            part = centralizer_in(comp, [x], coordinates)
+            if part.dim < comp.dim:
+                z = current + part
         restart_dims.append(current.dim)
         if best is None or current.dim > best.dim:
             best = current

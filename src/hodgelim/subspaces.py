@@ -189,9 +189,12 @@ class Subspace:
         Built from the residuals of sup's canonical basis; every basis
         vector of the result has zeros in self's pivot columns, and the
         result is real whenever both inputs have real canonical bases.
+        The residuals span a space of dimension dim sup - dim(self & sup),
+        which is dim sup - dim self exactly when self lies in sup, so the
+        inclusion is checked by dimension, with no reduction of its own.
         """
-        if not self <= sup:
-            raise ValueError("complement_in: first space not inside second")
+        if self.ambient != sup.ambient:
+            raise ValueError("ambient dimension mismatch")
         residuals = []
         for r in sup.rows:
             res, _ = t_reduce(r, self.rows, self.pivots)
@@ -199,15 +202,14 @@ class Subspace:
                 residuals.append(res)
         comp = Subspace.from_triples(residuals, self.ambient)
         if comp.dim != sup.dim - self.dim:
-            raise VerificationError(
-                f"complement of dimension {comp.dim}, expected "
-                f"{sup.dim - self.dim}")
+            raise ValueError("complement_in: first space not inside second")
         return comp
 
     # -- structure maps ------------------------------------------------
 
     def conj(self) -> "Subspace":
-        return Subspace.from_triples(t_conj_mat(self.rows), self.ambient)
+        # conj(1) = 1 and conj(0) = 0: conjugate RREF rows are canonical
+        return Subspace(self.ambient, t_conj_mat(self.rows), self.pivots)
 
     def is_conj_stable(self) -> bool:
         return all(_is_zero_vec(t_reduce(r, self.rows, self.pivots)[0])
@@ -246,7 +248,10 @@ def image(m: Mat) -> Subspace:
 
 
 def kernel(m: Mat) -> Subspace:
-    return Subspace.from_triples(t_kernel(m.t, m.ncols), m.ncols)
+    """Right null space of a matrix; :func:`t_kernel`'s basis is canonical,
+    each vector with its pivot at its free column (its first 1)."""
+    basis = tuple(t_kernel(m.t, m.ncols))
+    return Subspace(m.ncols, basis, tuple(v.index(T_ONE) for v in basis))
 
 
 def direct_sum_equals(parts: Sequence[Subspace], total: Subspace) -> bool:

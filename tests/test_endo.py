@@ -463,6 +463,19 @@ def test_centralizer_in_coordinates_can_be_zero():
     assert check_against_flattened(label, z, unit[b]).is_zero()
 
 
+@pytest.mark.parametrize("label", ["ht3", "row2.cone2"])
+def test_centralizer_in_coordinates_with_vanishing_conditions(label):
+    # every condition is zero: the space comes back as it is
+    coords = z_base_coordinates(label)
+    m = coords.space.dim
+    last = Subspace.full(m).rows[-1]
+    for z, x in ((Subspace.full(m), (T_ZERO,) * m),
+                 (Subspace.from_triples([last], m), last)):
+        assert centralizer_in(z, [x], coords) is z
+        assert centralizer_in(z, [x, x], coords) is z
+        assert check_against_flattened(label, z, x) == z
+
+
 # ---------------------------------------------------------------------------
 # commutation tested by comparing products
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ sympy's ``DomainMatrix`` over Q(i) on sparse matrices, which is the shape
 the operator-space solves feed the kernels: ``t_rref``, the elimination
 methods of ``Mat`` built on it, the triple-level Gram of ``BilForm``, and
 the images ``Subspace.map_by`` and ``Quotient.induced_matrix``.  The
+kernel's one-elimination basis is checked to be canonical as it comes.  The
 one-accumulator product and the one-elimination intersection are also
 checked against the loops they replaced, kept here as oracles.
 """
@@ -18,7 +19,7 @@ from sympy.polys.matrices import DomainMatrix
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat, t_kernel, t_matmul, t_matvec, t_rref
 from hodgelim.scalars import t_add, t_mul, t_neg, t_norm
-from hodgelim.subspaces import Quotient, Subspace
+from hodgelim.subspaces import Quotient, Subspace, kernel
 
 ZERO = (0, 0, 1)
 
@@ -169,6 +170,52 @@ def test_kernel_against_sympy_oracle(tm):
     assert (Subspace.span(ours, n)
             == Subspace.from_triples([r for r in theirs if any(
                 e != ZERO for e in r)], n))
+
+
+def assert_canonical_kernel(tm, n):
+    """t_kernel's basis is already the canonical basis of its own span."""
+    basis = t_kernel(tm, n)
+    span = Subspace.from_triples(basis, n)
+    assert tuple(basis) == span.rows
+    assert [v.index((1, 0, 1)) for v in basis] == list(span.pivots)
+    assert kernel(Mat.from_triples(tm, n)) == span
+    for row in tm:
+        for v in basis:
+            acc = ZERO
+            for e, x in zip(row, v):
+                acc = t_add(acc, t_mul(e, x))
+            assert acc == ZERO
+    return basis
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(sparse_tmats())
+def test_kernel_comes_out_canonical(tm):
+    assert_canonical_kernel(tm, len(tm[0]))
+
+
+def test_kernel_of_dense_matrices_comes_out_canonical():
+    rng = random.Random("kernel-canonical")
+    for _ in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        assert_canonical_kernel(random_tmat(rng, m, n, span=4), n)
+
+
+def test_kernel_edge_cases():
+    one, two = (1, 0, 1), (2, 0, 1)
+    eye = tuple(tuple(one if i == j else ZERO for j in range(4))
+                for i in range(4))
+    # no condition rows: the identity basis
+    assert assert_canonical_kernel((), 4) == list(eye)
+    # all-zero rows say nothing
+    assert assert_canonical_kernel(((ZERO,) * 4,) * 3, 4) == list(eye)
+    # full column rank: no kernel
+    assert assert_canonical_kernel(eye + ((one, two, ZERO, one),), 4) == []
+    assert assert_canonical_kernel((), 0) == []
+    # x0 + 2 x1 = 0 and x2 = x3: the free columns are 0 and 2
+    assert assert_canonical_kernel(
+        ((one, two, ZERO, ZERO), (ZERO, ZERO, one, (-1, 0, 1))), 4) == [
+        (one, (-1, 0, 2), ZERO, ZERO), (ZERO, ZERO, one, one)]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

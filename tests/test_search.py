@@ -1,13 +1,18 @@
+import random
+
 import pytest
 
 from hodgelim.builders import (diagonal_cone_orbit, hodge_tate_orbit,
                                max_dim_symmetric, table1_catalog)
+from hodgelim.endo import SpanCoordinates, centralizer_in, span_basis_mats
 from hodgelim.forms import BilForm
-from hodgelim.matrices import Mat
+from hodgelim.matrices import Mat, t_matmul
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit,
                              limit_context, verify_ivi)
 from hodgelim.scalars import GR
-from hodgelim.search import SearchConfig, greedy_max_abelian
+from hodgelim.search import (COEFFICIENTS, SearchConfig,
+                             greedy_max_abelian)
+from hodgelim.subspaces import Subspace
 
 
 def test_search_is_deterministic():
@@ -141,3 +146,68 @@ def test_config_rejects_bad_counts(kwargs):
 def test_config_accepts_the_smallest_counts():
     cfg = SearchConfig(restarts=1, max_steps=0)
     assert (cfg.restarts, cfg.max_steps) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the step that solves on the complement against the whole-z loop
+# ---------------------------------------------------------------------------
+
+def whole_z_greedy(orbit: NilpotentOrbit, config: SearchConfig):
+    """The greedy loop with each step's centralizer taken over the whole of
+    z, the loop the complement solve replaced: the oracle."""
+    n = orbit.ambient
+    hor = limit_context(orbit).horizontal
+    gens = list(orbit.cone.generators)
+    z_base = centralizer_in(hor, gens, n) if gens else hor
+    coordinates = SpanCoordinates(z_base, n)
+    m = z_base.dim
+    base_coords = Subspace.from_triples(
+        [tuple(r[p] for p in z_base.pivots)
+         for r in orbit.cone.span(n).rows], m)
+    best, best_certified, restart_dims = None, False, []
+    for restart in range(config.restarts):
+        rng = random.Random(f"{config.seed}:{restart}")
+        current, z, steps = base_coords, Subspace.full(m), 0
+        while True:
+            comp = current.complement_in(z)
+            certified = comp.dim == 0
+            if certified or (config.max_steps is not None
+                             and steps >= config.max_steps):
+                break
+            steps += 1
+            coeffs = [rng.choice(COEFFICIENTS) for _ in range(comp.dim)]
+            while all(c.is_zero() for c in coeffs):
+                coeffs = [rng.choice(COEFFICIENTS) for _ in range(comp.dim)]
+            x = t_matmul((tuple(c.triple for c in coeffs),), comp.rows)[0]
+            current = current + Subspace.from_triples((x,), m)
+            z = centralizer_in(z, [x], coordinates)
+        restart_dims.append(current.dim)
+        if best is None or current.dim > best.dim:
+            best, best_certified = current, certified
+    return restart_dims, span_basis_mats(z_base.lift(best), n), best_certified
+
+
+def oracle_orbits() -> dict[str, NilpotentOrbit]:
+    """Every catalog cone on its row, and hodge_tate_orbit(2, 4)."""
+    orbits = {"ht4": hodge_tate_orbit(2, 4)}
+    for i, row in enumerate(table1_catalog()):
+        o = row.orbit
+        for j, cone in enumerate(row.cones):
+            orbits[f"row{i}.cone{j}"] = NilpotentOrbit(
+                o.weight, o.form, o.filtration, cone)
+    return orbits
+
+
+ORACLE_ORBITS = oracle_orbits()
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_ORBITS))
+def test_complement_steps_match_the_whole_z_loop(label):
+    orbit = ORACLE_ORBITS[label]
+    for seed in range(3):
+        for max_steps in (None, 1):
+            config = SearchConfig(restarts=10, seed=seed,
+                                  max_steps=max_steps)
+            res = greedy_max_abelian(orbit, config)
+            assert ((res.restart_dims, res.best, res.certified)
+                    == whole_z_greedy(orbit, config)), (seed, max_steps)

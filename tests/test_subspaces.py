@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hodgelim import GR, I, Mat, Subspace, Quotient, image, kernel
 from hodgelim.errors import VerificationError
-from hodgelim.matrices import t_matmul
+from hodgelim.matrices import t_conj_mat, t_matmul
 
 
 def random_subspace(rng, n, max_vecs=None):
@@ -135,10 +135,18 @@ def test_complement():
 
 
 def test_complement_requires_inclusion():
-    a = Subspace.span([[1, 0]], 2)
-    b = Subspace.span([[0, 1]], 2)
-    with pytest.raises(ValueError):
-        a.complement_in(b)
+    # first space not inside, larger than, or of another ambient than the
+    # second
+    for first, second, match in (
+            ([[1, 0]], [[0, 1]], "not inside"),
+            ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0]], "not inside"),
+            ([[1, 1, 0]], [[1, 0, 0], [0, 0, 1]], "not inside"),
+            ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]], "not inside"),
+            ([[1, 0]], [[1, 0, 0]], "ambient dimension mismatch")):
+        a = Subspace.span(first, len(first[0]))
+        b = Subspace.span(second, len(second[0]))
+        with pytest.raises(ValueError, match=match):
+            a.complement_in(b)
 
 
 def test_conj_stable_spaces_have_real_bases():
@@ -155,6 +163,15 @@ def test_conj_stable_spaces_have_real_bases():
         assert s.is_conj_stable()
         assert s.has_real_basis()
         assert s.conj() == s
+
+
+def test_conj_keeps_the_canonical_rows():
+    rng = random.Random("conj-canonical")
+    for _ in range(30):
+        s = random_subspace(rng, rng.randint(1, 6))
+        c = s.conj()
+        expected = Subspace.from_triples(t_conj_mat(s.rows), s.ambient)
+        assert (c.rows, c.pivots) == (expected.rows, expected.pivots)
 
 
 def test_not_conj_stable():
