@@ -8,9 +8,12 @@ barycenter N of ``hodge_tate_orbit(2, 7)``: ``Subspace.map_by`` of the
 whole space (im N) and ``t_reduce`` of N's columns against im N.  Then
 ``limit_context(hodge_tate_orbit(2, n))`` for n = 9, 12, 16: W, the
 Deligne splitting and the horizontal part at growing dimension, and the
-greedy search on ``hodge_tate_orbit(2, 9)`` with 10 restarts and on
-``hodge_tate_orbit(2, 5)`` with 200, at seed 0 and with the orbit's limit
-structure built beforehand, so only the search is timed (best of 3).  The
+greedy search on ``hodge_tate_orbit(2, 9)`` with 10 restarts, on
+``hodge_tate_orbit(2, 5)`` with 200 and on ``hodge_tate_orbit(2, 12)``
+with 3, at seed 0 and with the orbit's limit structure built beforehand,
+so only the search is timed (best of 3), and ``SpanCoordinates`` of the
+search's z_base (the horizontal part's centralizer of the cone) for
+n = 9 and 12, the structure constants a search computes once.  The
 lattice in a dense basis follows: ``Subspace.__and__`` of two random
 complex subspaces of C^size that share a third of their dimension, and of
 F^1 and W_2 of the ``hodge_tate_orbit(2, 7)`` limit moved by a seeded
@@ -44,7 +47,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from hodgelim import cli, io  # noqa: E402
 from hodgelim.builders import (hodge_tate_orbit,  # noqa: E402
                                symmetric_family_ivi)
-from hodgelim.endo import pairwise_commuting  # noqa: E402
+from hodgelim.endo import (SpanCoordinates, centralizer_in,  # noqa: E402
+                           pairwise_commuting)
 from hodgelim.filtrations import IncFiltration  # noqa: E402
 from hodgelim.forms import BilForm  # noqa: E402
 from hodgelim.matrices import Mat, t_matmul, t_rref, t_transpose  # noqa: E402
@@ -159,12 +163,22 @@ def main() -> int:
               f"{limit_context(orbit).horizontal.dim})")
 
     print("greedy_max_abelian(hodge_tate_orbit(2, n)), seed 0 (best of 3):")
-    for strings, restarts in ((9, 10), (5, 200)):
+    for strings, restarts in ((9, 10), (5, 200), (12, 3)):
         orbit = hodge_tate_orbit(2, strings)
         limit_context(orbit)
         config = SearchConfig(restarts=restarts, seed=0)
         t = best_of(3, greedy_max_abelian, orbit, config)
-        print(f"  n = {strings}, {restarts:3d} restarts {t * 1e3:8.1f} ms")
+        print(f"  n = {strings:2d}, {restarts:3d} restarts {t * 1e3:8.1f} ms")
+    print(f"SpanCoordinates of the search's z_base (best of {args.repeats}):")
+    for strings in (9, 12):
+        orbit = hodge_tate_orbit(2, strings)
+        n = orbit.ambient
+        z_base = centralizer_in(limit_context(orbit).horizontal,
+                                list(orbit.cone.generators), n)
+        t = best_of(args.repeats, SpanCoordinates, z_base, n)
+        print(f"  n = {strings:2d}  {t * 1e3:8.1f} ms  (z_base of dim "
+              f"{z_base.dim}, brackets of rank "
+              f"{SpanCoordinates(z_base, n).rank})")
 
     dim = size // 2
     common = random_matrix(rng, size // 6, size)

@@ -75,6 +75,8 @@ def _cmd_wfilt(args) -> int:
         n = io.matrix_from_json(payload["N"])
     else:
         n = io.matrix_from_json(payload)
+    if not n.is_square():
+        raise FormatError(f"wfilt needs a square N, not {n.nrows}x{n.ncols}")
     try:
         w = weight_filtration(n)
     except ValueError as exc:

@@ -19,11 +19,13 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .forms import BilForm
-from .matrices import Mat, TMat, TVec, _t_combine, t_hstack, t_matmul
-from .scalars import T_ZERO, Triple, t_add, t_inv, t_mul, t_neg, t_sub
+from .matrices import (Mat, TMat, TVec, _t_combine, t_hstack, t_matmul,
+                       t_rref)
+from .scalars import T_ZERO, Triple, t_add, t_mul, t_neg, t_sub
 from .subspaces import Subspace, kernel, t_reduce
 
 Nonzeros = list[tuple[int, int, Triple]]
+Sparse = tuple[Nonzeros, list[list[tuple[int, Triple]]]]
 
 
 def flatten(m: Mat) -> TVec:
@@ -138,6 +140,28 @@ def isometry_algebra(q: BilForm) -> Subspace:
     return Subspace.from_triples(vecs, n * n)
 
 
+def _sparse(nz: Nonzeros, n: int) -> Sparse:
+    """An operator's nonzeros, and the same grouped by row: row i as its
+    list of (j, X[i][j])."""
+    rows = [[] for _ in range(n)]
+    for i, j, x in nz:
+        rows[i].append((j, x))
+    return nz, rows
+
+
+def _bracket(x: Sparse, y: Sparse, n: int) -> dict[int, Triple]:
+    """The nonzeros of [X, Y] = XY - YX, keyed by flattened position:
+    X[i][j] adds X[i][j] Y[j][l] at (i, l), and Y[i][j] subtracts
+    Y[i][j] X[j][l]."""
+    acc: dict[int, Triple] = {}
+    for (left, _), (_, right), add in ((x, y, t_add), (y, x, t_sub)):
+        for i, j, e in left:
+            for l, f in right[j]:
+                k = i * n + l
+                acc[k] = add(acc.get(k, T_ZERO), t_mul(e, f))
+    return {k: e for k, e in acc.items() if e[0] or e[1]}
+
+
 class SpanCoordinates:
     """A subspace L of flattened n x n operators in its own coordinates.
 
@@ -153,39 +177,32 @@ class SpanCoordinates:
     constants are [z_a, z_b] = sum_k c_ab[k] B_k, that is c_ab[k] =
     [z_a, z_b][q_k].  ``columns[b]`` lists the nonzero (a, k, c_ab[k]), so
     c_{.b} is what x_b contributes to the bracket with x = sum_b x_b z_b.
+    The q_k come from one ``t_rref`` of the distinct brackets restricted
+    to the columns where some bracket is nonzero: the other columns are
+    zero in every row, so they hold no pivot.
     """
 
     __slots__ = ("space", "rank", "columns", "_flat")
 
     def __init__(self, space: Subspace, n: int):
         self.space = space
-        nz = [nonzeros(r, n) for r in space.rows]
-        rows_of = []
-        for entries in nz:
-            by_row = [[] for _ in range(n)]
-            for i, j, x in entries:
-                by_row[i].append((j, x))
-            rows_of.append(by_row)
-        # [z_a, z_b] for a < b from the nonzeros, as sparse dicts: z_a[i][j]
-        # adds z_a[i][j] z_b[j][l] at (i, l), and z_b[i][j] subtracts
-        # z_b[i][j] z_a[j][l]
+        ops = [_sparse(nonzeros(r, n), n) for r in space.rows]
         brackets = []
-        for a in range(len(nz)):
-            for b in range(a + 1, len(nz)):
-                acc: dict[int, Triple] = {}
-                for left, right, add in ((nz[a], rows_of[b], t_add),
-                                         (nz[b], rows_of[a], t_sub)):
-                    for i, j, x in left:
-                        for l, e in right[j]:
-                            k = i * n + l
-                            acc[k] = add(acc.get(k, T_ZERO), t_mul(x, e))
-                acc = {k: e for k, e in acc.items() if e[0] or e[1]}
+        for a in range(len(ops)):
+            for b in range(a + 1, len(ops)):
+                acc = _bracket(ops[a], ops[b], n)
                 if acc:
                     brackets.append((a, b, acc))
-        qs = _pivot_columns([acc for _, _, acc in brackets])
+        # many brackets repeat, and a repeated row leaves the RREF as it is
+        distinct = {frozenset(acc.items()): acc
+                    for _, _, acc in brackets}.values()
+        support = sorted({k for acc in distinct for k in acc})
+        _, pivots = t_rref(tuple(tuple(acc.get(k, T_ZERO) for k in support)
+                                 for acc in distinct))
+        qs = [support[p] for p in pivots]
         self.rank = len(qs)
         self.columns: list[list[tuple[int, int, Triple]]] = [
-            [] for _ in range(len(nz))]
+            [] for _ in range(len(ops))]
         for a, b, acc in brackets:
             for k, q in enumerate(qs):
                 c = acc.get(q)
@@ -204,41 +221,13 @@ class SpanCoordinates:
         return tuple(flat[a * r:(a + 1) * r] for a in range(self.space.dim))
 
 
-def _pivot_columns(vectors: Sequence[dict[int, Triple]]) -> list[int]:
-    """The pivot columns of the canonical basis of a span of sparse vectors.
-
-    They are the leading columns of any echelon basis of the span, so one
-    sparse forward elimination with no back substitution finds them.
-    """
-    echelon: dict[int, dict[int, Triple]] = {}
-    for vec in vectors:
-        v = dict(vec)
-        while v:
-            lead = min(v)
-            row = echelon.get(lead)
-            if row is None:
-                inv = t_inv(v[lead])
-                echelon[lead] = {k: t_mul(e, inv) for k, e in v.items()}
-                break
-            f = v[lead]
-            for k, e in row.items():
-                r = t_sub(v.get(k, T_ZERO), t_mul(f, e))
-                if r[0] or r[1]:
-                    v[k] = r
-                else:
-                    v.pop(k, None)
-    return sorted(echelon)
-
-
 def centralizer_in(space: Subspace, mats: Sequence,
                    n: "int | SpanCoordinates") -> Subspace:
     """{X in space : [X, A] = 0 for all given A}.
 
     With ``n`` the operator size, ``space`` is a flattened operator
     subspace and the A are n x n :class:`Mat`.  [X, A] is then built from
-    the nonzeros of X, i.e. ad_A applied to vec(X): X[i][j] adds
-    X[i][j] A[j][l] at (i, l) and subtracts A[k][i] X[i][j] at (k, j),
-    n² conditions per A.
+    the nonzeros of X and of A by :func:`_bracket`, n² conditions per A.
 
     With ``n`` a :class:`SpanCoordinates` of a subspace L, ``space`` is a
     subspace of L's coordinate space C^m and the A are coordinate vectors
@@ -262,24 +251,14 @@ def centralizer_in(space: Subspace, mats: Sequence,
             m = t_hstack(m, n.bracket_with(a))
         return _kernel_part(space, t_matmul(space.rows, m))
     nn = n * n
-    # per A: the nonzeros of each row and of each column
-    rows_of = [[[(l, e) for l, e in enumerate(a.t[j]) if e[0] or e[1]]
-                for j in range(n)] for a in mats]
-    cols_of = [[[(k, a.t[k][i]) for k in range(n)
-                 if a.t[k][i][0] or a.t[k][i][1]]
-                for i in range(n)] for a in mats]
+    ops = [_sparse(nonzeros(flatten(a), n), n) for a in mats]
 
     def conditions(nz: Nonzeros) -> TVec:
-        out = [T_ZERO] * (len(mats) * nn)
-        for t, (a_rows, a_cols) in enumerate(zip(rows_of, cols_of)):
-            base = t * nn
-            for i, j, x in nz:
-                for l, e in a_rows[j]:
-                    k = base + i * n + l
-                    out[k] = t_add(out[k], t_mul(x, e))
-                for r, e in a_cols[i]:
-                    k = base + r * n + j
-                    out[k] = t_sub(out[k], t_mul(e, x))
+        out = [T_ZERO] * (len(ops) * nn)
+        x = _sparse(nz, n)
+        for t, op in enumerate(ops):
+            for k, e in _bracket(x, op, n).items():
+                out[t * nn + k] = e
         return tuple(out)
 
     return solve_in_span(space, n, conditions)

@@ -158,22 +158,28 @@ def weight_filtration_defect(w: IncFiltration, n: Mat,
     W(N) is the unique finite exhaustive increasing filtration with
     N W_l ⊆ W_{l-2} and N^l : gr_l ≅ gr_{-l} for every l >= 1 (Deligne,
     Weil II, Publ. Math. IHÉS 52 (1980), 1.6.1), so a candidate passes
-    exactly when it equals W(N) and none needs to be built.  The levels
-    checked run from the bottom of W to the first level where W is the
-    whole space, which lies one past a listed top step that is not full,
-    and to its mirror image.  ``powers`` may hold N^0, N^1, ... already.
+    exactly when it equals W(N) and none needs to be built.  N^n = 0 on
+    C^n, so W(N) has W_{-n} = 0 and W_{n-1} = C^n.  The levels checked
+    run from the bottom of W to the first level where W is the whole
+    space, which lies one past a listed top step that is not full, and to
+    its mirror image, clamped to [-n, n]: outside, both sides are 0 or C^n.
+    ``powers`` may hold N^0, N^1, ... already.
     """
     if n.shape != (w.ambient, w.ambient):
         raise ValueError(f"N of shape {n.shape} does not act on the "
                          f"filtered space of dimension {w.ambient}")
+    dim = w.ambient
     lo, hi = w.keys[0], w.keys[-1]
     if not w.at(hi).is_full():
         hi += 1
+    lo, hi = max(lo, -dim), min(hi, dim)
     for l in range(lo, hi + 1):
         if not w.at(l).map_by(n) <= w.at(l - 2):
             return "N does not lower the level by two"
-    powers = list(powers) if powers else [Mat.identity(w.ambient)]
-    for l in range(1, max(hi, -lo) + 1):
+    if not (w.at(-dim).is_zero() and w.at(dim - 1).is_full()):
+        return "graded dimensions are not symmetric"
+    powers = list(powers) if powers else [Mat.identity(dim)]
+    for l in range(1, min(max(hi, -lo) + 1, dim)):
         wl, wl1 = w.at(l), w.at(l - 1)
         wm, wm1 = w.at(-l), w.at(-l - 1)
         if wl.dim - wl1.dim != wm.dim - wm1.dim:

@@ -320,8 +320,10 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                              f"the form in dimension {q.dim}")
     rep = Report(f"polarized limit structure (weight {weight})")
     rep.add("N is real", n.is_real())
-    powers = [Mat.identity(q.dim), n]  # N^0 .. N^(weight+1)
-    for _ in range(weight):
+    # N^0 .. N^(weight+1), or to the first zero power or N^dim if sooner
+    top = min(weight + 1, q.dim)
+    powers = [Mat.identity(q.dim), n]
+    while len(powers) <= top and not powers[-1].is_zero():
         powers.append(powers[-1] @ n)
     nilp = powers[-1].is_zero()
     rep.add(f"N^{weight + 1} = 0", nilp)
@@ -364,7 +366,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                  if a + b == weight + l]
         if not level:
             continue
-        # a level with pieces has l <= weight, so powers[l + 1] exists
+        # N^l is nonzero on a level with pieces, so powers[l + 1] exists
         npl1 = powers[l + 1]
         if not w.at(weight + l).map_by(npl1) <= w.at(weight - l - 2):
             reason = f"N^{l + 1} does not shift W by 2l+2 at level {l}"

@@ -81,7 +81,7 @@ def t_is_zero(x: Triple) -> bool:
     return x[0] == 0 and x[1] == 0
 
 
-_RAT_RE = _re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+_RAT_RE = _re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", _re.ASCII)
 
 
 class GaussianRational:

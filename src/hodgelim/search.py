@@ -7,22 +7,23 @@ entries at z_base's pivot columns, a length-m coordinate vector, and the
 brackets of z_base are stored as sparse structure constants in the
 D-dimensional span of those brackets.
 
-Each restart grows the cone span one direction at a time: draw a random
-combination x from the complement of the current family inside its own
-centralizer z, adjoin it, intersect z with the centralizer of x, repeat.
-The family commutes with x, so x's centralizer in z is the family plus
-x's centralizer in the complement: each step solves on the complement
-alone, one product of its basis with x's bracket matrix, then a kernel
-on D conditions instead of n², and a step whose conditions all vanish
-keeps z and eliminates nothing.  The whole loop runs on coordinate
-vectors.  Projection onto the pivot columns commutes with RREF,
-complements and sums, so the draws and the canonical bases are those of
-the flattened operators; the best family is lifted back once at the
-end.  The loop ends exactly when the family equals its centralizer, so
-every restart terminates with a certificate of maximality.  Runs are
-deterministic for a given seed: restart i uses its own stream seeded by
-"seed:i", and the centralizer of the cone span and its structure
-constants are computed once.
+Each restart grows the cone span one direction at a time and carries
+only comp, a canonical complement of the family F in its centralizer:
+draw a random combination x of comp and adjoin it.  F commutes with x,
+so x's centralizer in F + comp is F plus x's centralizer in comp: each
+step solves on comp alone, one product of its basis with x's bracket
+matrix, then a kernel on D conditions instead of n², and a step whose
+conditions all vanish eliminates nothing.  That part holds x and
+vanishes at F's pivot columns, so its residuals against x alone are the
+next comp, row for row.  The loop runs on coordinate vectors.
+Projection onto the pivot columns commutes with RREF, complements and
+sums, so the draws and the canonical bases are those of the flattened
+operators; the best restart's family, the cone span plus its draws, is
+formed and lifted back once at the end.  The loop ends exactly when the
+family equals its centralizer, so every restart terminates with a
+certificate of maximality.  Runs are deterministic for a given seed:
+restart i uses its own stream seeded by "seed:i", and the centralizer of
+the cone span and its structure constants are computed once.
 """
 from __future__ import annotations
 
@@ -96,7 +97,9 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
     """Grow the cone span into maximal abelian families, keeping the best.
 
     Accepts an orbit or a full family (whose cone is then the start).
-    The result's ``certified`` flag reports whether the best family equals
+    A restart carries only the complement of its family in the family's
+    centralizer, and the best family is formed once, at the end.  The
+    result's ``certified`` flag reports whether the best family equals
     its centralizer in the horizontal part — by construction it always
     does, but the flag is re-derived from the final state, not assumed.
 
@@ -127,37 +130,27 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
 
     base_coords = Subspace.from_triples(
         [tuple(r[p] for p in z_base.pivots) for r in base.rows], m)
-    best: Subspace | None = None
-    best_certified = False
+    start = base_coords.complement_in(Subspace.full(m))
+    best, best_dim, best_certified = [], -1, False
     restart_dims: list[int] = []
+    limit = config.max_steps
     for restart in range(config.restarts):
         rng = random.Random(f"{config.seed}:{restart}")
-        current = base_coords
-        z = Subspace.full(m)
-        steps = 0
-        while True:
-            comp = current.complement_in(z)
-            if comp.dim == 0:
-                certified = True
-                break
-            if config.max_steps is not None and steps >= config.max_steps:
-                certified = False
-                break
-            steps += 1
+        comp, drawn = start, []
+        while comp.dim and (limit is None or len(drawn) < limit):
             coeffs = [rng.choice(COEFFICIENTS) for _ in range(comp.dim)]
             while all(c.is_zero() for c in coeffs):
                 coeffs = [rng.choice(COEFFICIENTS) for _ in range(comp.dim)]
             x = t_matmul((tuple(c.triple for c in coeffs),), comp.rows)[0]
-            current = current + Subspace.from_triples((x,), m)
-            # z = current' + comp with current' (the family before x) in
-            # the centralizer of x, so x's centralizer in z is current
-            # plus its centralizer in comp, which contains x
-            part = centralizer_in(comp, [x], coordinates)
-            if part.dim < comp.dim:
-                z = current + part
-        restart_dims.append(current.dim)
-        if best is None or current.dim > best.dim:
-            best = current
-            best_certified = certified
-    return SearchResult(span_basis_mats(z_base.lift(best), n),
-                        best.dim, best_certified, restart_dims, config)
+            drawn.append(x)
+            # x's centralizer in comp holds x and vanishes at the family's
+            # pivots: its residuals against x are the next complement
+            comp = Subspace.from_triples((x,), m).complement_in(
+                centralizer_in(comp, [x], coordinates))
+        dim = base_coords.dim + len(drawn)
+        restart_dims.append(dim)
+        if dim > best_dim:
+            best, best_dim, best_certified = drawn, dim, comp.dim == 0
+    family = Subspace.from_triples(base_coords.rows + tuple(best), m)
+    return SearchResult(span_basis_mats(z_base.lift(family), n),
+                        best_dim, best_certified, restart_dims, config)

@@ -147,6 +147,36 @@ def test_negative_weight_exits_2_naming_it(capsys, tmp_path, argv, k):
     assert err.startswith("error: ") and err.endswith(f"got weight {-k}\n")
 
 
+def test_the_weight_in_a_file_does_not_set_the_work(monkeypatch, capsys,
+                                                    tmp_path):
+    # the powers of N and the levels of W checked stop at the dimension
+    calls = []
+    product = Mat.__matmul__
+
+    def counted(a, b):
+        calls.append(None)
+        return product(a, b)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    o = hodge_tate_orbit(2, 1)
+    data = io.pmhs_to_json(o.weight, o.form, o.limit_weight_filtration(),
+                           o.filtration, o.cone.barycenter())
+    data["weight"] = 2000  # same parity, so the form still parses
+    calls.clear()
+    code, _, _ = run(capsys, "verify", "pmhs",
+                     write(tmp_path, "pmhs.json", data))
+    assert code == 1 and len(calls) <= 2 * o.ambient
+    counts = []
+    for weight in (2000, 200_000):
+        data = io.orbit_to_json(o)
+        data["weight"] = weight
+        calls.clear()
+        code, _, _ = run(capsys, "verify", "orbit",
+                         write(tmp_path, "orbit.json", data))
+        counts.append((code, len(calls)))
+    assert counts[0] == counts[1] and counts[0][0] == 1
+
+
 def pure_weight_minus_one_family():
     # the Tate twist of an elliptic curve's H^1 with its one horizontal
     # direction: a pure structure of weight -1, legitimately negative
@@ -323,6 +353,23 @@ def test_wfilt_rejects_non_nilpotent(capsys, tmp_path):
     assert code == 1
     data = json.loads(out)
     assert data["ok"] is False and "error" in data
+
+
+@pytest.mark.parametrize("rows", [[[0, 1, 0], [0, 0, 1]],
+                                  [[0, 1], [0, 0], [0, 0]]])
+def test_wfilt_of_a_non_square_matrix_exits_2(capsys, tmp_path, rows):
+    path = write(tmp_path, "thin.json", {"N": rows})
+    code, out, err = run(capsys, "wfilt", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "square" in err
+
+
+@pytest.mark.parametrize("entry", ["\u0663", "1/2\u0663"])
+def test_a_non_ascii_digit_in_a_file_exits_2(capsys, tmp_path, entry):
+    path = write(tmp_path, "digit.json", {"N": [["0", entry], ["0", "0"]]})
+    code, out, err = run(capsys, "wfilt", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ from sympy.polys.matrices import DomainMatrix
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, symmetric_family_ivi,
                                table1_catalog)
-from hodgelim.endo import (SpanCoordinates, as_mat, centralizer_in, flatten,
-                           isometry_algebra, maps_into, noncommuting_pair,
-                           nonzeros, operator_span, pairwise_commuting,
-                           solve_in_span, span_basis_mats)
+from hodgelim.endo import (SpanCoordinates, _bracket, _sparse, as_mat,
+                           centralizer_in, flatten, isometry_algebra,
+                           maps_into, noncommuting_pair, nonzeros,
+                           operator_span, pairwise_commuting, solve_in_span,
+                           span_basis_mats)
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import Bigrading
 from hodgelim.forms import BilForm, in_isometry_algebra
@@ -411,6 +412,78 @@ def test_structure_constants_expand_every_bracket(label):
                 for i, e in enumerate(basis):
                     expansion[i] += c * GR.from_triple(e)
         assert tuple(e.triple for e in expansion) == bracket, (a, b)
+
+
+def sparse_operator(rng, n: int) -> Mat:
+    """An n x n operator with at most n nonzeros, some of them complex."""
+    entries = [[0] * n for _ in range(n)]
+    for _ in range(n):
+        entries[rng.randrange(n)][rng.randrange(n)] = GR(
+            rational(rng), rng.choice((0, 0, 1, -1)))
+    return Mat(entries)
+
+
+def check_structure_constants(coords: SpanCoordinates, n: int):
+    """c_ab[k] is [z_a, z_b] at the k-th pivot column of the canonical
+    basis B of the flattened brackets, and sum_k c_ab[k] B_k rebuilds it."""
+    zs = span_basis_mats(coords.space, n)
+    brackets = {(a, b): flatten(commutator(za, zb))
+                for a, za in enumerate(zs) for b, zb in enumerate(zs)
+                if a != b}
+    span = Subspace.from_triples(list(brackets.values()), n * n)
+    assert coords.rank == span.dim
+    got = {(a, b, k): c for b, column in enumerate(coords.columns)
+           for a, k, c in column}
+    assert got == {(a, b, k): bracket[q]
+                   for (a, b), bracket in brackets.items()
+                   for k, q in enumerate(span.pivots)
+                   if bracket[q] != T_ZERO}
+    for (a, b), bracket in brackets.items():
+        c = tuple(got.get((a, b, k), T_ZERO) for k in range(span.dim))
+        rebuilt = (t_matmul((c,), span.rows)[0] if span.dim
+                   else (T_ZERO,) * (n * n))
+        assert rebuilt == bracket, (a, b)
+
+
+@pytest.mark.parametrize("label", sorted(SEARCH_ORBITS))
+def test_structure_constants_sit_at_the_brackets_pivot_columns(label):
+    check_structure_constants(z_base_coordinates(label),
+                              SEARCH_ORBITS[label].ambient)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_structure_constants_of_random_sparse_operator_spaces(seed):
+    rng = random.Random(seed)
+    n = 3 + seed % 3
+    space = operator_span([sparse_operator(rng, n)
+                           for _ in range(2 + seed % 4)], n)
+    check_structure_constants(SpanCoordinates(space, n), n)
+
+
+def check_bracket(x: Mat, y: Mat, n: int):
+    """The bracket from the nonzeros is the commutator's nonzeros."""
+    expected = {i * n + j: e
+                for i, j, e in nonzeros(flatten(commutator(x, y)), n)}
+    assert _bracket(_sparse(nonzeros(flatten(x), n), n),
+                    _sparse(nonzeros(flatten(y), n), n), n) == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bracket_from_nonzeros_matches_the_commutator(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 4
+    x, y = sparse_operator(rng, n), sparse_operator(rng, n)
+    check_bracket(x, y, n)
+    check_bracket(x, x @ y, n)  # shares rows and columns with x
+
+
+@pytest.mark.parametrize("label", ["ht3", "row0.cone0", "row3.cone1"])
+def test_bracket_from_nonzeros_on_a_z_base(label):
+    n = SEARCH_ORBITS[label].ambient
+    zs = span_basis_mats(z_base_coordinates(label).space, n)
+    for x in zs:
+        for y in zs:
+            check_bracket(x, y, n)
 
 
 COORDINATE_POOL = (T_ZERO, T_ZERO, (1, 0, 1), (-1, 0, 1), (0, 1, 1),

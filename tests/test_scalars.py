@@ -86,6 +86,14 @@ def test_parse():
         GR.parse("")
 
 
+@pytest.mark.parametrize("text",
+                         ["\u0663", "1/2\u0663", "\uff11", "-\u0967/2"])
+def test_parse_rejects_non_ascii_digits(text):
+    # \u0663 is ARABIC-INDIC DIGIT THREE: int() reads it; the grammar does not
+    with pytest.raises(ValueError):
+        GR.parse(text)
+
+
 def test_hash_matches_equality():
     assert hash(GR(7)) == hash(7)
     assert hash(GR(Fraction(1, 2))) == hash(Fraction(1, 2))

@@ -205,7 +205,7 @@ ORACLE_ORBITS = oracle_orbits()
 def test_complement_steps_match_the_whole_z_loop(label):
     orbit = ORACLE_ORBITS[label]
     for seed in range(3):
-        for max_steps in (None, 1):
+        for max_steps in (None, 1, 0):
             config = SearchConfig(restarts=10, seed=seed,
                                   max_steps=max_steps)
             res = greedy_max_abelian(orbit, config)
