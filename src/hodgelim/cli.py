@@ -25,7 +25,7 @@ from .errors import FormatError, VerificationError
 from .filtrations import verify_phs, weight_filtration
 from .mixed import deligne_bigrading, verify_mhs, verify_pmhs
 from .orbits import (IVI, NilpotentOrbit, check_integrability, integrate_ivi,
-                     limit_context, verify_ivi, verify_orbit)
+                     verify_ivi, verify_orbit)
 from .search import SearchConfig, greedy_max_abelian
 
 
@@ -155,13 +155,12 @@ def _cmd_catalog(args) -> int:
             "cone_ranks": [c.r for c in row.cones],
         }
         if args.search:
-            ctx = limit_context(row.witness.orbit)
             searches = []
             for cone in row.cones:
                 target = NilpotentOrbit(row.witness.orbit.weight,
                                         row.witness.orbit.form,
                                         row.witness.orbit.filtration, cone)
-                res = greedy_max_abelian(target, cfg, context=ctx)
+                res = greedy_max_abelian(target, cfg)
                 exceeds = res.best_dim > row.expected_max
                 searches.append({"cone_rank": cone.r,
                                  "dim": res.best_dim,

@@ -179,7 +179,8 @@ class SpanCoordinates:
     c_{.b} is what x_b contributes to the bracket with x = sum_b x_b z_b.
     The q_k come from one ``t_rref`` of the distinct brackets restricted
     to the columns where some bracket is nonzero: the other columns are
-    zero in every row, so they hold no pivot.
+    zero in every row, so they hold no pivot.  Each bracket's constants
+    are read off its own nonzeros, through a map from q_k to k.
     """
 
     __slots__ = ("space", "rank", "columns", "_flat")
@@ -199,16 +200,15 @@ class SpanCoordinates:
         support = sorted({k for acc in distinct for k in acc})
         _, pivots = t_rref(tuple(tuple(acc.get(k, T_ZERO) for k in support)
                                  for acc in distinct))
-        qs = [support[p] for p in pivots]
-        self.rank = len(qs)
+        index = {support[p]: k for k, p in enumerate(pivots)}
+        self.rank = len(index)
         self.columns: list[list[tuple[int, int, Triple]]] = [
             [] for _ in range(len(ops))]
         for a, b, acc in brackets:
-            for k, q in enumerate(qs):
-                c = acc.get(q)
-                if c is not None:
-                    self.columns[b].append((a, k, c))
-                    self.columns[a].append((b, k, t_neg(c)))
+            for k, c in sorted((index[q], c) for q, c in acc.items()
+                               if q in index):
+                self.columns[b].append((a, k, c))
+                self.columns[a].append((b, k, t_neg(c)))
         # columns[b] as nonzeros of the flattened dim x rank matrix c_{.b}
         self._flat = [[(a * self.rank + k, c) for a, k, c in column]
                       for column in self.columns]

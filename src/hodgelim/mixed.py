@@ -31,7 +31,10 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
                                 + sum_{i>=1} conj(F^{q-i}) ∩ W_{p+q-i-1}).
 
     Each meet F^a ∩ W_l and conj(F^a) ∩ W_l is computed at most once per
-    call; the (p, q) loop reuses them.
+    call; the (p, q) loop reuses them.  The lower sum stops at the first i
+    with conj(F^{q-i}) the whole space (q - i below F's first index): W is
+    increasing, so every later term lies inside that one, and W's listed
+    indices do not set the work.
 
     Postconditions checked on every call: the pieces are independent and
     span, they rebuild W and F by partial sums, and I^{p,q} is conjugate
@@ -62,7 +65,7 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
                 continue
             right = meet(True, q, l)
             i = 1
-            while l - i - 1 >= wmin:
+            while l - i - 1 >= wmin and q - i + 1 >= fmin:
                 right = right + meet(True, q - i, l - i - 1)
                 i += 1
             piece = meet(False, p, l) & right
@@ -114,7 +117,9 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
 
     Route one: the canonical bigrading exists with all its postconditions.
     Route two: F induces a pure Hodge structure of weight l on every
-    graded piece gr^W_l.  Both run; their Hodge numbers must agree.
+    graded piece gr^W_l.  W jumps only at a listed index or at the one
+    above the last, where it becomes the whole space, so route two visits
+    just these.  Both run; their Hodge numbers must agree.
     ``bigrading`` is :func:`deligne_bigrading` of (W, F) when the caller
     has it already (an orbit's limit does); it is not built again.
     """
@@ -141,7 +146,7 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
     graded_ok = True
     graded_dims = {}
     reason = None
-    for l in range(w.keys[0], w.keys[-1] + 1):
+    for l in (*w.keys, w.keys[-1] + 1):
         quot = graded_piece(w, l)
         if quot.dim == 0:
             continue
@@ -361,11 +366,10 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                 "the bigrading is not the Deligne splitting of (W, F)")
     prim_dims = {}
     reason = None
-    for l in range(0, w.keys[-1] - weight + 1):
+    for l in sorted({a + b - weight for a, b in bigrading.pieces
+                     if a + b >= weight}):
         level = [(a - b, s) for (a, b), s in bigrading.pieces.items()
                  if a + b == weight + l]
-        if not level:
-            continue
         # N^l is nonzero on a level with pieces, so powers[l + 1] exists
         npl1 = powers[l + 1]
         if not w.at(weight + l).map_by(npl1) <= w.at(weight - l - 2):

@@ -159,7 +159,9 @@ class LimitContext:
 def limit_context(orbit: NilpotentOrbit) -> LimitContext:
     """The orbit's :attr:`~NilpotentOrbit.limit`, with every part built.
 
-    Raises VerificationError when (W, F) is not a mixed Hodge structure,
+    The verifiers and :func:`~hodgelim.search.greedy_max_abelian` read a
+    limit structure only from their own orbit, here; none takes one from
+    its caller.  Raises VerificationError when (W, F) is not a mixed Hodge structure,
     or when its splitting is not compatible with the form (Q(I^{a,*},
     I^{b,*}) != 0 for some a + b != weight), which a polarized limit
     never is.

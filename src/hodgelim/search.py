@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass
 
 from .endo import SpanCoordinates, centralizer_in, span_basis_mats
-from .filtrations import weight_filtration_defect
 from .matrices import Mat, t_matmul
 from .orbits import IVI, NilpotentOrbit, limit_context
 from .scalars import GR, I
@@ -71,29 +70,8 @@ class SearchResult:
                 f"; {len(self.restart_dims)} restarts, dims {lo}..{hi})")
 
 
-def _check_search_context(context, orbit: NilpotentOrbit) -> None:
-    """Refuse a limit context whose horizontal part is not the orbit's.
-
-    The horizontal part is fixed by the weight, the form, F and W.  So a
-    context serves when it is the orbit's, or when these agree and W is
-    the recentered weight filtration of the orbit's barycenter, checked by
-    the properties that fix W(N) (N = 0 for an empty cone: the trivial W).
-    """
-    other = context.orbit
-    if other is orbit or other == orbit:
-        return
-    n = orbit.ambient
-    for datum in ("weight", "form", "filtration"):
-        if getattr(other, datum) != getattr(orbit, datum):
-            raise ValueError(f"the limit context has another {datum}")
-    bary = orbit.cone.barycenter() if orbit.cone.r else Mat.zeros(n, n)
-    if weight_filtration_defect(context.w.shift(orbit.weight),
-                                bary) is not None:
-        raise ValueError("the limit context has another weight filtration")
-
-
-def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
-                       context=None) -> SearchResult:
+def greedy_max_abelian(orbit_like,
+                       config: SearchConfig | None = None) -> SearchResult:
     """Grow the cone span into maximal abelian families, keeping the best.
 
     Accepts an orbit or a full family (whose cone is then the start).
@@ -103,10 +81,9 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
     its centralizer in the horizontal part — by construction it always
     does, but the flag is re-derived from the final state, not assumed.
 
-    ``context`` is a :func:`~hodgelim.orbits.limit_context` the caller has
-    already.  It may belong to another orbit with the same limit structure
-    (the cones of one catalog row share theirs), and raises ValueError
-    otherwise (see :func:`_check_search_context`).
+    The search works in the horizontal part of the orbit's own limit
+    structure, :func:`~hodgelim.orbits.limit_context` of the orbit, and
+    raises ValueError when the cone span does not lie in it.
     """
     config = config or SearchConfig()
     if isinstance(orbit_like, IVI):
@@ -115,9 +92,7 @@ def greedy_max_abelian(orbit_like, config: SearchConfig | None = None,
         orbit = orbit_like
     else:
         raise TypeError("search needs an orbit or a family")
-    if context is not None:
-        _check_search_context(context, orbit)
-    ctx = context or limit_context(orbit)
+    ctx = limit_context(orbit)
     n = orbit.ambient
     base = orbit.cone.span(n)
     if not base <= ctx.horizontal:

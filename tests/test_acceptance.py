@@ -29,7 +29,7 @@ from hodgelim.matrices import Mat
 from hodgelim.mixed import deligne_bigrading
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit, PolyMap,
                              a_infinity, check_integrability, integrate_ivi,
-                             limit_context, verify_ivi, verify_orbit)
+                             verify_ivi, verify_orbit)
 from hodgelim.scalars import GR, I
 from hodgelim.search import SearchConfig, greedy_max_abelian
 from hodgelim.subspaces import Subspace, direct_sum_equals
@@ -89,11 +89,10 @@ def test_criterion_2_catalog_maxima_and_search():
 
     excesses = []
     for row in rows:
-        ctx = limit_context(row.orbit)
         for cone in row.cones:
             target = NilpotentOrbit(row.orbit.weight, row.orbit.form,
                                     row.orbit.filtration, cone)
-            res = greedy_max_abelian(target, SEARCH, context=ctx)
+            res = greedy_max_abelian(target, SEARCH)
             if res.best_dim > row.expected_max:
                 excesses.append((row.label, cone.r, res.best_dim,
                                  res.certified))
@@ -337,10 +336,9 @@ def test_search_finds_the_wider_family_at_stated_parameters():
     # the data behind the criterion-2 failure: on the mixed-length row
     # both cones reach a certified dimension 4 at restarts=200, seed=0
     row = table1_catalog()[3]
-    ctx = limit_context(row.orbit)
     for cone in row.cones:
         target = NilpotentOrbit(row.orbit.weight, row.orbit.form,
                                 row.orbit.filtration, cone)
-        res = greedy_max_abelian(target, SEARCH, context=ctx)
+        res = greedy_max_abelian(target, SEARCH)
         assert res.best_dim == 4 and res.certified
         assert verify_ivi(IVI(target, tuple(res.best))).ok

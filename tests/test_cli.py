@@ -177,6 +177,21 @@ def test_the_weight_in_a_file_does_not_set_the_work(monkeypatch, capsys,
     assert counts[0] == counts[1] and counts[0][0] == 1
 
 
+def test_pmhs_file_without_the_full_top_step_of_w_verifies(capsys, tmp_path):
+    # W is the whole space above its last listed index, so leaving out
+    # the full top step writes the same W
+    o = hodge_tate_orbit(2, 1)
+    data = io.pmhs_to_json(o.weight, o.form, o.limit_weight_filtration(),
+                           o.filtration, o.cone.barycenter())
+    top = max(data["W"], key=int)
+    outputs = []
+    for w in (data["W"], {k: s for k, s in data["W"].items() if k != top}):
+        code, out, _ = run(capsys, "verify", "pmhs",
+                           write(tmp_path, "pmhs.json", {**data, "W": w}))
+        outputs.append((code, out))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def pure_weight_minus_one_family():
     # the Tate twist of an elliptic curve's H^1 with its one horizontal
     # direction: a pure structure of weight -1, legitimately negative

@@ -485,3 +485,64 @@ def test_listed_zero_and_full_steps_leave_the_pmhs_report_unchanged(
     assert padded == w and padded.keys != w.keys
     plain = verify_pmhs(weight, q, w, f, n)
     assert verify_pmhs(weight, q, padded, f, n).to_dict() == plain.to_dict()
+
+
+def without_top_step(w: IncFiltration) -> IncFiltration:
+    """The same W with its full top step left implicit."""
+    top = w.keys[-1]
+    assert w.at(top).is_full() and not w.at(top - 1).is_full()
+    implicit = IncFiltration({k: s for k, s in w.steps.items() if k < top})
+    assert implicit == w and implicit.keys != w.keys
+    return implicit
+
+
+def test_an_implicit_top_step_of_w_gets_the_listed_verdict():
+    # e0 of type (0, 0), e1 + i e2 and e1 - i e2 of types (1, 0), (0, 1)
+    w = IncFiltration({0: Subspace.span([(1, 0, 0)], 3),
+                       1: Subspace.full(3)})
+    f = DecFiltration({0: Subspace.full(3),
+                       1: Subspace.span([(0, 1, I)], 3)})
+    listed = verify_mhs(w, f)
+    assert listed.ok
+    assert verify_mhs(without_top_step(w), f).to_dict() == listed.to_dict()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_implicit_top_step_of_w_gets_the_listed_pmhs_verdict(sign):
+    o = hodge_tate_orbit(2, 1)
+    n, w, f = o.cone.barycenter(), o.limit_weight_filtration(), o.filtration
+    q = BilForm(o.form.matrix * sign, o.form.parity)
+    listed = verify_pmhs(2, q, w, f, n)
+    implicit = verify_pmhs(2, q, without_top_step(w), f, n)
+    assert implicit.to_dict() == listed.to_dict()
+    # the negated form fails on the top primitive level, whichever W
+    assert listed.ok == (sign == 1)
+    if sign == -1:
+        assert implicit.failed() == ["primitive pieces are positive"]
+
+
+def test_far_listed_steps_of_w_add_no_work(monkeypatch):
+    o = hodge_tate_orbit(2, 1)
+    n, q, w, f = (o.cone.barycenter(), o.form, o.limit_weight_filtration(),
+                  o.filtration)
+    plain = verify_pmhs(2, q, w, f, n).to_dict()
+    calls = []
+
+    def counting(name):
+        real = getattr(Subspace, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("complement_in", "__and__"):
+        monkeypatch.setattr(Subspace, name, counting(name))
+    counts = []
+    for far in (1000, 100_000):
+        padded = IncFiltration({**w.steps, -far: Subspace.zero(3),
+                                far: Subspace.full(3)})
+        calls.clear()
+        assert verify_pmhs(2, q, padded, f, n).to_dict() == plain
+        counts.append((calls.count("complement_in"), calls.count("__and__")))
+    assert counts[0] == counts[1]

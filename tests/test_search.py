@@ -5,11 +5,8 @@ import pytest
 from hodgelim.builders import (diagonal_cone_orbit, hodge_tate_orbit,
                                max_dim_symmetric, table1_catalog)
 from hodgelim.endo import SpanCoordinates, centralizer_in, span_basis_mats
-from hodgelim.forms import BilForm
-from hodgelim.matrices import Mat, t_matmul
-from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit,
-                             limit_context, verify_ivi)
-from hodgelim.scalars import GR
+from hodgelim.matrices import t_matmul
+from hodgelim.orbits import IVI, NilpotentOrbit, limit_context, verify_ivi
 from hodgelim.search import (COEFFICIENTS, SearchConfig,
                              greedy_max_abelian)
 from hodgelim.subspaces import Subspace
@@ -60,68 +57,11 @@ def test_search_from_a_pointed_start():
 
 def test_search_never_beats_a_certified_row():
     row = table1_catalog()[2]
-    ctx = limit_context(row.witness.orbit)
     res = greedy_max_abelian(row.witness.orbit,
-                             SearchConfig(restarts=30, seed=11), context=ctx)
+                             SearchConfig(restarts=30, seed=11))
     assert res.certified
     assert res.best_dim <= row.expected_max
     assert max(res.restart_dims) <= row.expected_max
-
-
-def test_search_takes_a_context_with_the_same_limit_structure():
-    # the cones of one catalog row share the witness's W, F and form
-    row = table1_catalog()[2]
-    o = row.witness.orbit
-    ctx = limit_context(o)
-    cfg = SearchConfig(restarts=4, seed=5)
-    for cone in row.cones:
-        target = NilpotentOrbit(o.weight, o.form, o.filtration, cone)
-        with_ctx = greedy_max_abelian(target, cfg, context=ctx)
-        plain = greedy_max_abelian(target, cfg)
-        assert with_ctx.restart_dims == plain.restart_dims
-        assert with_ctx.best == plain.best
-    # an empty cone has the trivial W, like a cone of zero operators
-    pure = table1_catalog()[0].orbit
-    zero = NilpotentOrbit(pure.weight, pure.form, pure.filtration,
-                          NilpotentCone((Mat.zeros(9, 9),)))
-    res = greedy_max_abelian(pure, cfg, context=limit_context(zero))
-    assert res.restart_dims == greedy_max_abelian(pure, cfg).restart_dims
-
-
-def foreign_orbits() -> dict[str, NilpotentOrbit]:
-    """Orbits that differ from hodge_tate_orbit(2, 2) in one datum."""
-    o = hodge_tate_orbit(2, 2)
-    n = o.cone.barycenter()
-    exp_n = Mat.identity(6) + n + (n @ n) * (GR(1) / 2)
-    # coordinates c * 2 + i: keep the shift of string i = 0 only
-    first = Mat([[n[i, j] if j % 2 == 0 else 0 for j in range(6)]
-                 for i in range(6)])
-    return {
-        "form": NilpotentOrbit(2, BilForm(-o.form.matrix, 0),
-                               o.filtration, o.cone),
-        "filtration": NilpotentOrbit(2, o.form,
-                                     o.filtration.map_by(exp_n), o.cone),
-        "weight filtration": NilpotentOrbit(2, o.form, o.filtration,
-                                            NilpotentCone((first,))),
-        "empty cone": NilpotentOrbit(2, o.form, o.filtration,
-                                     NilpotentCone(())),
-    }
-
-
-@pytest.mark.parametrize("label", ["form", "filtration",
-                                   "weight filtration", "empty cone"])
-def test_search_refuses_a_context_of_another_limit_structure(label):
-    ctx = limit_context(hodge_tate_orbit(2, 2))
-    target = foreign_orbits()[label]
-    reason = "weight filtration" if label == "empty cone" else label
-    with pytest.raises(ValueError, match=f"another {reason}"):
-        greedy_max_abelian(target, SearchConfig(restarts=1), context=ctx)
-    if label in ("form", "filtration"):
-        # the other way round as well: both contexts are limit contexts
-        other = limit_context(target)
-        with pytest.raises(ValueError, match=f"another {reason}"):
-            greedy_max_abelian(hodge_tate_orbit(2, 2),
-                               SearchConfig(restarts=1), context=other)
 
 
 def test_max_steps_truncates_growth():
