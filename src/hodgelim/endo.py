@@ -16,11 +16,12 @@ rather than in n².
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Sequence
 
 from .forms import BilForm
 from .matrices import (Mat, TMat, TVec, _t_combine, t_hstack, t_matmul,
-                       t_rref)
+                       t_rref, t_zero_row)
 from .scalars import T_ZERO, Triple, t_add, t_mul, t_neg, t_sub
 from .subspaces import Subspace, kernel, t_reduce
 
@@ -29,7 +30,7 @@ Sparse = tuple[Nonzeros, list[list[tuple[int, Triple]]]]
 
 
 def flatten(m: Mat) -> TVec:
-    return tuple(e for row in m.t for e in row)
+    return tuple(chain.from_iterable(m.t))
 
 
 def as_mat(tv: TVec, n: int) -> Mat:
@@ -84,7 +85,7 @@ def _kernel_part(space: Subspace, cols: TMat) -> Subspace:
     of the solutions from one elimination, and ``space.lift`` takes them
     back into ``space`` without another.
     """
-    zero = (T_ZERO,) * len(cols)  # a zero triple is normalized to T_ZERO
+    zero = t_zero_row(len(cols))  # a zero triple is normalized to T_ZERO
     cond = [row for row in zip(*cols) if row != zero]
     if not cond:
         return space
@@ -265,15 +266,36 @@ def centralizer_in(space: Subspace, mats: Sequence,
 
 
 def noncommuting_pair(mats: Sequence[Mat]) -> tuple[int, int] | None:
-    """The first pair i < j, in lexicographic order, with [A_i, A_j] != 0."""
-    for i, a in enumerate(mats):
-        for j, b in enumerate(mats[i + 1:], i + 1):
-            ab, ba = a @ b, b @ a
-            if ab != ba:  # exact: products hold normalized triples
-                if ab.shape != ba.shape:
-                    raise ValueError(
-                        f"shape mismatch: {ab.shape} vs {ba.shape}")
-                return i, j
+    """The first pair i < j, in lexicographic order, with [A_i, A_j] != 0.
+
+    Each matrix's rows are listed once as their nonzeros (t, e).  For a
+    pair, row r of AB - BA is one :func:`_t_combine` of row r of A against
+    the rows of B and of -(row r of B) against the rows of A, compared
+    with the zero row, row after row up to the first nonzero; no product
+    is formed.  The matrices must all be square and of one size;
+    otherwise ValueError.
+    """
+    shapes = {m.shape for m in mats}
+    if len(shapes) > 1 or any(r != c for r, c in shapes):
+        raise ValueError(f"commutation of matrices of shapes "
+                         f"{sorted(shapes)}: they must be square and of "
+                         f"one size")
+    if len(mats) < 2:
+        return None
+    rows = [[[(t, e) for t, e in enumerate(row) if e[0] or e[1]]
+             for row in m.t] for m in mats]
+    n = len(rows[0])
+    zero = t_zero_row(n)
+    for i, a in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            b = rows[j]
+            for ar, br in zip(a, b):
+                if not (ar or br):
+                    continue  # row r of AB and of BA are both zero
+                terms = [(f, b[t]) for t, f in ar]
+                terms += [(t_neg(f), a[t]) for t, f in br]
+                if _t_combine(terms, n) != zero:
+                    return i, j
     return None
 
 

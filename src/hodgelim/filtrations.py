@@ -55,6 +55,17 @@ class _Filtration:
         self.keys = keys
         self.ambient = ambients.pop()
 
+    def _derived(self, steps: dict[int, Subspace]):
+        """A filtration of this type on ``steps``, taken without the
+        nesting check.  ``steps`` holds this filtration's steps, in key
+        order, moved by one index shift, conjugation or linear map, and
+        each of these keeps a nested chain nested."""
+        out = object.__new__(type(self))
+        out.steps = steps
+        out.keys = list(steps)
+        out.ambient = next(iter(steps.values())).ambient
+        return out
+
     def at(self, j: int) -> Subspace:
         keys = self.keys
         if j < keys[0] or j > keys[-1]:
@@ -77,13 +88,13 @@ class _Filtration:
         return all(self.at(j) == other.at(j) for j in probes)
 
     def conj(self):
-        return type(self)({k: s.conj() for k, s in self.steps.items()})
+        return self._derived({k: s.conj() for k, s in self.steps.items()})
 
     def is_conj_stable(self) -> bool:
         return all(s.is_conj_stable() for s in self.steps.values())
 
     def map_by(self, g: Mat):
-        return type(self)({k: s.map_by(g) for k, s in self.steps.items()})
+        return self._derived({k: s.map_by(g) for k, s in self.steps.items()})
 
     def __repr__(self):
         dims = ", ".join(f"{k}:{s.dim}" for k, s in self.steps.items())
@@ -96,6 +107,22 @@ class DecFiltration(_Filtration):
     __slots__ = ()
     decreasing = True
 
+    def jumps(self) -> list[int]:
+        """The indices p with F^p != F^(p+1), in increasing order.
+
+        These are the p with Gr_F^p != 0.  F is the whole space below its
+        first listed index, so the index just below it is a jump unless
+        the first listed step is already full; every other jump is a
+        listed index.  F^p is the whole space for p up to the first jump
+        and 0 past the last.  So "N F^p ⊆ F^(p-1) for all p" needs checking
+        only at the jumps after the first: where F^p = F^(p+1), it follows
+        from the next jump j above p, as N F^p = N F^j ⊆ F^(j-1) = F^p.
+        """
+        keys = self.keys
+        out = [] if self.steps[keys[0]].is_full() else [keys[0] - 1]
+        out += [k for k in keys if self.steps[k] != self.at(k + 1)]
+        return out
+
 
 class IncFiltration(_Filtration):
     """An increasing exhaustive filtration W_j of C^n."""
@@ -105,7 +132,7 @@ class IncFiltration(_Filtration):
 
     def shift(self, s: int) -> "IncFiltration":
         """The filtration j -> W_{j+s}."""
-        return IncFiltration({k - s: v for k, v in self.steps.items()})
+        return self._derived({k - s: v for k, v in self.steps.items()})
 
 
 def weight_filtration(n: Mat) -> IncFiltration:

@@ -22,7 +22,6 @@ the canonical grammar (reduced fractions, positive denominators).
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from math import gcd
 from typing import Any
 
@@ -73,15 +72,25 @@ def scalar_to_json(x) -> str | dict:
     return _triple_to_json((x if isinstance(x, GR) else GR(x)).triple)
 
 
-_parse = lru_cache(maxsize=1024)(GR.parse)  # a raised error is not cached
+# Literal text -> its normalized triple.  Only str keys that parsed go in:
+# True == 1 and 1.0 == 1 as dict keys, and neither may read as a scalar.
+# When full it is emptied, so it never holds more than _LITERALS_MAX.
+_LITERALS: dict[str, Triple] = {}
+_LITERALS_MAX = 4096
 
 
 def _rational(obj) -> Triple:
     if isinstance(obj, str):
-        try:
-            return _parse(obj).triple
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
+        t = _LITERALS.get(obj)
+        if t is None:
+            try:
+                t = GR.parse(obj).triple
+            except ValueError as exc:
+                raise FormatError(str(exc)) from None
+            if len(_LITERALS) >= _LITERALS_MAX:
+                _LITERALS.clear()
+            _LITERALS[obj] = t
+        return t
     if isinstance(obj, bool):
         raise FormatError("booleans are not scalars")
     if isinstance(obj, int):
@@ -104,6 +113,17 @@ def scalar_from_json(obj) -> GR:
     return GR.from_triple(_triple_from_json(obj))
 
 
+def _row_from_json(row: list) -> tuple:
+    """The triples of a list of scalars.  A row of literals already read
+    is looked up in one pass; anything else (a new literal, a number, a
+    dict, a bad entry) makes the row go through :func:`_triple_from_json`,
+    which reads and remembers it or raises FormatError."""
+    try:
+        return tuple(map(_LITERALS.__getitem__, row))
+    except (KeyError, TypeError):
+        return tuple(map(_triple_from_json, row))
+
+
 def matrix_to_json(m: Mat) -> list:
     return [[_triple_to_json(e) for e in row] for row in m.t]
 
@@ -117,7 +137,7 @@ def matrix_from_json(obj) -> Mat:
             raise FormatError("matrix rows are non-empty arrays")
         if len(row) != len(obj[0]):
             raise FormatError("matrix rows have different lengths")
-        rows.append(tuple(_triple_from_json(e) for e in row))
+        rows.append(_row_from_json(row))
     return Mat.from_triples(tuple(rows))
 
 
@@ -127,7 +147,7 @@ def _vector_from_json(obj, ambient: int) -> tuple:
     if len(obj) != ambient:
         raise FormatError(
             f"vector of length {len(obj)} in a dimension-{ambient} space")
-    return tuple(_triple_from_json(e) for e in obj)
+    return _row_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

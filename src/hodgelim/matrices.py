@@ -7,6 +7,7 @@ hashable, with operator overloading and the usual constructors.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
 from operator import or_
 from typing import Iterable, Sequence
@@ -23,14 +24,25 @@ TVec = tuple[Triple, ...]
 # triple-layer helpers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def t_identity(n: int) -> TMat:
+    """The n x n identity, built once per size: its tuples are immutable."""
     return tuple(tuple(T_ONE if i == j else T_ZERO for j in range(n))
                  for i in range(n))
 
 
+@lru_cache(maxsize=256)
+def t_zero_row(n: int) -> TVec:
+    """``(T_ZERO,) * n``, built once per length.
+
+    A zero triple is always normalized to ``T_ZERO``, so a row of triples
+    is zero exactly when it equals this one.
+    """
+    return (T_ZERO,) * n
+
+
 def t_zeros(m: int, n: int) -> TMat:
-    row = (T_ZERO,) * n
-    return tuple(row for _ in range(m))
+    return (t_zero_row(n),) * m
 
 
 def t_transpose(tm: TMat) -> TMat:
@@ -38,7 +50,7 @@ def t_transpose(tm: TMat) -> TMat:
 
 
 def t_conj_mat(tm: TMat) -> TMat:
-    return tuple(tuple(t_conj(e) for e in row) for row in tm)
+    return tuple(tuple(map(t_conj, row)) for row in tm)
 
 
 def t_neg_mat(tm: TMat) -> TMat:
@@ -214,7 +226,8 @@ def _t_eliminate(tm) -> tuple[TMat, list[int], list[Triple], int]:
 
 
 def t_is_zero_mat(tm: TMat) -> bool:
-    return not any(e[0] or e[1] for row in tm for e in row)
+    """Whether every row equals the zero row (see :func:`t_zero_row`)."""
+    return not tm or tm.count(t_zero_row(len(tm[0]))) == len(tm)
 
 
 def t_kernel(tm: TMat, ncols: int) -> list[TVec]:

@@ -30,11 +30,14 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
     I^{p,q} = F^p ∩ W_{p+q} ∩ (conj(F^q) ∩ W_{p+q}
                                 + sum_{i>=1} conj(F^{q-i}) ∩ W_{p+q-i-1}).
 
-    Each meet F^a ∩ W_l and conj(F^a) ∩ W_l is computed at most once per
-    call; the (p, q) loop reuses them.  The lower sum stops at the first i
-    with conj(F^{q-i}) the whole space (q - i below F's first index): W is
-    increasing, so every later term lies inside that one, and W's listed
-    indices do not set the work.
+    p and q run over F's jumps (:meth:`~hodgelim.filtrations.DecFiltration.
+    jumps`), the implicit one below F's first listed index included: F^p
+    = F^{p+1} elsewhere, so I^{p,q} ⊆ F^{p+1} there and it is 0.  Each
+    meet F^a ∩ W_l and conj(F^a) ∩ W_l is computed at most once per call;
+    the (p, q) loop reuses them.  The lower sum stops at the first i with
+    conj(F^{q-i}) the whole space (q - i at F's first jump): W is
+    increasing, so every later term lies inside that one.  So neither W's
+    nor F's listed indices set the work, only where they jump.
 
     Postconditions checked on every call: the pieces are independent and
     span, they rebuild W and F by partial sums, and I^{p,q} is conjugate
@@ -45,7 +48,7 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
     if w.ambient != f.ambient:
         raise ValueError("filtration ambient mismatch")
     fbar = f.conj()
-    fmin, fmax = f.keys[0], f.keys[-1]
+    jumps = f.jumps()
     wmin = w.keys[0]
     meets: dict[tuple[bool, int, int], Subspace] = {}
 
@@ -58,14 +61,14 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
         return s
 
     pieces = {}
-    for p in range(fmin, fmax + 1):
-        for q in range(fmin, fmax + 1):
+    for p in jumps:
+        for q in jumps:
             l = p + q
             if w.at(l).is_zero():
                 continue
             right = meet(True, q, l)
             i = 1
-            while l - i - 1 >= wmin and q - i + 1 >= fmin:
+            while l - i - 1 >= wmin and q - i >= jumps[0]:
                 right = right + meet(True, q - i, l - i - 1)
                 i += 1
             piece = meet(False, p, l) & right
@@ -101,10 +104,14 @@ def graded_piece(w: IncFiltration, l: int) -> Quotient:
 
 def graded_filtration(w: IncFiltration, f: DecFiltration, l: int,
                       quot: Quotient | None = None) -> DecFiltration:
-    """The filtration induced by F on gr^W_l, in quotient coordinates."""
+    """The filtration induced by F on gr^W_l, in quotient coordinates.
+
+    Its steps are listed at F's jumps: between them F, and so the induced
+    filtration, keeps the value at the next jump up.
+    """
     q = quot or graded_piece(w, l)
     steps = {}
-    for p in range(f.keys[0], f.keys[-1] + 1):
+    for p in f.jumps():
         inter = f.at(p) & w.at(l)
         steps[p] = Subspace.from_triples(
             [q.project_triples(v) for v in inter.rows], q.dim)
@@ -334,8 +341,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     rep.add(f"N^{weight + 1} = 0", nilp)
     rep.add("N preserves the form infinitesimally", in_isometry_algebra(n, q))
 
-    lowers = all(f.at(p).map_by(n) <= f.at(p - 1)
-                 for p in range(f.keys[0], f.keys[-1] + 1))
+    lowers = all(f.at(p).map_by(n) <= f.at(p - 1) for p in f.jumps()[1:])
     rep.add("N lowers F by one", lowers)
 
     if not nilp:

@@ -22,7 +22,7 @@ from .filtrations import (Bigrading, DecFiltration, IncFiltration,
                           verify_phs, weight_filtration,
                           weight_filtration_defect)
 from .forms import BilForm, in_isometry_algebra
-from .matrices import Mat
+from .matrices import Mat, _t_combine
 from .mixed import deligne_bigrading, horizontal_part, verify_pmhs
 from .reports import Report
 from .scalars import as_scalar
@@ -50,14 +50,20 @@ class NilpotentCone:
         return operator_span(self.generators, n)
 
     def element(self, coefficients: Sequence) -> Mat:
+        """sum_i c_i N_i, each row one :func:`_t_combine` of the
+        generators' rows, so each nonzero entry is normalized once."""
         if self.r == 0:
             raise ValueError("the empty cone has no elements")
         if len(coefficients) != self.r:
             raise ValueError("coefficient count does not match generators")
-        acc = Mat.zeros(self.generators[0].nrows, self.generators[0].ncols)
-        for c, g in zip(coefficients, self.generators):
-            acc = acc + g * as_scalar(c)
-        return acc
+        nrows, ncols = self.generators[0].shape
+        scaled = [(t, g.t) for t, g in zip(
+            (as_scalar(c).triple for c in coefficients), self.generators)
+            if t[0] or t[1]]
+        return Mat.from_triples(tuple(
+            _t_combine([(t, [(j, e) for j, e in enumerate(g[i])
+                             if e[0] or e[1]]) for t, g in scaled], ncols)
+            for i in range(nrows)), ncols)
 
     def barycenter(self) -> Mat:
         return self.element([1] * self.r)
@@ -213,8 +219,7 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
             all(in_isometry_algebra(g, orbit.form) for g in gens))
     f = orbit.filtration
     lowers = all(f.at(p).map_by(g) <= f.at(p - 1)
-                 for g in gens
-                 for p in range(f.keys[0], f.keys[-1] + 1))
+                 for g in gens for p in f.jumps()[1:])
     rep.add("generators lower the filtration by one", lowers)
     if not rep.ok:
         return rep

@@ -9,6 +9,11 @@ loops, which dominate everything else here.
 Plain tuples of the same shape ("triples") are used as the raw data format
 of the computational kernels; :class:`GaussianRational` is the user-facing
 wrapper.
+
+Zero has one normal form: every zero triple the package makes is exactly
+``T_ZERO == (0, 0, 1)``, since :func:`t_norm` divides (0, 0, d) by d.  So
+a vector is zero exactly when it equals ``(T_ZERO,) * n``, and the kernels
+test zero rows and matrices by that one comparison.
 """
 from __future__ import annotations
 

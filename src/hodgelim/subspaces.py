@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 
 from .errors import VerificationError
 from .matrices import (Mat, TMat, TVec, _coerce_row, t_conj_mat, t_identity,
-                       t_kernel, t_matmul, t_rref, t_sub_mul, t_transpose)
+                       t_kernel, t_matmul, t_rref, t_sub_mul, t_transpose,
+                       t_zero_row)
 from .scalars import GR, T_ONE, T_ZERO, GaussianRational, t_is_zero
 
 
@@ -39,7 +40,7 @@ def t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
 
 
 def _is_zero_vec(v: TVec) -> bool:
-    return not any(e[0] or e[1] for e in v)
+    return v == t_zero_row(len(v))  # zero triples are all T_ZERO
 
 
 class Subspace:

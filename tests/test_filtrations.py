@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
+                               hodge_tate_orbit, symmetric_family_ivi,
+                               table1_catalog)
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import (Bigrading, DecFiltration, IncFiltration,
                                   hs_from_filtration, operator_filtration,
@@ -103,6 +106,69 @@ def test_shift_relabels_indices():
     assert [s.at(j).dim for j in (0, 1, 2)] == [1, 1, 2]
     for j in range(-3, 4):
         assert s.at(j) == w.at(j - 1)
+
+
+def test_jumps_are_the_nonzero_graded_indices():
+    e1 = Subspace.span([(1, 0)], 2)
+    full = Subspace.full(2)
+    cases = [({0: full, 2: e1}, [0, 2]),
+             ({1: e1}, [0, 1]),
+             ({0: full, 1: e1, 100: Subspace.zero(2), -50: full}, [0, 1]),
+             ({3: full}, [3]),
+             ({0: Subspace.zero(2)}, [-1])]
+    for steps, jumps in cases:
+        f = DecFiltration(steps)
+        assert f.jumps() == jumps
+        assert jumps == [p for p in range(-60, 110) if f.at(p) != f.at(p + 1)]
+    assert DecFiltration({0: Subspace.zero(0)}).jumps() == []
+
+
+def builder_filtrations():
+    """F and the limit W of every stock orbit."""
+    orbits = [build_max_ivi_k2(h20, h11).orbit
+              for h20 in range(1, 5) for h11 in range(1, 7)]
+    orbits += [row.witness.orbit for row in table1_catalog()]
+    orbits += [symmetric_family_ivi(d).orbit for d in (1, 2, 3)]
+    orbits += [diagonal_cone_orbit(d) for d in (1, 2, 3)]
+    orbits += [hodge_tate_orbit(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+    return [filt for o in orbits
+            for filt in (o.filtration, o.limit_weight_filtration())]
+
+
+def same_filtration(a, b):
+    return (type(a) is type(b) and a.ambient == b.ambient
+            and a.keys == b.keys == list(a.steps) and a.steps == b.steps)
+
+
+def test_derived_filtrations_equal_the_checked_constructor():
+    rng = random.Random(0)
+    for filt in builder_filtrations():
+        checked = type(filt)
+        n = filt.ambient
+        maps = [random_invertible(n, rng), Mat.zeros(n, n),
+                Mat([[rng.randint(-2, 2) for _ in range(n)]
+                     for _ in range(n + 1)])]
+        assert same_filtration(filt.conj(), checked(
+            {k: s.conj() for k, s in filt.steps.items()}))
+        for g in maps:
+            assert same_filtration(filt.map_by(g), checked(
+                {k: s.map_by(g) for k, s in filt.steps.items()}))
+        if checked is IncFiltration:
+            for shift in (-3, 0, 2):
+                assert same_filtration(filt.shift(shift), IncFiltration(
+                    {k - shift: s for k, s in filt.steps.items()}))
+
+
+def test_the_public_constructor_still_checks_nesting():
+    f = hodge_tate_orbit(2, 2).filtration
+    # the steps of a decreasing filtration do not nest the other way up
+    with pytest.raises(ValueError, match="not nested"):
+        IncFiltration(f.steps)
+    swapped = {k: f.steps[j] for k, j in zip(f.keys, reversed(f.keys))}
+    with pytest.raises(ValueError, match="not nested"):
+        DecFiltration(swapped)
+    assert IncFiltration(swapped).conj() == IncFiltration(
+        {k: s.conj() for k, s in swapped.items()})
 
 
 # ---------------------------------------------------------------------------

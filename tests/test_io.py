@@ -134,7 +134,7 @@ def test_reader_matches_gr_path_on_drawn_input(obj):
 
 @pytest.mark.parametrize("bad", ["1/0", "x", "1_0", "", {"re": "1/-2"}])
 def test_a_bad_literal_fails_every_time(bad):
-    # lru_cache keeps returned values only, so a failure is raised afresh
+    # the literal memo keeps parsed literals only: a failure is raised afresh
     for _ in range(2):
         with pytest.raises(FormatError):
             scalar_from_json(bad)
@@ -232,6 +232,73 @@ def test_writers_match_the_gr_path_on_drawn_entries(rows):
         assert scalar_to_json(x) == gr_scalar_to_json(x)
         if x.is_real():
             assert scalar_to_json(x.re) == gr_scalar_to_json(x)
+
+
+# ---------------------------------------------------------------------------
+# the literal memo and the row fast path
+# ---------------------------------------------------------------------------
+
+CACHED = ["1", "-2/3", "0", "7/2"]
+
+
+def read_in_cached_row(obj):
+    """obj read as one entry of a matrix row and of a vector whose other
+    entries are literals already in the memo; both readers must agree."""
+    matrix_from_json([CACHED])  # the literals are in the memo now
+    assert all(text in io._LITERALS for text in CACHED)
+    row = CACHED[:2] + [obj] + CACHED[2:]
+    as_matrix = outcome(lambda r: matrix_from_json([r]).t[0], row)
+    assert outcome(lambda r: io._vector_from_json(r, len(r)),
+                   row) == as_matrix
+    return as_matrix
+
+
+@pytest.mark.parametrize("obj", SCALARS, ids=repr)
+def test_an_entry_reads_alike_among_cached_literals(obj):
+    kind, expected = outcome(lambda x: gr_path(x).triple, obj)
+    got = read_in_cached_row(obj)
+    if kind == "error":
+        assert got == ("error", expected)
+    else:
+        assert got == ("value", tuple(
+            GR.parse(t).triple for t in CACHED[:2]) + (expected,) + tuple(
+            GR.parse(t).triple for t in CACHED[2:]))
+
+
+@pytest.mark.parametrize("bad", [
+    True, False, 1.5, 2.0, "1/0", {"re": "1", "x": "0"},
+    {"re": "1", "im": {"re": "1"}}, {"re": {"im": "2"}}, None, ["1"],
+], ids=repr)
+def test_a_bad_entry_among_cached_literals_is_rejected(bad):
+    with pytest.raises(FormatError) as alone:
+        scalar_from_json(bad)
+    assert read_in_cached_row(bad) == ("error", str(alone.value))
+
+
+def test_a_row_of_cached_literals_and_dicts_reads_entry_by_entry():
+    matrix_from_json([CACHED])
+    assert matrix_from_json([["1", {"re": "1", "im": "-1"}, "0"]]).t == (
+        ((1, 0, 1), (1, -1, 1), (0, 0, 1)),)
+
+
+def test_the_memo_holds_only_parsed_literals():
+    for bad in ["1/0", "x", "1_0", "", "1.5", "\u0663"]:
+        with pytest.raises(FormatError):
+            matrix_from_json([CACHED + [bad]])
+        assert bad not in io._LITERALS
+    for text, t in io._LITERALS.items():
+        assert type(text) is str and t == GR.parse(text).triple
+
+
+def test_the_memo_never_grows_past_its_bound():
+    bound = io._LITERALS_MAX
+    for i in range(bound + 50):
+        assert scalar_from_json(f"{i}/7").triple == t_norm(i, 0, 7)
+        assert len(io._LITERALS) <= bound
+    row = [f"-{i}/3" for i in range(bound + 50)]
+    assert matrix_from_json([row]).t[0] == tuple(
+        t_norm(-i, 0, 3) for i in range(bound + 50))
+    assert len(io._LITERALS) <= bound
 
 
 # ---------------------------------------------------------------------------

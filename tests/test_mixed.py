@@ -546,3 +546,59 @@ def test_far_listed_steps_of_w_add_no_work(monkeypatch):
         assert verify_pmhs(2, q, padded, f, n).to_dict() == plain
         counts.append((calls.count("complement_in"), calls.count("__and__")))
     assert counts[0] == counts[1]
+
+
+def without_bottom_step(f: DecFiltration) -> DecFiltration:
+    """The same F with its full bottom step left implicit."""
+    bottom = f.keys[0]
+    assert f.at(bottom).is_full() and not f.at(bottom + 1).is_full()
+    implicit = DecFiltration({k: s for k, s in f.steps.items()
+                              if k > bottom})
+    assert implicit == f and implicit.keys != f.keys
+    return implicit
+
+
+def test_an_implicit_bottom_step_of_f_gets_the_listed_verdict():
+    # weight 1: C^2 = I^{1,0} + I^{0,1}, spanned by (1, i) and (1, -i)
+    w = IncFiltration({1: Subspace.full(2)})
+    f = DecFiltration({0: Subspace.full(2),
+                       1: Subspace.span([(1, I)], 2)})
+    listed = verify_mhs(w, f)
+    assert listed.ok
+    assert verify_mhs(w, without_bottom_step(f)).to_dict() == listed.to_dict()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_an_implicit_bottom_step_of_f_gets_the_listed_pmhs_verdict(sign):
+    o = hodge_tate_orbit(2, 1)
+    n, w, f = o.cone.barycenter(), o.limit_weight_filtration(), o.filtration
+    q = BilForm(o.form.matrix * sign, o.form.parity)
+    listed = verify_pmhs(2, q, w, f, n)
+    implicit = verify_pmhs(2, q, w, without_bottom_step(f), n)
+    assert implicit.to_dict() == listed.to_dict()
+    assert listed.ok == (sign == 1)
+    assert deligne_bigrading(w, without_bottom_step(f)) == deligne_bigrading(
+        w, f)
+
+
+def test_far_listed_steps_of_f_add_no_work(monkeypatch):
+    o = hodge_tate_orbit(2, 1)
+    n, q, w, f = (o.cone.barycenter(), o.form, o.limit_weight_filtration(),
+                  o.filtration)
+    plain = verify_pmhs(2, q, w, f, n).to_dict()
+    calls = []
+    real = Subspace.__and__
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(Subspace, "__and__", counted)
+    counts = []
+    for far in (0, 20, 40):
+        padded = f if not far else DecFiltration(
+            {**f.steps, -far: Subspace.full(3), far: Subspace.zero(3)})
+        calls.clear()
+        assert verify_pmhs(2, q, w, padded, n).to_dict() == plain
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]

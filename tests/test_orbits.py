@@ -2,6 +2,7 @@ import gc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit, PolyMap,
                              integrate_ivi, is_maximal_abelian,
                              limit_context, verify_ivi, verify_maximality,
                              verify_orbit)
-from hodgelim.scalars import GR, I
+from hodgelim.scalars import GR, I, as_scalar
 
 
 def ht_orbit(k=2, n=2):
@@ -27,6 +28,40 @@ def ht_orbit(k=2, n=2):
 # ---------------------------------------------------------------------------
 # cones and orbits
 # ---------------------------------------------------------------------------
+
+def dense_element(cone, coefficients):
+    """The element as a dense sum of scaled generators."""
+    acc = Mat.zeros(*cone.generators[0].shape)
+    for c, g in zip(coefficients, cone.generators):
+        acc = acc + g * as_scalar(c)
+    return acc
+
+
+def stock_cones():
+    cones = [build_max_ivi_k2(h20, h11).orbit.cone
+             for h20 in range(1, 5) for h11 in range(1, 7)]
+    cones += [cone for row in table1_catalog() for cone in row.cones]
+    cones += [symmetric_family_ivi(d).orbit.cone for d in (1, 2, 3)]
+    cones += [diagonal_cone_orbit(d).cone for d in (1, 2, 3)]
+    cones += [hodge_tate_orbit(k, n).cone for k in (1, 2, 3) for n in (1, 2)]
+    return [c for c in cones if c.r]
+
+
+COEFFICIENTS = (1, 3, -2, Fraction(1, 3), Fraction(-5, 2), GR(1, 1), I, 0)
+
+
+def test_cone_elements_match_the_dense_sum():
+    for cone in stock_cones():
+        r = cone.r
+        draws = [[1] * r, [0] * r, [-1] * r]
+        draws += [[COEFFICIENTS[(i + s) % len(COEFFICIENTS)]
+                   for i in range(r)] for s in range(len(COEFFICIENTS))]
+        for coefficients in draws:
+            got = cone.element(coefficients)
+            assert got == dense_element(cone, coefficients)
+            assert got.shape == cone.generators[0].shape
+            assert all(isinstance(row, tuple) for row in got.t)
+
 
 def test_cone_elements():
     o = diagonal_cone_orbit(1)
