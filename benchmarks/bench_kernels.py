@@ -7,7 +7,9 @@ them, the two subspace kernels the verifiers lean on run on the sparse
 barycenter N of ``hodge_tate_orbit(2, 7)``: ``Subspace.map_by`` of the
 whole space (im N) and ``t_reduce`` of N's columns against im N.  Then
 ``limit_context(hodge_tate_orbit(2, n))`` for n = 9, 12, 16: W, the
-Deligne splitting and the horizontal part at growing dimension, and the
+Deligne splitting and the horizontal part at growing dimension;
+``weight_filtration_defect`` of the limit W of the CKTM grid, the
+catalog's cones and those three orbits against each barycenter; the
 greedy search on ``hodge_tate_orbit(2, 9)`` with 10 restarts, on
 ``hodge_tate_orbit(2, 5)`` with 200 and on ``hodge_tate_orbit(2, 12)``
 with 3, at seed 0 and with the orbit's limit structure built beforehand,
@@ -56,7 +58,7 @@ from hodgelim.builders import (build_max_ivi_k2,  # noqa: E402
                                table1_catalog)
 from hodgelim.endo import (SpanCoordinates, centralizer_in,  # noqa: E402
                            pairwise_commuting)
-from hodgelim.filtrations import IncFiltration  # noqa: E402
+from hodgelim.filtrations import weight_filtration_defect  # noqa: E402
 from hodgelim.forms import BilForm  # noqa: E402
 from hodgelim.matrices import Mat, t_matmul, t_rref, t_transpose  # noqa: E402
 from hodgelim.mixed import deligne_bigrading, verify_pmhs  # noqa: E402
@@ -169,6 +171,26 @@ def main() -> int:
               f"  (ambient {orbit.ambient}, horizontal part of dim "
               f"{limit_context(orbit).horizontal.dim})")
 
+    stock = {
+        "CKTM grid": [build_max_ivi_k2(h20, h11).orbit
+                      for h20 in range(1, 5) for h11 in range(1, 7)],
+        "catalog cones": [replace(row.witness.orbit, cone=cone)
+                          for row in table1_catalog() for cone in row.cones],
+        "hodge_tate_orbit(2, n), n = 9, 12, 16": [
+            hodge_tate_orbit(2, strings) for strings in (9, 12, 16)]}
+    print(f"weight_filtration_defect of each stock limit's W against its "
+          f"barycenter (best of {args.repeats}):")
+    for label, orbits in stock.items():
+        cases = [(o.limit_weight_filtration().shift(o.weight),
+                  o.cone.barycenter()) for o in orbits if o.cone.r]
+
+        def defects():
+            for w, n in cases:
+                weight_filtration_defect(w, n)
+
+        t = best_of(args.repeats, defects)
+        print(f"  {label:38s} {t * 1e3:8.2f} ms  ({len(cases)} limits)")
+
     print("greedy_max_abelian(hodge_tate_orbit(2, n)), seed 0 (best of 3):")
     for strings, restarts in ((9, 10), (5, 200), (12, 3)):
         orbit = hodge_tate_orbit(2, strings)
@@ -207,7 +229,7 @@ def main() -> int:
     orbit = hodge_tate_orbit(2, 7)
     g = Mat.from_triples(dense_real(rng, orbit.ambient))
     w = orbit.limit_weight_filtration()
-    moved_w = IncFiltration({k: w.at(k).map_by(g) for k in w.support()})
+    moved_w = w.map_by(g)
     moved_f = orbit.filtration.map_by(g)
     f1, w2 = moved_f.at(1), moved_w.at(2)
     reps = args.repeats

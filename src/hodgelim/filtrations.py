@@ -6,7 +6,9 @@ up, below its support it is the whole space and above it is zero.  An
 increasing filtration ``W`` is dual: value at the largest listed index not
 above the query, zero below the support, everything above it.
 
-``W.shift(s)`` is the filtration with ``W.shift(s)_j = W_{j+s}``.
+``W.shift(s)`` is the filtration with ``W.shift(s)_j = W_{j+s}``.  Where
+a filtration changes is decided once, by ``jumps()``; the loops over its
+indices walk that list, so the listed indices set no work.
 
 The weight filtration of a nilpotent endomorphism is produced by a closed
 formula and then *re-verified* against its two defining properties on every
@@ -78,14 +80,40 @@ class _Filtration:
     def support(self) -> list[int]:
         return list(self.keys)
 
+    def jumps(self) -> list[int]:
+        """The indices of the nonzero graded pieces, in increasing order:
+        the p with F^p != F^(p+1), or the l with W_l != W_(l-1).  These are
+        the listed indices whose step differs from the next one in (for W,
+        the one below), and the index past the end where the filtration
+        becomes the whole space, unless the step listed there is full."""
+        keys, dims = self.keys, [s.dim for s in self.steps.values()]
+        if self.decreasing:
+            out = [k for k, d, e in zip(keys, dims, dims[1:] + [0]) if d != e]
+            return out if dims[0] == self.ambient else [keys[0] - 1, *out]
+        out = [k for k, d, e in zip(keys, dims, [0, *dims]) if d != e]
+        return out if dims[-1] == self.ambient else [*out, keys[-1] + 1]
+
+    def lowered_by(self, ops, k: int, levels=None) -> bool:
+        """Whether each X in ``ops`` has X F^p ⊆ F^(p-k), or X W_l ⊆
+        W_(l-k), at every index, checked at the jumps or at ``levels``:
+        F^p = F^j and F^(j-k) ⊆ F^(p-k) at the next jump j up, W_l = W_j and
+        W_(j-k) ⊆ W_(l-k) at the next jump j down, past them the step is 0,
+        and a whole target needs no check."""
+        for j in self.jumps() if levels is None else levels:
+            target = self.at(j - k)
+            if not target.is_full():
+                step = self.at(j)
+                for x in ops:
+                    if not step.map_by(x) <= target:
+                        return False
+        return True
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        if self.ambient != other.ambient:
-            return False
-        probes = set(self.keys) | set(other.keys)
-        probes |= {min(probes) - 1, max(probes) + 1}
-        return all(self.at(j) == other.at(j) for j in probes)
+        jumps = self.jumps()
+        return (self.ambient == other.ambient and jumps == other.jumps()
+                and all(self.at(j) == other.at(j) for j in jumps))
 
     def conj(self):
         return self._derived({k: s.conj() for k, s in self.steps.items()})
@@ -106,22 +134,6 @@ class DecFiltration(_Filtration):
 
     __slots__ = ()
     decreasing = True
-
-    def jumps(self) -> list[int]:
-        """The indices p with F^p != F^(p+1), in increasing order.
-
-        These are the p with Gr_F^p != 0.  F is the whole space below its
-        first listed index, so the index just below it is a jump unless
-        the first listed step is already full; every other jump is a
-        listed index.  F^p is the whole space for p up to the first jump
-        and 0 past the last.  So "N F^p ⊆ F^(p-1) for all p" needs checking
-        only at the jumps after the first: where F^p = F^(p+1), it follows
-        from the next jump j above p, as N F^p = N F^j ⊆ F^(j-1) = F^p.
-        """
-        keys = self.keys
-        out = [] if self.steps[keys[0]].is_full() else [keys[0] - 1]
-        out += [k for k in keys if self.steps[k] != self.at(k + 1)]
-        return out
 
 
 class IncFiltration(_Filtration):
@@ -186,27 +198,27 @@ def weight_filtration_defect(w: IncFiltration, n: Mat,
     N W_l ⊆ W_{l-2} and N^l : gr_l ≅ gr_{-l} for every l >= 1 (Deligne,
     Weil II, Publ. Math. IHÉS 52 (1980), 1.6.1), so a candidate passes
     exactly when it equals W(N) and none needs to be built.  N^n = 0 on
-    C^n, so W(N) has W_{-n} = 0 and W_{n-1} = C^n.  The levels checked
-    run from the bottom of W to the first level where W is the whole
-    space, which lies one past a listed top step that is not full, and to
-    its mirror image, clamped to [-n, n]: outside, both sides are 0 or C^n.
+    C^n, so W(N) has W_{-n} = 0 and W_{n-1} = C^n.  N W_l ⊆ W_{l-2} is
+    checked for l from -n to W's last jump (its first full level), and at
+    most n; level l takes the step and a smaller target from the largest
+    jump j <= l, or from -n if j < -n.  gr_l and gr_{-l} are compared at
+    l = |j| for the jumps j of W with 0 < |j| < n: at any other l both are
+    0, and N^l W_l lies in W_{-l} = W_{-l-1} once N lowers W by two.
     ``powers`` may hold N^0, N^1, ... already.
     """
     if n.shape != (w.ambient, w.ambient):
         raise ValueError(f"N of shape {n.shape} does not act on the "
                          f"filtered space of dimension {w.ambient}")
     dim = w.ambient
-    lo, hi = w.keys[0], w.keys[-1]
-    if not w.at(hi).is_full():
-        hi += 1
-    lo, hi = max(lo, -dim), min(hi, dim)
-    for l in range(lo, hi + 1):
-        if not w.at(l).map_by(n) <= w.at(l - 2):
-            return "N does not lower the level by two"
+    jumps = w.jumps()
+    levels = ({max(j, -dim) for j in jumps if j <= dim}
+              if jumps and jumps[-1] >= -dim else ())
+    if not w.lowered_by((n,), 2, levels):
+        return "N does not lower the level by two"
     if not (w.at(-dim).is_zero() and w.at(dim - 1).is_full()):
         return "graded dimensions are not symmetric"
     powers = list(powers) if powers else [Mat.identity(dim)]
-    for l in range(1, min(max(hi, -lo) + 1, dim)):
+    for l in sorted({abs(j) for j in jumps if 0 < abs(j) < dim}):
         wl, wl1 = w.at(l), w.at(l - 1)
         wm, wm1 = w.at(-l), w.at(-l - 1)
         if wl.dim - wl1.dim != wm.dim - wm1.dim:
@@ -321,11 +333,12 @@ def hs_from_filtration(f: DecFiltration, weight: int) -> HodgeStructure:
 
     Raises VerificationError when F does not define a weight-``weight``
     Hodge structure (pieces fail to span or to be conjugate-symmetric).
+    p and q stop at F's last jump, past which F is 0.
     """
-    smax = f.support()[-1]
+    jumps = f.jumps()
     fbar = f.conj()
     pieces = {}
-    for p in range(weight - smax, smax + 1):
+    for p in range(weight - jumps[-1], jumps[-1] + 1) if jumps else ():
         q = weight - p
         h = f.at(p) & fbar.at(q)
         if not h.is_zero():
@@ -368,10 +381,11 @@ def polarization_gram(hs: HodgeStructure, q: BilForm) -> Mat:
 
 
 def first_relation_holds(f: DecFiltration, weight: int, q: BilForm) -> bool:
-    """Whether Q(F^a, F^(k-a+1)) = 0 for every a, with k the weight."""
-    top = f.keys[-1]
+    """Whether Q(F^a, F^(k-a+1)) = 0 for every a, with k the weight.
+    It is asked at F's jumps a: at the next jump j up, F^j = F^a and
+    F^(k-j+1) ⊇ F^(k-a+1)."""
     return all(q.orthogonal(f.at(a), f.at(weight - a + 1))
-               for a in range(weight + 1 - top, top + 1))
+               for a in f.jumps())
 
 
 def verify_phs(f: DecFiltration, weight: int, q: BilForm) -> Report:
@@ -402,20 +416,16 @@ def operator_filtration(f: DecFiltration, algebra: Subspace) -> DecFiltration:
     """Degree filtration induced on a space of operators.
 
     Step a is {X in algebra : X F^p ⊆ F^(p+a) for all p}.  The bottom
-    listed step equals the whole input algebra (the filtration saturates
-    there); queries below the listed support fall back to the generic
-    "whole ambient" semantics, which for operator spaces means all of
-    End(V), so stay within the listed support.
+    listed step is the whole input algebra; below it ``at`` answers all
+    of End(V), so stay within the listed support.
     """
     n = f.ambient
     if algebra.ambient != n * n:
         raise ValueError("algebra is not a space of operators on the "
                          "filtered space")
     smin, smax = f.keys[0], f.keys[-1]
-    probes = list(range(smin - 1, smax + 1))
-    bases = {p: f.at(p) for p in probes}
-    steps = {}
-    for a in range((smin - 1) - smax, (smax - smin) + 2):
-        steps[a] = solve_in_span(algebra, n, maps_into(
-            [(v, f.at(p + a)) for p in probes for v in bases[p].rows], n))
-    return DecFiltration(steps)
+    # at the next jump j up from p, F^j = F^p and F^(j+a) ⊆ F^(p+a)
+    pairs = [(p, v) for p in f.jumps() for v in f.at(p).rows]
+    return DecFiltration({a: solve_in_span(algebra, n, maps_into(
+        [(v, f.at(p + a)) for p, v in pairs], n))
+        for a in range((smin - 1) - smax, (smax - smin) + 2)})

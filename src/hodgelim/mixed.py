@@ -30,14 +30,15 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
     I^{p,q} = F^p ∩ W_{p+q} ∩ (conj(F^q) ∩ W_{p+q}
                                 + sum_{i>=1} conj(F^{q-i}) ∩ W_{p+q-i-1}).
 
-    p and q run over F's jumps (:meth:`~hodgelim.filtrations.DecFiltration.
+    p and q run over F's jumps (:meth:`~hodgelim.filtrations._Filtration.
     jumps`), the implicit one below F's first listed index included: F^p
     = F^{p+1} elsewhere, so I^{p,q} ⊆ F^{p+1} there and it is 0.  Each
     meet F^a ∩ W_l and conj(F^a) ∩ W_l is computed at most once per call;
     the (p, q) loop reuses them.  The lower sum stops at the first i with
     conj(F^{q-i}) the whole space (q - i at F's first jump): W is
-    increasing, so every later term lies inside that one.  So neither W's
-    nor F's listed indices set the work, only where they jump.
+    increasing, so every later term lies inside that one, or at W's
+    first jump, below which W is 0.  So neither W's nor F's listed
+    indices set the work, only where they jump.
 
     Postconditions checked on every call: the pieces are independent and
     span, they rebuild W and F by partial sums, and I^{p,q} is conjugate
@@ -48,8 +49,7 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
     if w.ambient != f.ambient:
         raise ValueError("filtration ambient mismatch")
     fbar = f.conj()
-    jumps = f.jumps()
-    wmin = w.keys[0]
+    jumps, wjumps = f.jumps(), w.jumps()
     meets: dict[tuple[bool, int, int], Subspace] = {}
 
     def meet(conj: bool, a: int, l: int) -> Subspace:
@@ -68,7 +68,7 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
                 continue
             right = meet(True, q, l)
             i = 1
-            while l - i - 1 >= wmin and q - i >= jumps[0]:
+            while l - i - 1 >= wjumps[0] and q - i >= jumps[0]:
                 right = right + meet(True, q - i, l - i - 1)
                 i += 1
             piece = meet(False, p, l) & right
@@ -124,9 +124,8 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
 
     Route one: the canonical bigrading exists with all its postconditions.
     Route two: F induces a pure Hodge structure of weight l on every
-    graded piece gr^W_l.  W jumps only at a listed index or at the one
-    above the last, where it becomes the whole space, so route two visits
-    just these.  Both run; their Hodge numbers must agree.
+    graded piece gr^W_l.  gr^W_l is nonzero just at W's jumps, so route
+    two visits these.  Both run; their Hodge numbers must agree.
     ``bigrading`` is :func:`deligne_bigrading` of (W, F) when the caller
     has it already (an orbit's limit does); it is not built again.
     """
@@ -150,29 +149,22 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
                 reason="W not conjugation-stable")
         return rep
 
-    graded_ok = True
     graded_dims = {}
     reason = None
-    for l in (*w.keys, w.keys[-1] + 1):
-        quot = graded_piece(w, l)
-        if quot.dim == 0:
-            continue
+    for l in w.jumps():
         try:
-            fl = graded_filtration(w, f, l, quot)
-            hs = hs_from_filtration(fl, l)
+            hs = hs_from_filtration(graded_filtration(w, f, l), l)
         except VerificationError as e:
-            graded_ok = False
             reason = f"gr_{l}: {e}"
             break
-        for (p, q), d in hs.hodge_numbers().items():
-            graded_dims[(p, q)] = d
+        graded_dims.update(hs.hodge_numbers())
     if reason:
         rep.add("graded pieces are pure Hodge structures", False,
                 reason=reason)
-    else:
-        rep.add("graded pieces are pure Hodge structures", graded_ok,
-                dims=graded_dims)
-    if bigr is not None and graded_ok:
+        return rep
+    rep.add("graded pieces are pure Hodge structures", True,
+            dims=graded_dims)
+    if bigr is not None:
         rep.add("graded Hodge numbers match the bigrading",
                 graded_dims == bigr.dims())
     return rep
@@ -341,8 +333,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     rep.add(f"N^{weight + 1} = 0", nilp)
     rep.add("N preserves the form infinitesimally", in_isometry_algebra(n, q))
 
-    lowers = all(f.at(p).map_by(n) <= f.at(p - 1) for p in f.jumps()[1:])
-    rep.add("N lowers F by one", lowers)
+    rep.add("N lowers F by one", f.lowered_by((n,), 1))
 
     if not nilp:
         return rep

@@ -218,9 +218,7 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
     rep.add("generators preserve the form infinitesimally",
             all(in_isometry_algebra(g, orbit.form) for g in gens))
     f = orbit.filtration
-    lowers = all(f.at(p).map_by(g) <= f.at(p - 1)
-                 for g in gens for p in f.jumps()[1:])
-    rep.add("generators lower the filtration by one", lowers)
+    rep.add("generators lower the filtration by one", f.lowered_by(gens, 1))
     if not rep.ok:
         return rep
 

@@ -8,8 +8,10 @@ everything by a real invertible matrix must transport the bigrading the
 same way — that gives an oracle with no circularity.
 """
 import random
+from collections import Counter
 
 from hodgelim.filtrations import DecFiltration, IncFiltration
+from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
 from hodgelim.scalars import GR, I
 from hodgelim.subspaces import Subspace
@@ -64,12 +66,27 @@ def make_split_mhs(rng: random.Random, max_real_dim: int = 8):
     return IncFiltration(wsteps), DecFiltration(fsteps), pieces
 
 
+def move(g: Mat, *things) -> list:
+    """``things`` in the coordinates x' = g x, in the order given.
+
+    A form with matrix M gets the matrix g^-T M g^-1, an operator X becomes
+    g X g^-1, and a subspace or a filtration its image under g.
+    """
+    gi = g.inverse()
+
+    def moved(x):
+        if isinstance(x, BilForm):
+            return BilForm(gi.transpose() @ x.matrix @ gi, x.parity)
+        if isinstance(x, Mat):
+            return g @ x @ gi
+        return x.map_by(g)
+    return [moved(x) for x in things]
+
+
 def transport_mhs(w, f, pieces, g: Mat):
     """Push a split MHS forward along an invertible matrix."""
-    w2 = IncFiltration({l: w.at(l).map_by(g) for l in w.support()})
-    f2 = DecFiltration({a: f.at(a).map_by(g) for a in f.support()})
-    p2 = {pq: s.map_by(g) for pq, s in pieces.items()}
-    return w2, f2, p2
+    w2, f2, *moved = move(g, w, f, *pieces.values())
+    return w2, f2, dict(zip(pieces, moved))
 
 
 def random_real_invertible(n: int, rng: random.Random) -> Mat:
@@ -80,3 +97,16 @@ def random_real_invertible(n: int, rng: random.Random) -> Mat:
             return m
         except ZeroDivisionError:
             continue
+
+
+def count_calls(monkeypatch, methods) -> Counter:
+    """Count the calls of each (class, name) in ``methods`` by name."""
+    calls = Counter()
+    for cls, name in methods:
+        real = getattr(cls, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    return calls

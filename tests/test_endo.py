@@ -32,7 +32,7 @@ from hodgelim.orbits import NilpotentCone, NilpotentOrbit, limit_context
 from hodgelim.scalars import GR, T_ZERO, t_sub
 from hodgelim.subspaces import Subspace
 
-from genutil import make_split_mhs, transport_mhs
+from genutil import make_split_mhs, move, transport_mhs
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +242,6 @@ def test_odd_weight_horizontal_part_matches_oracle(k, strings, dim):
 # the horizontal part in closed form against the solve inside the algebra
 # ---------------------------------------------------------------------------
 
-def moved_orbit(orbit: NilpotentOrbit, g: Mat) -> NilpotentOrbit:
-    """The orbit in coordinates x' = g x: the form becomes g^-T M g^-1."""
-    gi = g.inverse()
-    return NilpotentOrbit(
-        orbit.weight,
-        BilForm(gi.transpose() @ orbit.form.matrix @ gi, orbit.form.parity),
-        orbit.filtration.map_by(g),
-        NilpotentCone(tuple(g @ x @ gi for x in orbit.cone.generators)))
-
-
 def closed_form_orbits() -> dict[str, NilpotentOrbit]:
     """The CKTM grid, the catalog, symmetric families, Hodge-Tate orbits
     of weights 1 to 3, and small ones of these in dense bases."""
@@ -270,8 +260,11 @@ def closed_form_orbits() -> dict[str, NilpotentOrbit]:
             orbits[f"ht{k},{strings}"] = hodge_tate_orbit(k, strings)
     small = ("ht1,2", "ht2,2", "ht3,1", "cktm1,2", "sym1", "row1.cone0")
     for seed, label in enumerate(small):
-        g = dense_invertible(orbits[label].ambient, random.Random(seed))
-        orbits[f"dense:{label}"] = moved_orbit(orbits[label], g)
+        o = orbits[label]
+        g = dense_invertible(o.ambient, random.Random(seed))
+        form, f, *gens = move(g, o.form, o.filtration, *o.cone.generators)
+        orbits[f"dense:{label}"] = NilpotentOrbit(o.weight, form, f,
+                                                  NilpotentCone(tuple(gens)))
     return orbits
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genutil import count_calls, move
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, symmetric_family_ivi,
                                table1_catalog)
@@ -110,17 +111,54 @@ def test_shift_relabels_indices():
 
 def test_jumps_are_the_nonzero_graded_indices():
     e1 = Subspace.span([(1, 0)], 2)
-    full = Subspace.full(2)
+    full, zero = Subspace.full(2), Subspace.zero(2)
     cases = [({0: full, 2: e1}, [0, 2]),
              ({1: e1}, [0, 1]),
-             ({0: full, 1: e1, 100: Subspace.zero(2), -50: full}, [0, 1]),
+             ({0: full, 1: e1, 100: zero, -50: full}, [0, 1]),
              ({3: full}, [3]),
-             ({0: Subspace.zero(2)}, [-1])]
+             ({0: zero}, [-1])]
     for steps, jumps in cases:
         f = DecFiltration(steps)
         assert f.jumps() == jumps
         assert jumps == [p for p in range(-60, 110) if f.at(p) != f.at(p + 1)]
-    assert DecFiltration({0: Subspace.zero(0)}).jumps() == []
+    inc_cases = [({0: e1, 2: full}, [0, 2]),
+                 ({1: e1}, [1, 2]),
+                 ({-50: zero, 0: e1, 1: e1, 100: full}, [0, 100]),
+                 ({3: full}, [3]),
+                 ({0: zero}, [1]),
+                 ({-9: zero, 0: e1, 1: e1, 2: full, 80: full}, [0, 2])]
+    for steps, jumps in inc_cases:
+        w = IncFiltration(steps)
+        assert w.jumps() == jumps
+        assert jumps == [l for l in range(-60, 110) if w.at(l) != w.at(l - 1)]
+    for cls in (DecFiltration, IncFiltration):
+        assert cls({0: Subspace.zero(0)}).jumps() == []
+        assert cls({-5: Subspace.zero(0), 9: Subspace.full(0)}).jumps() == []
+
+
+def test_jumps_of_every_stock_filtration_are_where_it_changes():
+    for filt in builder_filtrations():
+        side = 1 if isinstance(filt, DecFiltration) else -1
+        probes = range(filt.keys[0] - 3, filt.keys[-1] + 4)
+        assert filt.jumps() == [j for j in probes
+                                if filt.at(j) != filt.at(j + side)]
+
+
+def test_verify_phs_far_zero_step_of_f_adds_no_work(monkeypatch):
+    # weight 1 on C^2: H^{1,0} spanned by (1, i), H^{0,1} by (1, -i)
+    q = BilForm(Mat([[0, 1], [-1, 0]]), parity=1)
+    f = DecFiltration({0: Subspace.full(2), 1: Subspace.span([(1, I)], 2)})
+    plain = verify_phs(f, 1, q)
+    assert plain.ok
+    calls = count_calls(monkeypatch, [(Subspace, "__and__"),
+                                      (BilForm, "gram_rows")])
+    counts = []
+    for far in (1000, 100_000):
+        padded = DecFiltration({**f.steps, far: Subspace.zero(2)})
+        calls.clear()
+        assert verify_phs(padded, 1, q).to_dict() == plain.to_dict()
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
 
 
 def builder_filtrations():
@@ -191,7 +229,7 @@ def test_weight_filtration_equivariant_under_conjugation():
         sizes = rng.choice([(2, 3), (3,), (1, 2, 2), (4, 1)])
         n = jordan_nilpotent(sizes)
         g = random_invertible(sum(sizes), rng)
-        moved = weight_filtration(g @ n @ g.inverse())
+        moved = weight_filtration(*move(g, n))
         base = weight_filtration(n)
         for l in base.support():
             assert moved.at(l) == base.at(l).map_by(g)
@@ -240,11 +278,7 @@ def nilpotent_pairs(draw):
     bases = [random_invertible(dim, random.Random(seed)) if dense
              else Mat.identity(dim) for seed in seeds]
     g = bases[0]
-
-    def moved(m, h):
-        return h @ m @ h.inverse()
-
-    n = moved(jordan_nilpotent(lam), g)
+    n, = move(g, jordan_nilpotent(lam))
     mode = draw(st.sampled_from(
         ["other type", "other basis", "same", "scaled", "unipotent twist"]))
     if mode == "same":
@@ -254,10 +288,10 @@ def nilpotent_pairs(draw):
     elif mode == "unipotent twist":
         m = n + n @ n
     elif mode == "other type":
-        m = moved(jordan_nilpotent(draw(st.sampled_from(types))), g)
+        m, = move(g, jordan_nilpotent(draw(st.sampled_from(types))))
     else:
-        m = moved(jordan_nilpotent(lam),
-                  random_invertible(dim, random.Random(seeds[1] + 1)))
+        m, = move(random_invertible(dim, random.Random(seeds[1] + 1)),
+                  jordan_nilpotent(lam))
     return m, n
 
 

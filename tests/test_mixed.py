@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from genutil import make_split_mhs, random_real_invertible, transport_mhs
+from genutil import (count_calls, make_split_mhs, move,
+                     random_real_invertible, transport_mhs)
 from hodgelim import mixed
 from hodgelim.builders import (StringModel, build_max_ivi_k2,
                                diagonal_cone_orbit, hodge_tate_orbit,
@@ -113,8 +114,7 @@ def test_bigrading_pieces_are_pinned():
     moved = []
     for w, f in (limits[7], limits[24], limits[-2]):
         g = dense_rational_move(w.ambient, rng)
-        moved.append((IncFiltration({l: w.at(l).map_by(g)
-                                     for l in w.support()}), f.map_by(g)))
+        moved.append(tuple(move(g, w, f)))
     text = []
     for w, f in limits + moved:
         for (p, q), piece in sorted(deligne_bigrading(w, f).pieces.items()):
@@ -406,13 +406,9 @@ def sweep_limits():
         yield k, q, w, f, -n
         yield k, BilForm(-q.matrix, q.parity), w, f, n
         yield k, q, w, f, n * 2
-        g = dense_rational_move(o.ambient, rng)
-        gi = g.inverse()
-        moved = (k, BilForm(gi.transpose() @ q.matrix @ gi, q.parity),
-                 IncFiltration({l: w.at(l).map_by(g) for l in w.support()}),
-                 f.map_by(g))
-        yield moved + (g @ n @ gi,)
-        yield moved + (-(g @ n @ gi),)
+        q2, w2, f2, n2 = move(dense_rational_move(o.ambient, rng), q, w, f, n)
+        yield k, q2, w2, f2, n2
+        yield k, q2, w2, f2, -n2
 
 
 def test_positivity_on_the_pieces_matches_the_graded_quotients():
@@ -526,25 +522,15 @@ def test_far_listed_steps_of_w_add_no_work(monkeypatch):
     n, q, w, f = (o.cone.barycenter(), o.form, o.limit_weight_filtration(),
                   o.filtration)
     plain = verify_pmhs(2, q, w, f, n).to_dict()
-    calls = []
-
-    def counting(name):
-        real = getattr(Subspace, name)
-
-        def counted(*args):
-            calls.append(name)
-            return real(*args)
-        return counted
-
-    for name in ("complement_in", "__and__"):
-        monkeypatch.setattr(Subspace, name, counting(name))
+    calls = count_calls(monkeypatch, [(Subspace, "complement_in"),
+                                      (Subspace, "__and__")])
     counts = []
     for far in (1000, 100_000):
         padded = IncFiltration({**w.steps, -far: Subspace.zero(3),
                                 far: Subspace.full(3)})
         calls.clear()
         assert verify_pmhs(2, q, padded, f, n).to_dict() == plain
-        counts.append((calls.count("complement_in"), calls.count("__and__")))
+        counts.append(dict(calls))
     assert counts[0] == counts[1]
 
 
@@ -586,19 +572,14 @@ def test_far_listed_steps_of_f_add_no_work(monkeypatch):
     n, q, w, f = (o.cone.barycenter(), o.form, o.limit_weight_filtration(),
                   o.filtration)
     plain = verify_pmhs(2, q, w, f, n).to_dict()
-    calls = []
-    real = Subspace.__and__
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(Subspace, "__and__", counted)
+    # first_relation_holds asks Q(F^a, F^(k-a+1)) = 0 through gram_rows
+    calls = count_calls(monkeypatch, [(Subspace, "__and__"),
+                                      (BilForm, "gram_rows")])
     counts = []
     for far in (0, 20, 40):
         padded = f if not far else DecFiltration(
             {**f.steps, -far: Subspace.full(3), far: Subspace.zero(3)})
         calls.clear()
         assert verify_pmhs(2, q, w, padded, n).to_dict() == plain
-        counts.append(len(calls))
+        counts.append(dict(calls))
     assert counts[0] == counts[1] == counts[2]
