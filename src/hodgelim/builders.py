@@ -261,9 +261,6 @@ class DimTable:
             out[p] = out.get(p, 0) + v
         return out
 
-    def total_dim(self) -> int:
-        return sum(self.complete().entries.values())
-
     def strings(self):
         """Decompose into string specs; fails if the table is unrealizable."""
         done = self.complete().entries

@@ -22,7 +22,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Mapping
 
-from .endo import maps_into, solve_in_span
 from .errors import VerificationError
 from .forms import BilForm, hermitian_positive_definite
 from .matrices import Mat, TVec, t_conj_mat, t_transpose
@@ -333,12 +332,20 @@ def hs_from_filtration(f: DecFiltration, weight: int) -> HodgeStructure:
 
     Raises VerificationError when F does not define a weight-``weight``
     Hodge structure (pieces fail to span or to be conjugate-symmetric).
-    p and q stop at F's last jump, past which F is 0.
+    p and q stop at F's last jump j1, past which F is 0.  Up to its first
+    jump j0 F is whole, so each p in [weight - j0, j0] gives the whole
+    space as a piece; two of them cannot decompose it, so the walk stops
+    at the second.
     """
     jumps = f.jumps()
     fbar = f.conj()
     pieces = {}
-    for p in range(weight - jumps[-1], jumps[-1] + 1) if jumps else ():
+    walk = ()
+    if jumps:
+        j0, j1 = jumps[0], jumps[-1]
+        walk = range(weight - j1,
+                     weight - j0 + 2 if weight - j0 < j0 else j1 + 1)
+    for p in walk:
         q = weight - p
         h = f.at(p) & fbar.at(q)
         if not h.is_zero():
@@ -411,21 +418,3 @@ def verify_phs(f: DecFiltration, weight: int, q: BilForm) -> Report:
             hermitian_positive_definite(polarization_gram(hs, q)))
     return rep
 
-
-def operator_filtration(f: DecFiltration, algebra: Subspace) -> DecFiltration:
-    """Degree filtration induced on a space of operators.
-
-    Step a is {X in algebra : X F^p ⊆ F^(p+a) for all p}.  The bottom
-    listed step is the whole input algebra; below it ``at`` answers all
-    of End(V), so stay within the listed support.
-    """
-    n = f.ambient
-    if algebra.ambient != n * n:
-        raise ValueError("algebra is not a space of operators on the "
-                         "filtered space")
-    smin, smax = f.keys[0], f.keys[-1]
-    # at the next jump j up from p, F^j = F^p and F^(j+a) ⊆ F^(p+a)
-    pairs = [(p, v) for p in f.jumps() for v in f.at(p).rows]
-    return DecFiltration({a: solve_in_span(algebra, n, maps_into(
-        [(v, f.at(p + a)) for p, v in pairs], n))
-        for a in range((smin - 1) - smax, (smax - smin) + 2)})

@@ -61,9 +61,6 @@ class BilForm:
         """Gram matrix of the form between two subspace bases."""
         return self.gram_rows(left.rows, right.rows)
 
-    def restrict(self, s: Subspace) -> Mat:
-        return self.gram(s, s)
-
     def orthogonal(self, left: Subspace, right: Subspace) -> bool:
         return self.gram(left, right).is_zero()
 
@@ -81,13 +78,6 @@ def in_isometry_algebra(x: Mat, q: BilForm) -> bool:
     """Whether Q(Xu, v) + Q(u, Xv) = 0 identically."""
     m = q.matrix
     return (x.transpose() @ m + m @ x).is_zero()
-
-
-def q_adjoint(t: Mat, q_src: BilForm, q_dst: BilForm) -> Mat:
-    """The map A with Q_dst(T u, v) = Q_src(u, A v) for all u, v."""
-    if t.nrows != q_dst.dim or t.ncols != q_src.dim:
-        raise ValueError("adjoint shape mismatch")
-    return q_src.matrix.inverse() @ t.transpose() @ q_dst.matrix
 
 
 def _inertia(tm: TMat) -> tuple[int, int, int]:

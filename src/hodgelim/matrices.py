@@ -409,12 +409,6 @@ class Mat:
             k >>= 1
         return Mat.from_triples(out, self.nrows)
 
-    def trace(self) -> GaussianRational:
-        acc = T_ZERO
-        for i in range(min(self.shape)):
-            acc = t_add(acc, self.t[i][i])
-        return GR.from_triple(acc)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -436,10 +430,6 @@ class Mat:
 
     # -- elimination-based operations ---------------------------------
 
-    def rref(self) -> tuple["Mat", list[int]]:
-        rows, pivots = t_rref(self.t)
-        return Mat.from_triples(rows, self.ncols), pivots
-
     def rank(self) -> int:
         return len(t_rref(self.t)[1])
 
@@ -447,11 +437,6 @@ class Mat:
         """Canonical basis for the right null space, as column vectors."""
         return [tuple(GR.from_triple(e) for e in v)
                 for v in t_kernel(self.t, self.ncols)]
-
-    def image_columns(self) -> list[tuple[GaussianRational, ...]]:
-        """The pivot columns of the matrix (a basis of the column space)."""
-        _, pivots = t_rref(self.t)
-        return [self.col(j) for j in pivots]
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:

@@ -302,10 +302,6 @@ def verify_maximality(ivi: IVI) -> Report:
     return rep
 
 
-def is_maximal_abelian(ivi: IVI) -> bool:
-    return verify_maximality(ivi).ok
-
-
 def collapse_cone(ivi: IVI, coefficients=None) -> IVI:
     """Replace the cone by a single positive combination of its generators."""
     r = ivi.orbit.cone.r

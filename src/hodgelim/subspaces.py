@@ -216,9 +216,6 @@ class Subspace:
         return all(_is_zero_vec(t_reduce(r, self.rows, self.pivots)[0])
                    for r in t_conj_mat(self.rows))
 
-    def has_real_basis(self) -> bool:
-        return all(e[1] == 0 for r in self.rows for e in r)
-
     def map_by(self, m: Mat) -> "Subspace":
         """Image of this subspace under the linear map m."""
         if m.ncols != self.ambient:
@@ -230,14 +227,6 @@ class Subspace:
 
     def basis_vectors(self) -> list[tuple[GaussianRational, ...]]:
         return [tuple(GR.from_triple(e) for e in r) for r in self.rows]
-
-    def basis_matrix(self) -> Mat:
-        """n x dim matrix whose columns are the canonical basis."""
-        if self.is_zero():
-            return Mat.zeros(self.ambient, 0)
-        return Mat.from_triples(
-            tuple(tuple(r[i] for r in self.rows) for i in range(self.ambient)),
-            self.dim)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient})"

@@ -9,10 +9,9 @@ from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                table1_catalog)
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import (Bigrading, DecFiltration, IncFiltration,
-                                  hs_from_filtration, operator_filtration,
-                                  verify_phs, weight_filtration,
-                                  weight_filtration_defect, weil_operator)
-from hodgelim.endo import isometry_algebra
+                                  hs_from_filtration, verify_phs,
+                                  weight_filtration, weight_filtration_defect,
+                                  weil_operator)
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
 from hodgelim.scalars import GR, I
@@ -159,6 +158,21 @@ def test_verify_phs_far_zero_step_of_f_adds_no_work(monkeypatch):
         assert verify_phs(padded, 1, q).to_dict() == plain.to_dict()
         counts.append(dict(calls))
     assert counts[0] == counts[1]
+
+
+def test_verify_phs_far_weight_adds_no_work(monkeypatch):
+    # F is whole up to its first jump 0, so at weight k every p in [k, 0]
+    # gives a whole piece; the walk stops at the second, p = k + 1
+    q = BilForm(Mat([[0, 1], [-1, 0]]), parity=1)
+    f = DecFiltration({0: Subspace.full(2), 1: Subspace.span([(1, I)], 2)})
+    calls = count_calls(monkeypatch, [(Subspace, "__and__")])
+    seen = []
+    for weight in (-999, -99_999):
+        calls.clear()
+        rep = verify_phs(f, weight, q).to_dict()
+        seen.append((str(rep).replace(str(weight), "k"), dict(calls)))
+    assert seen[0] == seen[1]
+    assert "do not decompose the total space" in seen[0][0]
 
 
 def builder_filtrations():
@@ -403,26 +417,3 @@ def test_bigrading_requires_independent_pieces():
     with pytest.raises(VerificationError):
         Bigrading({(0, 0): s})  # does not span
 
-
-# ---------------------------------------------------------------------------
-# induced filtration on operator algebras
-# ---------------------------------------------------------------------------
-
-def test_operator_filtration_on_symplectic_algebra():
-    f, q = weight_one_example()
-    g = isometry_algebra(q)
-    of = operator_filtration(f, g)
-    dims = [(a, of.at(a).dim) for a in range(-2, 3)]
-    assert dims == [(-2, 3), (-1, 3), (0, 2), (1, 1), (2, 0)]
-
-
-def test_operator_filtration_is_multiplicative_on_examples():
-    f, q = weight_one_example()
-    g = isometry_algebra(q)
-    of = operator_filtration(f, g)
-    # an operator of level a moves F^p into F^{p+a}
-    for a in of.support():
-        for row in of.at(a).rows:
-            x = Mat.from_triples(tuple(row[i:i + 2] for i in (0, 2)), 2)
-            for p in (0, 1):
-                assert f.at(p).map_by(x) <= f.at(p + a)

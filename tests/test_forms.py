@@ -6,8 +6,7 @@ import sympy
 
 from hodgelim import GR, I, Mat, Subspace
 from hodgelim.forms import (BilForm, hermitian_positive_definite,
-                            in_isometry_algebra, is_hermitian, q_adjoint,
-                            signature)
+                            in_isometry_algebra, is_hermitian, signature)
 
 
 def to_sympy(m: Mat):
@@ -83,20 +82,7 @@ class TestBilForm:
         s2 = Subspace.span([[0, 1]], 2)
         assert q.gram(s1, s2).is_zero()
         assert q.orthogonal(s1, s2)
-        assert q.restrict(s2) == Mat([[-1]])
-
-
-def test_q_adjoint_defining_identity():
-    rng = random.Random("adjoint")
-    q1 = BilForm(Mat([[2, 1], [1, 1]]), parity=0)
-    q2 = BilForm(Mat([[0, 1], [-1, 0]]), parity=1)
-    for _ in range(10):
-        t = Mat([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
-        a = q_adjoint(t, q1, q2)
-        for _ in range(5):
-            u = [rng.randint(-4, 4) for _ in range(2)]
-            v = [rng.randint(-4, 4) for _ in range(2)]
-            assert q2(t.mv(u), v) == q1(u, a.mv(v))
+        assert q.gram(s2, s2) == Mat([[-1]])
 
 
 def test_isometry_algebra_membership():

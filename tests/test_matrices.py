@@ -101,12 +101,6 @@ def test_rank_kernel_dimension():
             assert all(x.is_zero() for x in m.mv(v))
 
 
-def test_image_columns():
-    m = Mat([[1, 2, 3], [2, 4, 6]])
-    cols = m.image_columns()
-    assert cols == [(GR(1), GR(2))]
-
-
 def test_pow():
     n = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert n.pow(0) == Mat.identity(3)
