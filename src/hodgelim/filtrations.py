@@ -146,6 +146,22 @@ class IncFiltration(_Filtration):
         return self._derived({k - s: v for k, v in self.steps.items()})
 
 
+def nilpotent_powers(n: Mat, top: int) -> list[Mat]:
+    """[I, N, N^2, ...] up to N^min(top, dim), or to the first zero power.
+
+    An m x m matrix N has N^(k+1) = 0 exactly when N^min(k+1, m) = 0, so
+    ``nilpotent_powers(n, k + 1)[-1].is_zero()`` tests N^(k+1) = 0 with at
+    most m - 1 products, whatever k is.
+    """
+    if not n.is_square() or top < 0:
+        raise ValueError(f"no power N^{top} of N of shape {n.shape}")
+    top = min(top, n.nrows)
+    powers = [Mat.identity(n.nrows)]
+    while len(powers) <= top and not powers[-1].is_zero():
+        powers.append(n if len(powers) == 1 else powers[-1] @ n)
+    return powers
+
+
 def weight_filtration(n: Mat) -> IncFiltration:
     """The monodromy weight filtration of a nilpotent matrix, centered at 0.
 
@@ -157,15 +173,10 @@ def weight_filtration(n: Mat) -> IncFiltration:
     if not n.is_square():
         raise ValueError("weight filtration of a non-square matrix")
     dim = n.nrows
-    powers = [Mat.identity(dim)]
-    d = None
-    for t in range(1, dim + 2):
-        powers.append(powers[-1] @ n)
-        if powers[-1].is_zero():
-            d = t
-            break
-    if d is None:
+    powers = nilpotent_powers(n, dim)
+    if not powers[-1].is_zero():
         raise ValueError("matrix is not nilpotent")
+    d = max(len(powers) - 1, 1)  # on C^0, I = 0 and W still has level 0
     k0 = d - 1
     kernels = {t: kernel(powers[t]) for t in range(1, d)}
     kernels[d] = Subspace.full(dim)
@@ -203,7 +214,8 @@ def weight_filtration_defect(w: IncFiltration, n: Mat,
     jump j <= l, or from -n if j < -n.  gr_l and gr_{-l} are compared at
     l = |j| for the jumps j of W with 0 < |j| < n: at any other l both are
     0, and N^l W_l lies in W_{-l} = W_{-l-1} once N lowers W by two.
-    ``powers`` may hold N^0, N^1, ... already.
+    ``powers`` may hold :func:`nilpotent_powers` of N already, up to the
+    largest such l or to a zero power, past which every power is zero.
     """
     if n.shape != (w.ambient, w.ambient):
         raise ValueError(f"N of shape {n.shape} does not act on the "
@@ -216,15 +228,15 @@ def weight_filtration_defect(w: IncFiltration, n: Mat,
         return "N does not lower the level by two"
     if not (w.at(-dim).is_zero() and w.at(dim - 1).is_full()):
         return "graded dimensions are not symmetric"
-    powers = list(powers) if powers else [Mat.identity(dim)]
-    for l in sorted({abs(j) for j in jumps if 0 < abs(j) < dim}):
+    graded = sorted({abs(j) for j in jumps if 0 < abs(j) < dim})
+    if graded and powers is None:
+        powers = nilpotent_powers(n, graded[-1])
+    for l in graded:
         wl, wl1 = w.at(l), w.at(l - 1)
         wm, wm1 = w.at(-l), w.at(-l - 1)
         if wl.dim - wl1.dim != wm.dim - wm1.dim:
             return "graded dimensions are not symmetric"
-        while len(powers) <= l:
-            powers.append(powers[-1] @ n)
-        pushed = wl.map_by(powers[l]) + wm1
+        pushed = wl.map_by(powers[min(l, len(powers) - 1)]) + wm1
         if pushed != wm:
             return "N^l not surjective onto the opposite graded piece"
     return None

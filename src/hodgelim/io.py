@@ -22,6 +22,7 @@ the canonical grammar (reduced fractions, positive denominators).
 from __future__ import annotations
 
 import json
+import re
 from math import gcd
 from typing import Any
 
@@ -169,6 +170,9 @@ def _steps_to_json(steps: dict[int, Subspace]) -> dict:
     return {str(j): subspace_to_json(s) for j, s in steps.items()}
 
 
+_INDEX_RE = re.compile(r"[+-]?[0-9]+")  # as the scalar grammar's integers
+
+
 def _steps_from_json(obj) -> dict[int, Subspace]:
     if not isinstance(obj, dict) or not obj:
         raise FormatError("a filtration is a non-empty index -> vectors map")
@@ -176,8 +180,8 @@ def _steps_from_json(obj) -> dict[int, Subspace]:
     ambient = None
     for key, vecs in obj.items():
         try:
-            j = int(key)
-        except (TypeError, ValueError):
+            j = int(_INDEX_RE.fullmatch(str(key).strip())[0])
+        except (TypeError, ValueError):  # no match, or too many digits
             raise FormatError(f"bad filtration index {key!r}") from None
         if j in raw:
             raise FormatError(f"duplicate filtration index {j}")
@@ -362,7 +366,7 @@ def polymap_from_json(obj) -> PolyMap:
         f"t{i + 1}" for i in range(len(t_linear)))
     mats = [matrix_from_json(raw) for raw in z_part + t_linear]
     try:
-        return PolyMap.linear(names, mats)
+        return PolyMap(names, mats)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

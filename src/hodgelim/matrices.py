@@ -8,7 +8,7 @@ hashable, with operator overloading and the usual constructors.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -489,3 +489,18 @@ class Mat:
 
 def commutator(x: Mat, y: Mat) -> Mat:
     return x @ y - y @ x
+
+
+def combine(coefficients: Sequence, mats: Sequence[Mat]) -> Mat:
+    """sum_i c_i A_i, as one :func:`t_matmul` of the coefficient row with
+    the matrices flattened row by row, one to a row."""
+    if not mats or len(coefficients) != len(mats):
+        raise ValueError(f"{len(coefficients)} coefficients for "
+                         f"{len(mats)} matrices")
+    nrows, ncols = shape = mats[0].shape
+    if any(a.shape != shape for a in mats):
+        raise ValueError("matrices of mixed shapes")
+    (flat,) = t_matmul((tuple(as_scalar(c).triple for c in coefficients),),
+                       tuple(tuple(chain.from_iterable(a.t)) for a in mats))
+    return Mat.from_triples(tuple(flat[i * ncols:(i + 1) * ncols]
+                                  for i in range(nrows)), ncols)

@@ -16,7 +16,8 @@ from .forms import (BilForm, hermitian_positive_definite, in_isometry_algebra,
                     is_hermitian)
 from .filtrations import (_I_POWERS, Bigrading, DecFiltration,
                           IncFiltration, first_relation_holds,
-                          hs_from_filtration, weight_filtration_defect)
+                          hs_from_filtration, nilpotent_powers,
+                          weight_filtration_defect)
 from .matrices import (Mat, TVec, t_conj_mat, t_is_zero_mat, t_matmul,
                        t_transpose)
 from .reports import Report
@@ -324,11 +325,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                              f"the form in dimension {q.dim}")
     rep = Report(f"polarized limit structure (weight {weight})")
     rep.add("N is real", n.is_real())
-    # N^0 .. N^(weight+1), or to the first zero power or N^dim if sooner
-    top = min(weight + 1, q.dim)
-    powers = [Mat.identity(q.dim), n]
-    while len(powers) <= top and not powers[-1].is_zero():
-        powers.append(powers[-1] @ n)
+    powers = nilpotent_powers(n, weight + 1)
     nilp = powers[-1].is_zero()
     rep.add(f"N^{weight + 1} = 0", nilp)
     rep.add("N preserves the form infinitesimally", in_isometry_algebra(n, q))

@@ -6,7 +6,8 @@ polarized on primitive graded pieces.  An IVI (infinitesimal variation of
 Hodge structure at infinity) enlarges the cone to an abelian subspace of
 the horizontal part of the isometry algebra.  This module verifies both
 notions, integrates an IVI into a linear period map (the exponent of its
-nilpotent orbit), and certifies maximality by a centralizer computation.
+nilpotent orbit, stored as one coefficient matrix per variable), and
+certifies maximality by a centralizer computation.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ from .endo import (centralizer_in, noncommuting_pair, operator_span,
                    pairwise_commuting, span_basis_mats)
 from .errors import VerificationError
 from .filtrations import (Bigrading, DecFiltration, IncFiltration,
-                          verify_phs, weight_filtration,
+                          nilpotent_powers, verify_phs, weight_filtration,
                           weight_filtration_defect)
 from .forms import BilForm, in_isometry_algebra
-from .matrices import Mat, _t_combine
+from .matrices import Mat, combine
 from .mixed import deligne_bigrading, horizontal_part, verify_pmhs
 from .reports import Report
 from .scalars import as_scalar
@@ -50,20 +51,10 @@ class NilpotentCone:
         return operator_span(self.generators, n)
 
     def element(self, coefficients: Sequence) -> Mat:
-        """sum_i c_i N_i, each row one :func:`_t_combine` of the
-        generators' rows, so each nonzero entry is normalized once."""
+        """sum_i c_i N_i."""
         if self.r == 0:
             raise ValueError("the empty cone has no elements")
-        if len(coefficients) != self.r:
-            raise ValueError("coefficient count does not match generators")
-        nrows, ncols = self.generators[0].shape
-        scaled = [(t, g.t) for t, g in zip(
-            (as_scalar(c).triple for c in coefficients), self.generators)
-            if t[0] or t[1]]
-        return Mat.from_triples(tuple(
-            _t_combine([(t, [(j, e) for j, e in enumerate(g[i])
-                             if e[0] or e[1]]) for t, g in scaled], ncols)
-            for i in range(nrows)), ncols)
+        return combine(coefficients, self.generators)
 
     def barycenter(self) -> Mat:
         return self.element([1] * self.r)
@@ -199,11 +190,13 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
     Needs at least one generator; a pure structure (empty cone) has no
     orbit to verify — use verify_ivi, which handles that case.
 
-    W is the orbit's limit W, built at the barycenter (the first sample).
+    N^(k+1) = 0 is tested on powers that stop at the dimension
+    (:func:`~hodgelim.filtrations.nilpotent_powers`), whatever k is.  W
+    is the orbit's limit W, built at the barycenter (the first sample).
     Every other interior sample N' is compared with it by the properties
     that determine W(N') uniquely
-    (:func:`~hodgelim.filtrations.weight_filtration_defect`), so no second
-    W is built.
+    (:func:`~hodgelim.filtrations.weight_filtration_defect`, handed the
+    sample's powers), so no second W is built.
     """
     if orbit.cone.r == 0:
         raise ValueError("orbit verification needs a nonempty cone")
@@ -214,7 +207,7 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
     rep.add("generators are real", all(g.is_real() for g in gens))
     rep.add("generators commute pairwise", pairwise_commuting(gens))
     rep.add(f"generators satisfy N^{k + 1} = 0",
-            all(g.pow(k + 1).is_zero() for g in gens))
+            all(nilpotent_powers(g, k + 1)[-1].is_zero() for g in gens))
     rep.add("generators preserve the form infinitesimally",
             all(in_isometry_algebra(g, orbit.form) for g in gens))
     f = orbit.filtration
@@ -224,15 +217,16 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
 
     elements = [orbit.cone.element(s)
                 for s in _interior_samples(orbit.cone.r)]
-    nilpotent = all(ns.pow(k + 1).is_zero() for ns in elements)
+    ladders = [nilpotent_powers(ns, k + 1) for ns in elements]
+    nilpotent = all(powers[-1].is_zero() for powers in ladders)
     rep.add(f"interior elements satisfy N^{k + 1} = 0", nilpotent,
             samples=len(elements))
     if not nilpotent:
         return rep
     w = orbit.limit.w
     centered = w.shift(k)
-    constant = all(weight_filtration_defect(centered, ns) is None
-                   for ns in elements[1:])
+    constant = all(weight_filtration_defect(centered, ns, powers) is None
+                   for ns, powers in zip(elements[1:], ladders[1:]))
     rep.add("weight filtration constant on the sampled interior", constant)
     if not constant:
         return rep
@@ -327,70 +321,47 @@ def collapse_cone(ivi: IVI, coefficients=None) -> IVI:
 # period maps
 # ---------------------------------------------------------------------------
 
-def _unit(i: int, k: int) -> tuple[int, ...]:
-    return tuple(int(j == i) for j in range(k))
-
-
 class PolyMap:
     """A linear matrix-valued map Σ_v v·A_v in named variables.
 
     This is the exponent Σ z_j N_j + Σ t_k A_k of the nilpotent orbit
-    exp(Σ z_j N_j + Σ t_k A_k)·F of an integrated family.  ``terms`` maps
-    the unit exponent vector of each variable to its nonzero coefficient.
+    exp(Σ z_j N_j + Σ t_k A_k)·F of an integrated family.
+    ``coefficients`` holds A_v, one matrix per variable in variable order.
     """
 
-    __slots__ = ("variables", "terms", "shape")
+    __slots__ = ("variables", "coefficients", "shape")
 
     def __init__(self, variables: Sequence[str],
-                 terms: Mapping[tuple[int, ...], Mat]):
+                 coefficients: Sequence[Mat]):
         self.variables = tuple(variables)
+        self.coefficients = tuple(coefficients)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        k = len(self.variables)
-        clean = {}
-        shape = None
-        for expo, coeff in terms.items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != k or sorted(expo) != [0] * (k - 1) + [1]:
-                raise ValueError(f"exponent vector {expo} is not a unit "
-                                 f"vector: period maps are linear")
-            if shape is None:
-                shape = coeff.shape
-            elif coeff.shape != shape:
-                raise ValueError("coefficient matrices of mixed shapes")
-            if not coeff.is_zero():
-                clean[expo] = coeff
-        if shape is None:
+        if len(self.coefficients) != len(self.variables):
+            raise ValueError(f"{len(self.coefficients)} coefficients for "
+                             f"{len(self.variables)} variables")
+        if not self.coefficients:
             raise ValueError("a period map needs at least one term")
-        self.terms = clean
-        self.shape = shape
-
-    @classmethod
-    def linear(cls, variables: Sequence[str],
-               coefficients: Sequence[Mat]) -> "PolyMap":
-        """Σ v·A_v with the coefficients given in variable order."""
-        k = len(variables)
-        return cls(variables, {_unit(i, k): a
-                               for i, a in enumerate(coefficients)})
+        self.shape = self.coefficients[0].shape
+        if any(a.shape != self.shape for a in self.coefficients):
+            raise ValueError("coefficient matrices of mixed shapes")
 
     def coefficient(self, var: str) -> Mat:
         """The constant partial derivative in ``var``."""
         if var not in self.variables:
             raise ValueError(f"unknown variable {var!r}")
-        expo = _unit(self.variables.index(var), len(self.variables))
-        return self.terms.get(expo, Mat.zeros(*self.shape))
+        return self.coefficients[self.variables.index(var)]
 
     def evaluate(self, point: Mapping[str, object]) -> Mat:
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise ValueError(f"missing values for {missing}")
-        return sum((self.coefficient(v) * as_scalar(point[v])
-                    for v in self.variables), Mat.zeros(*self.shape))
+        return combine([point[v] for v in self.variables], self.coefficients)
 
     def __eq__(self, other):
         return (isinstance(other, PolyMap)
                 and self.variables == other.variables
-                and self.terms == other.terms)
+                and self.coefficients == other.coefficients)
 
 
 def integrate_ivi(ivi: IVI) -> PolyMap:
@@ -412,7 +383,7 @@ def integrate_ivi(ivi: IVI) -> PolyMap:
         raise ValueError("cannot integrate an empty family")
     names = tuple(f"z{j + 1}" for j in range(orbit.cone.r)) + tuple(
         f"t{j + 1}" for j in range(rest.dim))
-    return PolyMap.linear(names, mats)
+    return PolyMap(names, mats)
 
 
 def check_integrability(pm: PolyMap) -> Report:
@@ -422,7 +393,7 @@ def check_integrability(pm: PolyMap) -> Report:
     """
     rep = Report("integrability")
     names = pm.variables
-    pair = noncommuting_pair([pm.coefficient(v) for v in names])
+    pair = noncommuting_pair(pm.coefficients)
     if pair is None:
         rep.add("partial derivatives commute", True,
                 pairs=len(names) * (len(names) - 1) // 2)
@@ -439,4 +410,4 @@ def a_infinity(pm: PolyMap) -> Subspace:
     rows, cols = pm.shape
     if rows != cols:
         raise ValueError("period map is not square-matrix valued")
-    return operator_span(list(pm.terms.values()), rows)
+    return operator_span(pm.coefficients, rows)

@@ -310,7 +310,7 @@ def test_criterion_9_integrability_control():
     """Non-commuting coefficients are rejected; integrated maps never are."""
     n = hodge_tate_orbit(2, 2).cone.generators[0]
     b = level_operator_k2(2, Mat([[0, 1], [0, 0]]))  # [n, b] != 0
-    bad = PolyMap(("z1", "t1"), {(1, 0): n, (0, 1): b})
+    bad = PolyMap(("z1", "t1"), (n, b))
     assert not check_integrability(bad).ok
     for label, ivi in _suite_ivis():
         assert check_integrability(integrate_ivi(ivi)).ok, label

@@ -129,6 +129,34 @@ def test_wrong_shape_exits_2(capsys, tmp_path):
     assert code == 2 and "missing keys" in err
 
 
+def rekeyed_orbit_run(capsys, tmp_path, old, new):
+    """Verify hodge_tate_orbit(5, 1) with F's index ``old`` written as
+    ``new``; F^5 and F^3 differ from their neighbours, so a misread index
+    changes the answer."""
+    data = io.orbit_to_json(hodge_tate_orbit(5, 1))
+    data["F"] = {new if j == old else j: vecs
+                 for j, vecs in data["F"].items()}
+    return run(capsys, "verify", "orbit", write(tmp_path, "f.json", data))
+
+
+@pytest.mark.parametrize("old, new", [("5", "1_0"), ("3", "\u0663")])
+def test_filtration_index_outside_the_integer_grammar_exits_2(
+        capsys, tmp_path, old, new):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    code, out, err = rekeyed_orbit_run(capsys, tmp_path, old, new)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bad filtration index" in err
+
+
+@pytest.mark.parametrize("old, new", [("5", " 5"), ("5", "+5"),
+                                      ("3", "3\n")])
+def test_filtration_index_reads_like_an_integer_scalar(
+        capsys, tmp_path, old, new):
+    expected = rekeyed_orbit_run(capsys, tmp_path, old, old)
+    assert expected[0] == 0
+    assert rekeyed_orbit_run(capsys, tmp_path, old, new) == expected
+
+
 @pytest.mark.parametrize("argv", [["verify", "orbit"], ["verify", "ivi"],
                                   ["verify", "pmhs"], ["integrate"]])
 @pytest.mark.parametrize("k", [1, 2, 3])

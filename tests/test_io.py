@@ -470,7 +470,7 @@ def test_polymap_round_trip():
     assert len(out["z_part"]) == 1 and len(out["t_linear"]) == 3
     pm2 = polymap_from_json(out)
     assert pm2.variables == pm.variables
-    assert pm2.terms == pm.terms
+    assert pm2.coefficients == pm.coefficients
 
 
 def test_polymap_higher_terms():
@@ -484,7 +484,7 @@ def test_polymap_higher_terms():
 def test_polymap_variable_order_pinned():
     m = Mat([[GR(1)]])
     with pytest.raises(FormatError):
-        polymap_to_json(PolyMap(("t1", "z1"), {(1, 0): m}))
+        polymap_to_json(PolyMap(("t1", "z1"), (m, m)))
 
 
 @pytest.mark.parametrize("higher", [

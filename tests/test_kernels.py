@@ -7,18 +7,24 @@ methods of ``Mat`` built on it, the triple-level Gram of ``BilForm``, and
 the images ``Subspace.map_by`` and ``Quotient.induced_matrix``.  The
 kernel's one-elimination basis is checked to be canonical as it comes.  The
 one-accumulator product and the one-elimination intersection are also
-checked against the loops they replaced, kept here as oracles.
+checked against the loops they replaced, kept here as oracles, and the two
+operator kernels of the orbit layer against plain algebra: the bounded
+ladder ``nilpotent_powers`` against ``Mat.pow`` and the one-product linear
+combination ``combine`` against the sum of scaled matrices.
 """
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from hodgelim.filtrations import nilpotent_powers
 from hodgelim.forms import BilForm
-from hodgelim.matrices import Mat, t_kernel, t_matmul, t_matvec, t_rref
-from hodgelim.scalars import t_add, t_mul, t_neg, t_norm
+from hodgelim.matrices import (Mat, combine, t_kernel, t_matmul, t_matvec,
+                               t_rref)
+from hodgelim.scalars import GR, I, t_add, t_mul, t_neg, t_norm
 from hodgelim.subspaces import Quotient, Subspace, kernel
 
 ZERO = (0, 0, 1)
@@ -532,3 +538,88 @@ def test_intersection_in_dense_bases():
         sa = Subspace.from_triples(t_matmul(a, g) if a else (), n)
         sb = Subspace.from_triples(t_matmul(b, g) if b else (), n)
         assert_meets_agree(sa, sb)
+
+
+# ---------------------------------------------------------------------------
+# the operator kernels of the orbit layer
+# ---------------------------------------------------------------------------
+
+SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), -Fraction(2, 3),
+                         I, GR(1, -1)])
+
+
+@st.composite
+def powered_mats(draw):
+    """Square matrices up to 5x5: a strictly upper triangular one moved by
+    a random basis (nilpotent of any order), or one with no pattern."""
+    m = draw(st.integers(1, 5))
+    if not draw(st.booleans()):
+        return Mat([[draw(SMALL) for _ in range(m)] for _ in range(m)])
+    u = Mat([[draw(SMALL) if j > i else 0 for j in range(m)]
+             for i in range(m)])
+    # unit lower times unit upper triangular: invertible for any entries
+    lower = Mat([[draw(SMALL) if j < i else int(i == j) for j in range(m)]
+                 for i in range(m)])
+    upper = Mat([[draw(SMALL) if j > i else int(i == j) for j in range(m)]
+                 for i in range(m)])
+    g = lower @ upper
+    return g @ u @ g.inverse()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(powered_mats())
+def test_nilpotent_powers_against_mat_pow(n):
+    m = n.nrows
+    oracle = [n.pow(j) for j in range(2 * m + 2)]
+    assert nilpotent_powers(n, 0) == [Mat.identity(m)]
+    for t in range(1, 2 * m + 2):
+        powers = nilpotent_powers(n, t)
+        assert powers[-1].is_zero() == oracle[t].is_zero(), t
+        assert powers == oracle[:len(powers)], t
+        # the ladder stops at N^min(t, m) or at its first zero power
+        assert len(powers) - 1 <= min(t, m)
+        assert not any(p.is_zero() for p in powers[:-1])
+
+
+def test_nilpotent_powers_refuses_what_has_no_ladder():
+    with pytest.raises(ValueError):
+        nilpotent_powers(Mat([[0, 1]]), 2)
+    with pytest.raises(ValueError):
+        nilpotent_powers(Mat([[0]]), -1)
+
+
+@st.composite
+def combinations(draw):
+    """Gaussian-rational coefficients and matrices of one shape, square or
+    not, with zero and unit coefficients among them."""
+    nrows, ncols = draw(st.sampled_from(
+        [(1, 1), (2, 2), (3, 3), (4, 4), (2, 3), (3, 1), (1, 4), (0, 2)]))
+    k = draw(st.integers(1, 5))
+    mats = [Mat.from_triples(draw(sparse_tmats(ncols, nrows)), ncols)
+            for _ in range(k)]
+    gaussian = st.builds(
+        lambda a, b, d: GR(Fraction(a, d), Fraction(b, d)),
+        st.integers(-7, 7), st.integers(-7, 7), st.integers(1, 5))
+    coefficients = draw(st.lists(st.one_of(st.sampled_from([0, 1, -1]),
+                                           gaussian), min_size=k, max_size=k))
+    return coefficients, mats
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(combinations())
+def test_combine_against_the_sum_of_scaled_matrices(case):
+    coefficients, mats = case
+    got = combine(coefficients, mats)
+    expected = Mat.zeros(*mats[0].shape)
+    for a, c in zip(mats, coefficients):
+        expected = expected + a * c
+    assert got == expected and got.shape == mats[0].shape
+    assert all(isinstance(row, tuple) for row in got.t)
+
+
+def test_combine_refuses_mismatched_input():
+    a, row = Mat([[0, 1], [0, 0]]), Mat([[0, 1]])
+    for coefficients, mats in [([], []), ([1], [a, a]), ([1, 2], [a]),
+                               ([1, 1], [a, row])]:
+        with pytest.raises(ValueError):
+            combine(coefficients, mats)

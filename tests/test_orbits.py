@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hodgelim import mixed, orbits
+from hodgelim import matrices, mixed, orbits
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, level_operator_k2,
                                symmetric_family_ivi, table1_catalog)
@@ -126,6 +126,34 @@ def test_complex_generator_rejected():
     rep = verify_orbit(bad)
     assert not rep.ok
     assert "generators are real" in rep.failed()
+
+
+def test_a_large_weight_costs_no_more_products(monkeypatch):
+    # N^(k+1) = 0 is tested on powers that stop at the dimension, so a
+    # non-nilpotent generator is rejected with as many products at weight
+    # 2^20 as at weight 16; climbing to N^(k+1) takes 127 s at 2^20
+    o = ht_orbit(2, 1)
+    g = Mat([[1, Fraction(1, 2), 0], [Fraction(1, 3), 1, 0], [0, 0, 2]])
+    real = matrices.t_matmul
+    products = Counter()
+
+    def counted(a, b):
+        products[weight] += 1
+        return real(a, b)
+    monkeypatch.setattr(matrices, "t_matmul", counted)
+    reports = {}
+    for weight in (16, 2 ** 20):
+        reports[weight] = verify_orbit(
+            NilpotentOrbit(weight, o.form, o.filtration, NilpotentCone((g,))))
+    small, large = reports[16], reports[2 ** 20]
+    assert "generators satisfy N^17 = 0" in small.failed()
+    assert small.title.replace("16", str(2 ** 20)) == large.title
+    assert ([(c.ok, c.detail) for c in small.checks]
+            == [(c.ok, c.detail) for c in large.checks])
+    assert [c.name.replace("17", str(2 ** 20 + 1)) for c in small.checks] \
+        == [c.name for c in large.checks]
+    assert small.data == large.data
+    assert products[16] == products[2 ** 20] > 0
 
 
 def weight_jump_orbit(top=1):
@@ -305,14 +333,15 @@ def test_collapse_cone():
 
 def test_polymap_evaluate_and_partial():
     # the partial derivative in a variable is its constant coefficient
-    a, b = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])
-    pm = PolyMap(("x", "y", "w"), {(1, 0, 0): a, (0, 1, 0): b,
-                                   (0, 0, 1): Mat.zeros(2, 2)})
-    assert pm.terms == {(1, 0, 0): a, (0, 1, 0): b}
+    a, b, zero = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]]), Mat.zeros(2, 2)
+    pm = PolyMap(("x", "y", "w"), (a, b, zero))
+    assert pm.coefficients == (a, b, zero)
+    assert pm.shape == (2, 2)
     assert pm.evaluate({"x": 3, "y": 2, "w": 5}) == a * GR(3) + b * GR(2)
     assert pm.coefficient("x") == a and pm.coefficient("y") == b
-    assert pm.coefficient("w") == Mat.zeros(2, 2)
-    assert pm == PolyMap.linear(("x", "y", "w"), [a, b])
+    assert pm.coefficient("w") == zero
+    assert pm == PolyMap(["x", "y", "w"], [a, b, zero])
+    assert pm != PolyMap(("x", "y", "w"), (b, a, zero))
     with pytest.raises(ValueError):
         pm.evaluate({"x": 1})
     with pytest.raises(ValueError):
@@ -331,19 +360,23 @@ def test_integration_round_trip():
 def test_integrability_negative_control():
     a, b = Mat([[0, 1], [0, 0]]), Mat([[0, 0], [1, 0]])
     assert not commutator(a, b).is_zero()
-    pm = PolyMap(("u", "v"), {(1, 0): a, (0, 1): b})
+    pm = PolyMap(("u", "v"), (a, b))
     rep = check_integrability(pm)
     assert not rep.ok
 
 
-def test_integration_of_nonlinear_map():
-    # period maps are linear: any exponent but a unit vector is refused
-    a = Mat([[0, 1], [0, 0]])
-    with pytest.raises(ValueError):
-        PolyMap(("z",), {(1,): a, (2,): a})
-    for expo in [(0, 0), (2, 0), (-1, 1), (1, 1), (1,)]:
-        with pytest.raises(ValueError):
-            PolyMap(("z", "t"), {expo: a})
+def test_polymap_rejects_malformed_maps():
+    a, row = Mat([[0, 1], [0, 0]]), Mat([[0, 1]])
+    for variables, coefficients, message in [
+            (("z", "z"), (a, a), "duplicate variable names"),
+            (("z", "t"), (a,), "1 coefficients for 2 variables"),
+            (("z",), (a, a), "2 coefficients for 1 variables"),
+            (("z", "t"), (a, row), "coefficient matrices of mixed shapes"),
+            ((), (), "a period map needs at least one term")]:
+        with pytest.raises(ValueError, match=message):
+            PolyMap(variables, coefficients)
+    # a non-square map of one shape is a period map
+    assert PolyMap(("z", "t"), (row, row)).shape == (1, 2)
 
 
 def test_cktm_family_round_trip():

@@ -1,5 +1,5 @@
-"""The package carries no import it does not use, and no public function
-nobody in it calls unless it says why.
+"""The package carries no import it does not use, no public function
+nobody in it calls unless it says why, and one ladder of powers.
 
 Both checks read the sources with ``ast`` and import nothing.  A public
 ``def`` (a module-level function or a method whose name does not start
@@ -30,6 +30,8 @@ KEEP = {
     "io.pmhs_to_json": JSON,
     "io.polymap_from_json": JSON,
     "matrices.Mat.mv": "applies a matrix to a vector of any scalar type",
+    "matrices.Mat.pow": "the public power of a matrix, and the oracle the "
+                        "tests check nilpotent_powers against",
     "matrices.Mat.det": "the exact determinants the open-cone "
                         "certificates need",
     "matrices.Mat.solve": "documented in the README as part of Mat",
@@ -113,3 +115,15 @@ def test_every_uncalled_public_definition_says_why_it_stays():
         "give a reason in KEEP"
     assert KEEP.keys() - uncalled == set(), \
         "KEEP lists definitions that are gone or now have a caller"
+
+
+def test_powers_climb_only_the_bounded_ladder():
+    # filtrations.nilpotent_powers stops at the dimension; a .pow(k)
+    # outside matrices would climb to whatever k an input file gives
+    calls = [f"{module}:{node.lineno}"
+             for module, tree in sources().items() if module != "matrices"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "pow"]
+    assert not calls, f"powers outside nilpotent_powers: {calls}"
