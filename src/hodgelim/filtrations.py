@@ -149,9 +149,8 @@ class IncFiltration(_Filtration):
 def nilpotent_powers(n: Mat, top: int) -> list[Mat]:
     """[I, N, N^2, ...] up to N^min(top, dim), or to the first zero power.
 
-    An m x m matrix N has N^(k+1) = 0 exactly when N^min(k+1, m) = 0, so
-    ``nilpotent_powers(n, k + 1)[-1].is_zero()`` tests N^(k+1) = 0 with at
-    most m - 1 products, whatever k is.
+    An m x m N has N^(k+1) = 0 exactly when N^min(k+1, m) = 0: the last
+    power of ``nilpotent_powers(n, k + 1)`` tests it in under m products.
     """
     if not n.is_square() or top < 0:
         raise ValueError(f"no power N^{top} of N of shape {n.shape}")
@@ -214,8 +213,8 @@ def weight_filtration_defect(w: IncFiltration, n: Mat,
     jump j <= l, or from -n if j < -n.  gr_l and gr_{-l} are compared at
     l = |j| for the jumps j of W with 0 < |j| < n: at any other l both are
     0, and N^l W_l lies in W_{-l} = W_{-l-1} once N lowers W by two.
-    ``powers`` may hold :func:`nilpotent_powers` of N already, up to the
-    largest such l or to a zero power, past which every power is zero.
+    ``powers`` may hold :func:`nilpotent_powers` of N; one that stops
+    short of the largest such l at a nonzero power is built again.
     """
     if n.shape != (w.ambient, w.ambient):
         raise ValueError(f"N of shape {n.shape} does not act on the "
@@ -229,7 +228,8 @@ def weight_filtration_defect(w: IncFiltration, n: Mat,
     if not (w.at(-dim).is_zero() and w.at(dim - 1).is_full()):
         return "graded dimensions are not symmetric"
     graded = sorted({abs(j) for j in jumps if 0 < abs(j) < dim})
-    if graded and powers is None:
+    if graded and (powers is None or len(powers) <= graded[-1]
+                   and not powers[-1].is_zero()):
         powers = nilpotent_powers(n, graded[-1])
     for l in graded:
         wl, wl1 = w.at(l), w.at(l - 1)
