@@ -130,10 +130,6 @@ class StringModel:
 
     # -- queries -----------------------------------------------------------
 
-    def piece(self, p: int, q: int) -> Subspace:
-        ids = self.members.get((p, q), [])
-        return Subspace.span([self.entries[i].vec for i in ids], self.dim)
-
     def piece_dim(self, p: int, q: int) -> int:
         return len(self.members.get((p, q), []))
 

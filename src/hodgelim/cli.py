@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from functools import cache
 
 from . import io
@@ -24,16 +25,12 @@ from .builders import (build_max_ivi_k2, carlson_toledo_bound, cktm_bound_k2,
 from .errors import FormatError, VerificationError
 from .filtrations import verify_phs, weight_filtration
 from .mixed import deligne_bigrading, verify_mhs, verify_pmhs
-from .orbits import (IVI, NilpotentOrbit, check_integrability, integrate_ivi,
-                     verify_ivi, verify_orbit)
+from .orbits import (IVI, check_integrability, integrate_ivi, verify_ivi,
+                     verify_orbit)
 from .search import SearchConfig, greedy_max_abelian
 
 
-def _print(data) -> None:
-    sys.stdout.write(io.dump_text(data))
-
-
-def _write(data, path: str | None) -> None:
+def _write(data, path: str | None = None) -> None:
     text = io.dump_text(data)
     if path is None:
         sys.stdout.write(text)
@@ -63,7 +60,7 @@ def _cmd_verify(args) -> int:
         rep = verify_orbit(io.orbit_from_json(payload))
     else:
         rep = verify_ivi(io.ivi_from_json(payload))
-    _print(rep.to_dict())
+    _write(rep.to_dict())
     return 0 if rep.ok else 1
 
 
@@ -80,9 +77,9 @@ def _cmd_wfilt(args) -> int:
     try:
         w = weight_filtration(n)
     except ValueError as exc:
-        _print({"ok": False, "error": str(exc)})
+        _write({"ok": False, "error": str(exc)})
         return 1
-    _print({"ok": True,
+    _write({"ok": True,
             "W": io.inc_filtration_to_json(w),
             "dims": {str(j): w.at(j).dim for j in w.support()}})
     return 0
@@ -93,9 +90,9 @@ def _cmd_deligne(args) -> int:
     try:
         bigr = deligne_bigrading(w, f)
     except VerificationError as exc:
-        _print({"ok": False, "error": str(exc)})
+        _write({"ok": False, "error": str(exc)})
         return 1
-    _print({"ok": True,
+    _write({"ok": True,
             "dims": {f"{p},{q}": d for (p, q), d in bigr.dims().items()},
             "bases": io.bigrading_to_json(bigr)})
     return 0
@@ -106,11 +103,11 @@ def _cmd_integrate(args) -> int:
     pm = integrate_ivi(ivi)
     rep = check_integrability(pm)
     if args.out is None:
-        _print({"period_map": io.polymap_to_json(pm),
+        _write({"period_map": io.polymap_to_json(pm),
                 "integrability": rep.to_dict()})
     else:
         _write(io.polymap_to_json(pm), args.out)
-        _print(rep.to_dict())
+        _write(rep.to_dict())
     return 0 if rep.ok else 1
 
 
@@ -157,10 +154,7 @@ def _cmd_catalog(args) -> int:
         if args.search:
             searches = []
             for cone in row.cones:
-                target = NilpotentOrbit(row.witness.orbit.weight,
-                                        row.witness.orbit.form,
-                                        row.witness.orbit.filtration, cone)
-                res = greedy_max_abelian(target, cfg)
+                res = greedy_max_abelian(replace(row.orbit, cone=cone), cfg)
                 exceeds = res.best_dim > row.expected_max
                 searches.append({"cone_rank": cone.r,
                                  "dim": res.best_dim,
@@ -170,7 +164,7 @@ def _cmd_catalog(args) -> int:
             entry["search"] = searches
         rows_out.append(entry)
         ok = ok and row_ok
-    _print({"ok": ok, "rows": rows_out})
+    _write({"ok": ok, "rows": rows_out})
     return 0 if ok else 1
 
 
@@ -185,7 +179,7 @@ def _cmd_search(args) -> int:
                        max_steps=args.max_steps)
     res = greedy_max_abelian(start, cfg)
     rep = verify_ivi(IVI(orbit, tuple(res.best)))
-    _print({"best_dim": res.best_dim,
+    _write({"best_dim": res.best_dim,
             "certified": res.certified,
             "restart_dims": res.restart_dims,
             "abelian_basis": [io.matrix_to_json(m) for m in res.best],

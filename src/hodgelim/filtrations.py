@@ -16,6 +16,8 @@ call, so a bug in the formula cannot slip through silently.  Those
 properties determine W(N) uniquely (Deligne, Weil II, 1.6.1), so a given
 W is compared with W(N) by checking them on W
 (:func:`weight_filtration_defect`) rather than by building W(N) again.
+Both read the powers of N off :meth:`~hodgelim.matrices.Mat.ladder`,
+which N climbs once and keeps.
 """
 from __future__ import annotations
 
@@ -146,21 +148,6 @@ class IncFiltration(_Filtration):
         return self._derived({k - s: v for k, v in self.steps.items()})
 
 
-def nilpotent_powers(n: Mat, top: int) -> list[Mat]:
-    """[I, N, N^2, ...] up to N^min(top, dim), or to the first zero power.
-
-    An m x m N has N^(k+1) = 0 exactly when N^min(k+1, m) = 0: the last
-    power of ``nilpotent_powers(n, k + 1)`` tests it in under m products.
-    """
-    if not n.is_square() or top < 0:
-        raise ValueError(f"no power N^{top} of N of shape {n.shape}")
-    top = min(top, n.nrows)
-    powers = [Mat.identity(n.nrows)]
-    while len(powers) <= top and not powers[-1].is_zero():
-        powers.append(n if len(powers) == 1 else powers[-1] @ n)
-    return powers
-
-
 def weight_filtration(n: Mat) -> IncFiltration:
     """The monodromy weight filtration of a nilpotent matrix, centered at 0.
 
@@ -172,7 +159,7 @@ def weight_filtration(n: Mat) -> IncFiltration:
     if not n.is_square():
         raise ValueError("weight filtration of a non-square matrix")
     dim = n.nrows
-    powers = nilpotent_powers(n, dim)
+    powers = n.ladder()
     if not powers[-1].is_zero():
         raise ValueError("matrix is not nilpotent")
     d = max(len(powers) - 1, 1)  # on C^0, I = 0 and W still has level 0
@@ -193,14 +180,13 @@ def weight_filtration(n: Mat) -> IncFiltration:
             acc = acc + term
         steps[l] = acc
     w = IncFiltration(steps)
-    defect = weight_filtration_defect(w, n, powers)
+    defect = weight_filtration_defect(w, n)
     if defect is not None:
         raise VerificationError(f"weight filtration: {defect}")
     return w
 
 
-def weight_filtration_defect(w: IncFiltration, n: Mat,
-                             powers: list[Mat] | None = None) -> str | None:
+def weight_filtration_defect(w: IncFiltration, n: Mat) -> str | None:
     """Why W is not the weight filtration of N centered at 0, or None.
 
     W(N) is the unique finite exhaustive increasing filtration with
@@ -213,8 +199,7 @@ def weight_filtration_defect(w: IncFiltration, n: Mat,
     jump j <= l, or from -n if j < -n.  gr_l and gr_{-l} are compared at
     l = |j| for the jumps j of W with 0 < |j| < n: at any other l both are
     0, and N^l W_l lies in W_{-l} = W_{-l-1} once N lowers W by two.
-    ``powers`` may hold :func:`nilpotent_powers` of N; one that stops
-    short of the largest such l at a nonzero power is built again.
+    N^l is read off N's :meth:`~hodgelim.matrices.Mat.ladder`.
     """
     if n.shape != (w.ambient, w.ambient):
         raise ValueError(f"N of shape {n.shape} does not act on the "
@@ -228,9 +213,7 @@ def weight_filtration_defect(w: IncFiltration, n: Mat,
     if not (w.at(-dim).is_zero() and w.at(dim - 1).is_full()):
         return "graded dimensions are not symmetric"
     graded = sorted({abs(j) for j in jumps if 0 < abs(j) < dim})
-    if graded and (powers is None or len(powers) <= graded[-1]
-                   and not powers[-1].is_zero()):
-        powers = nilpotent_powers(n, graded[-1])
+    powers = n.ladder() if graded else ()
     for l in graded:
         wl, wl1 = w.at(l), w.at(l - 1)
         wm, wm1 = w.at(-l), w.at(-l - 1)
@@ -321,18 +304,8 @@ class HodgeStructure:
         self.weight = weight
         self.bigrading = bigrading
 
-    @property
-    def ambient(self) -> int:
-        return self.bigrading.ambient
-
     def hodge_numbers(self) -> dict[tuple[int, int], int]:
         return self.bigrading.dims()
-
-    def piece(self, p: int, q: int) -> Subspace:
-        return self.bigrading.piece(p, q)
-
-    def filtration(self) -> DecFiltration:
-        return self.bigrading.first_index_sums()
 
     def __repr__(self):
         h = ", ".join(f"h{pq}={d}" for pq, d in sorted(self.hodge_numbers().items()))
@@ -375,10 +348,11 @@ def hs_from_filtration(f: DecFiltration, weight: int) -> HodgeStructure:
 _I_POWERS = (T_ONE, T_I, t_neg(T_ONE), t_neg(T_I))
 
 
-def _hodge_basis(hs: HodgeStructure) -> tuple[list[TVec], list[TVec]]:
-    """The piecewise Hodge basis b and its image C b = i^(p-q) b."""
+def _hodge_basis(pieces) -> tuple[list[TVec], list[TVec]]:
+    """The rows b of the pieces ((p, q), S), in order, and their images
+    C b = i^(p-q) b under the Weil operator."""
     basis, weil = [], []
-    for (p, q), s in hs.bigrading.pieces.items():
+    for (p, q), s in pieces:
         c = _I_POWERS[(p - q) % 4]
         for v in s.rows:
             basis.append(v)
@@ -388,14 +362,14 @@ def _hodge_basis(hs: HodgeStructure) -> tuple[list[TVec], list[TVec]]:
 
 def weil_operator(hs: HodgeStructure) -> Mat:
     """The operator acting as i^(p-q) on each Hodge piece."""
-    basis, weil = _hodge_basis(hs)
+    basis, weil = _hodge_basis(hs.bigrading.pieces.items())
     return (Mat.from_triples(t_transpose(weil))
             @ Mat.from_triples(t_transpose(basis)).inverse())
 
 
 def polarization_gram(hs: HodgeStructure, q: BilForm) -> Mat:
     """Gram matrix of (u, v) -> Q(C u, conj v) in the piecewise Hodge basis."""
-    basis, weil = _hodge_basis(hs)
+    basis, weil = _hodge_basis(hs.bigrading.pieces.items())
     return q.gram_rows(weil, t_conj_mat(basis))
 
 

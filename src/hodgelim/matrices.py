@@ -281,9 +281,13 @@ def _coerce_row(row) -> tuple[Triple, ...]:
 
 
 class Mat:
-    """Immutable exact matrix.  Entries coerce from int/Fraction/GR."""
+    """Immutable exact matrix.  Entries coerce from int/Fraction/GR.
 
-    __slots__ = ("t", "shape")
+    It keeps the powers that :meth:`ladder` climbs; ``==`` and ``hash``
+    read only ``t`` and ``shape``.
+    """
+
+    __slots__ = ("t", "shape", "_higher")
 
     def __init__(self, rows: Iterable[Iterable]):
         t = tuple(_coerce_row(r) for r in rows)
@@ -408,6 +412,31 @@ class Mat:
             base = t_matmul(base, base) if k > 1 else base
             k >>= 1
         return Mat.from_triples(out, self.nrows)
+
+    def ladder(self) -> tuple["Mat", ...]:
+        """(I, N, N^2, ...) up to the first zero power, or to N^m for an
+        m x m N.  Climbed on the first call and kept; the kept part starts
+        at N^2, so a matrix holds no reference to itself."""
+        try:
+            higher = self._higher
+        except AttributeError:
+            if not self.is_square():
+                raise ValueError(f"no powers of a matrix of shape "
+                                 f"{self.shape}") from None
+            power, climbed = self, []
+            while len(climbed) + 1 < self.nrows and not power.is_zero():
+                power = power @ self
+                climbed.append(power)
+            higher = self._higher = tuple(climbed)
+        if not self.nrows:
+            return (Mat.identity(0),)
+        return (Mat.identity(self.nrows), self, *higher)
+
+    def pow_is_zero(self, k: int) -> bool:
+        """Whether N^k = 0, read off :meth:`ladder`: the ladder ends in 0
+        within k + 1 entries."""
+        powers = self.ladder()
+        return len(powers) <= k + 1 and powers[-1].is_zero()
 
     # -- predicates ----------------------------------------------------
 

@@ -14,10 +14,9 @@ from .endo import maps_into, solve_in_span
 from .errors import VerificationError
 from .forms import (BilForm, hermitian_positive_definite, in_isometry_algebra,
                     is_hermitian)
-from .filtrations import (_I_POWERS, Bigrading, DecFiltration,
-                          IncFiltration, first_relation_holds,
-                          hs_from_filtration, nilpotent_powers,
-                          weight_filtration_defect)
+from .filtrations import (Bigrading, DecFiltration, IncFiltration,
+                          _hodge_basis, first_relation_holds,
+                          hs_from_filtration, weight_filtration_defect)
 from .matrices import (Mat, TVec, t_conj_mat, t_is_zero_mat, t_matmul,
                        t_transpose)
 from .reports import Report
@@ -325,8 +324,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                              f"the form in dimension {q.dim}")
     rep = Report(f"polarized limit structure (weight {weight})")
     rep.add("N is real", n.is_real())
-    powers = nilpotent_powers(n, weight + 1)
-    nilp = powers[-1].is_zero()
+    nilp = n.pow_is_zero(weight + 1)
     rep.add(f"N^{weight + 1} = 0", nilp)
     rep.add("N preserves the form infinitesimally", in_isometry_algebra(n, q))
 
@@ -335,7 +333,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     if not nilp:
         return rep
     rep.add("W is the recentered weight filtration of N",
-            weight_filtration_defect(w.shift(weight), n, powers) is None)
+            weight_filtration_defect(w.shift(weight), n) is None)
 
     rep.add("form parity matches weight", q.parity == weight % 2)
     rep.add("form is real", q.is_real())
@@ -360,22 +358,18 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                 "the bigrading is not the Deligne splitting of (W, F)")
     prim_dims = {}
     reason = None
+    powers = n.ladder()
     for l in sorted({a + b - weight for a, b in bigrading.pieces
                      if a + b >= weight}):
-        level = [(a - b, s) for (a, b), s in bigrading.pieces.items()
-                 if a + b == weight + l]
         # N^l is nonzero on a level with pieces, so powers[l + 1] exists
         npl1 = powers[l + 1]
         if not w.at(weight + l).map_by(npl1) <= w.at(weight - l - 2):
             reason = f"N^{l + 1} does not shift W by 2l+2 at level {l}"
             break
         ker = kernel(npl1)
-        left, right = [], []
-        for d, s in level:
-            c = _I_POWERS[d % 4]
-            for u in (s & ker).rows:
-                left.append(tuple(t_mul(c, e) for e in u))
-                right.append(u)
+        right, left = _hodge_basis(
+            (pq, s & ker) for pq, s in bigrading.pieces.items()
+            if sum(pq) == weight + l)
         prim_dims[weight + l] = len(right)
         if not right:
             continue

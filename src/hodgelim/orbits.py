@@ -2,17 +2,19 @@
 
 A cone of commuting real nilpotents together with a Hodge-type filtration
 describes a degenerating family; the limit carries a mixed Hodge structure
-polarized on primitive graded pieces.  An IVI (infinitesimal variation of
-Hodge structure at infinity) enlarges the cone to an abelian subspace of
-the horizontal part of the isometry algebra.  This module verifies both
-notions, integrates an IVI into a linear period map (the exponent of its
+polarized on primitive graded pieces.  An orbit owns that limit: its W,
+Deligne bigrading and horizontal part are built on first read and kept
+on the orbit.  An IVI (infinitesimal variation of Hodge structure at
+infinity) enlarges the cone to an abelian subspace of the horizontal
+part of the isometry algebra.  This module verifies both notions,
+integrates an IVI into a linear period map (the exponent of its
 nilpotent orbit, stored as one coefficient matrix per variable), and
 certifies maximality by a centralizer computation.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -20,7 +22,7 @@ from .endo import (centralizer_in, noncommuting_pair, operator_span,
                    pairwise_commuting, span_basis_mats)
 from .errors import VerificationError
 from .filtrations import (Bigrading, DecFiltration, IncFiltration,
-                          nilpotent_powers, verify_phs, weight_filtration,
+                          verify_phs, weight_filtration,
                           weight_filtration_defect)
 from .forms import BilForm, in_isometry_algebra
 from .matrices import Mat, combine
@@ -85,14 +87,37 @@ class NilpotentOrbit:
     def ambient(self) -> int:
         return self.form.dim
 
+    # the limit structure: each part is built on first read and kept; none
+    # is a field, so ``==`` and ``replace`` skip them, and a build that
+    # raises is not kept, so it raises again on the next read
+
     @cached_property
-    def limit(self) -> LimitContext:
-        """The limit structure; no field, so ``==`` and ``replace`` skip it."""
-        return LimitContext(self)
+    def barycenter(self) -> Mat:
+        """The cone's barycenter, whose W is the limit W."""
+        return self.cone.barycenter()
+
+    @cached_property
+    def w(self) -> IncFiltration:
+        """W(N) of the barycenter recentered at the weight (trivial for an
+        empty cone)."""
+        if self.cone.r == 0:
+            return IncFiltration({self.weight: Subspace.full(self.ambient)})
+        return weight_filtration(self.barycenter).shift(-self.weight)
+
+    @cached_property
+    def bigrading(self) -> Bigrading:
+        """The Deligne splitting of (W, F)."""
+        return deligne_bigrading(self.w, self.filtration)
+
+    @cached_property
+    def horizontal(self) -> Subspace:
+        """The part g^{-1,*} of the isometry algebra, read off the
+        splitting by :func:`~hodgelim.mixed.horizontal_part`."""
+        return horizontal_part(self.bigrading, self.form, self.weight)
 
     def limit_weight_filtration(self) -> IncFiltration:
         """W of the generic cone element, recentered at the weight."""
-        return self.limit.w
+        return self.w
 
 
 @dataclass(frozen=True)
@@ -117,54 +142,18 @@ class IVI:
         return operator_span(self.family, self.orbit.ambient)
 
 
-# ---------------------------------------------------------------------------
-# the limit structure, owned by its orbit
-# ---------------------------------------------------------------------------
-
-class LimitContext:
-    """An orbit's limit mixed Hodge structure, each part built on first use.
-
-    ``w`` is W(N) of the barycenter recentered at the weight (trivial for
-    an empty cone), ``bigrading`` the Deligne splitting of (W, F), and
-    ``horizontal`` the part g^{-1,*} of the isometry algebra read off it by
-    :func:`~hodgelim.mixed.horizontal_part`.  A build that raises is not
-    kept, so it raises again on the next read.
-    """
-
-    def __init__(self, orbit: NilpotentOrbit):
-        # an equal copy: the orbit keeps its limit, and a limit keeping the
-        # orbit would make a cycle that only the cycle collector frees
-        self.orbit = replace(orbit)
-
-    @cached_property
-    def w(self) -> IncFiltration:
-        o = self.orbit
-        if o.cone.r == 0:
-            return IncFiltration({o.weight: Subspace.full(o.ambient)})
-        return weight_filtration(o.cone.barycenter()).shift(-o.weight)
-
-    @cached_property
-    def bigrading(self) -> Bigrading:
-        return deligne_bigrading(self.w, self.orbit.filtration)
-
-    @cached_property
-    def horizontal(self) -> Subspace:
-        return horizontal_part(self.bigrading, self.orbit.form,
-                               self.orbit.weight)
-
-
-def limit_context(orbit: NilpotentOrbit) -> LimitContext:
-    """The orbit's :attr:`~NilpotentOrbit.limit`, with every part built.
+def limit_context(orbit: NilpotentOrbit) -> NilpotentOrbit:
+    """The orbit, with every part of its limit structure built.
 
     The verifiers and :func:`~hodgelim.search.greedy_max_abelian` read a
-    limit structure only from their own orbit, here; none takes one from
-    its caller.  Raises VerificationError when (W, F) is not a mixed Hodge structure,
-    or when its splitting is not compatible with the form (Q(I^{a,*},
-    I^{b,*}) != 0 for some a + b != weight), which a polarized limit
-    never is.
+    limit structure only from their own orbit; none takes one from its
+    caller.  Raises VerificationError when (W, F) is not a mixed Hodge
+    structure, or when its splitting is not compatible with the form
+    (Q(I^{a,*}, I^{b,*}) != 0 for some a + b != weight), which a
+    polarized limit never is.
     """
-    orbit.limit.horizontal  # builds w and the bigrading on the way
-    return orbit.limit
+    orbit.horizontal  # builds w and the bigrading on the way
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +179,14 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
     Needs at least one generator; a pure structure (empty cone) has no
     orbit to verify — use verify_ivi, which handles that case.
 
-    N^(k+1) = 0 is tested on powers that stop at the dimension
-    (:func:`~hodgelim.filtrations.nilpotent_powers`), whatever k is.  W
-    is the orbit's limit W, built at the barycenter (the first sample).
-    Every other interior sample N' is compared with it by the properties
-    that determine W(N') uniquely
-    (:func:`~hodgelim.filtrations.weight_filtration_defect`, handed the
-    sample's powers), so no second W is built.
+    N^(k+1) = 0 is read off each matrix's
+    :meth:`~hodgelim.matrices.Mat.ladder`, which stops at the dimension
+    whatever k is.  The first interior sample is the orbit's barycenter,
+    so its ladder is the one W, the limit check and
+    :func:`~hodgelim.mixed.verify_pmhs` read.  Every other interior
+    sample N' is compared with W by the properties that determine W(N')
+    uniquely (:func:`~hodgelim.filtrations.weight_filtration_defect`), so
+    no second W is built.
     """
     if orbit.cone.r == 0:
         raise ValueError("orbit verification needs a nonempty cone")
@@ -207,7 +197,7 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
     rep.add("generators are real", all(g.is_real() for g in gens))
     rep.add("generators commute pairwise", pairwise_commuting(gens))
     rep.add(f"generators satisfy N^{k + 1} = 0",
-            all(nilpotent_powers(g, k + 1)[-1].is_zero() for g in gens))
+            all(g.pow_is_zero(k + 1) for g in gens))
     rep.add("generators preserve the form infinitesimally",
             all(in_isometry_algebra(g, orbit.form) for g in gens))
     f = orbit.filtration
@@ -215,18 +205,18 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
     if not rep.ok:
         return rep
 
-    elements = [orbit.cone.element(s)
-                for s in _interior_samples(orbit.cone.r)]
-    ladders = [nilpotent_powers(ns, k + 1) for ns in elements]
-    nilpotent = all(powers[-1].is_zero() for powers in ladders)
+    # the first sample is (1, ..., 1), the barycenter
+    elements = [orbit.barycenter] + [
+        orbit.cone.element(s) for s in _interior_samples(orbit.cone.r)[1:]]
+    nilpotent = all(ns.pow_is_zero(k + 1) for ns in elements)
     rep.add(f"interior elements satisfy N^{k + 1} = 0", nilpotent,
             samples=len(elements))
     if not nilpotent:
         return rep
-    w = orbit.limit.w
+    w = orbit.w
     centered = w.shift(k)
-    constant = all(weight_filtration_defect(centered, ns, powers) is None
-                   for ns, powers in zip(elements[1:], ladders[1:]))
+    constant = all(weight_filtration_defect(centered, ns) is None
+                   for ns in elements[1:])
     rep.add("weight filtration constant on the sampled interior", constant)
     if not constant:
         return rep
@@ -234,7 +224,7 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
     rep.data["limit_weight_dims"] = {
         str(l): w.at(l).dim for l in w.support()}
     try:
-        bigrading = orbit.limit.bigrading
+        bigrading = orbit.bigrading
     except VerificationError:
         bigrading = None  # verify_pmhs reports it
     rep.extend(verify_pmhs(k, orbit.form, w, f, elements[0], bigrading),
@@ -266,7 +256,7 @@ def verify_ivi(ivi: IVI) -> Report:
     if orbit.cone.r:
         rep.add("cone lies inside the family",
                 orbit.cone.span(n) <= span)
-    horizontal = orbit.limit.horizontal
+    horizontal = orbit.horizontal
     rep.add("family is horizontal of degree -1", span <= horizontal,
             horizontal_dim=horizontal.dim)
     rep.data["dim"] = span.dim
@@ -282,7 +272,7 @@ def verify_maximality(ivi: IVI) -> Report:
     is not a mixed Hodge structure, or whose splitting is not compatible
     with the form, raises VerificationError.
     """
-    horizontal = ivi.orbit.limit.horizontal
+    horizontal = ivi.orbit.horizontal
     span = ivi.span()
     rep = Report("maximality in the horizontal part")
     if not span <= horizontal:

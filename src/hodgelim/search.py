@@ -1,11 +1,12 @@
 """Randomized greedy search for maximal abelian horizontal families.
 
 Every abelian family over the cone lies in z_base, the cone's centralizer
-in the horizontal part.  The search puts z_base in its own coordinates
-(:class:`~hodgelim.endo.SpanCoordinates`): a vector of z_base is its
-entries at z_base's pivot columns, a length-m coordinate vector, and the
-brackets of z_base are stored as sparse structure constants in the
-D-dimensional span of those brackets.
+in the horizontal part, which the search reads off the orbit
+(:attr:`~hodgelim.orbits.NilpotentOrbit.horizontal`).  The search puts
+z_base in its own coordinates (:class:`~hodgelim.endo.SpanCoordinates`):
+a vector of z_base is its entries at z_base's pivot columns, a length-m
+coordinate vector, and the brackets of z_base are stored as sparse
+structure constants in the D-dimensional span of those brackets.
 
 Each restart grows the cone span one direction at a time and carries
 only comp, a canonical complement of the family F in its centralizer:
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 from .endo import SpanCoordinates, centralizer_in, span_basis_mats
 from .matrices import Mat, t_matmul
-from .orbits import IVI, NilpotentOrbit, limit_context
+from .orbits import IVI, NilpotentOrbit
 from .scalars import GR, I
 from .subspaces import Subspace
 
@@ -82,8 +83,7 @@ def greedy_max_abelian(orbit_like,
     does, but the flag is re-derived from the final state, not assumed.
 
     The search works in the horizontal part of the orbit's own limit
-    structure, :func:`~hodgelim.orbits.limit_context` of the orbit, and
-    raises ValueError when the cone span does not lie in it.
+    structure and raises ValueError when the cone span does not lie in it.
     """
     config = config or SearchConfig()
     if isinstance(orbit_like, IVI):
@@ -92,13 +92,13 @@ def greedy_max_abelian(orbit_like,
         orbit = orbit_like
     else:
         raise TypeError("search needs an orbit or a family")
-    ctx = limit_context(orbit)
+    horizontal = orbit.horizontal
     n = orbit.ambient
     base = orbit.cone.span(n)
-    if not base <= ctx.horizontal:
+    if not base <= horizontal:
         raise ValueError("cone span is not horizontal")
-    z_base = centralizer_in(ctx.horizontal, list(orbit.cone.generators), n) \
-        if orbit.cone.r else ctx.horizontal
+    z_base = centralizer_in(horizontal, list(orbit.cone.generators), n) \
+        if orbit.cone.r else horizontal
 
     coordinates = SpanCoordinates(z_base, n)
     m = z_base.dim

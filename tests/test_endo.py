@@ -218,9 +218,9 @@ def test_filtration_lowering_on_end_v_matches_oracle(seed, moved):
 
 def test_horizontal_part_of_a_limit_matches_oracle():
     ctx = limit_context(hodge_tate_orbit(2, 2))
-    n = ctx.orbit.ambient
+    n = ctx.ambient
     expected = oracle(lowering_equations(ctx.bigrading, -1, n), n * n,
-                      inside=isometry_algebra(ctx.orbit.form))
+                      inside=isometry_algebra(ctx.form))
     assert ctx.horizontal == expected
     assert not ctx.horizontal.is_zero()
 
@@ -231,9 +231,9 @@ def test_odd_weight_horizontal_part_matches_oracle(k, strings, dim):
     # gives strings * (strings + 1) / 2 dimensions; weight 3 adds
     # Hom(V_1, V_0) with strings^2
     ctx = limit_context(hodge_tate_orbit(k, strings))
-    n = ctx.orbit.ambient
+    n = ctx.ambient
     expected = oracle(lowering_equations(ctx.bigrading, -1, n), n * n,
-                      inside=isometry_algebra(ctx.orbit.form))
+                      inside=isometry_algebra(ctx.form))
     assert ctx.horizontal == expected
     assert ctx.horizontal.dim == dim
 

@@ -9,7 +9,7 @@ kernel's one-elimination basis is checked to be canonical as it comes.  The
 one-accumulator product and the one-elimination intersection are also
 checked against the loops they replaced, kept here as oracles, and the two
 operator kernels of the orbit layer against plain algebra: the bounded
-ladder ``nilpotent_powers`` against ``Mat.pow`` and the one-product linear
+power ladder ``Mat.ladder`` against ``Mat.pow`` and the one-product linear
 combination ``combine`` against the sum of scaled matrices.
 """
 import random
@@ -20,7 +20,6 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from hodgelim.filtrations import nilpotent_powers
 from hodgelim.forms import BilForm
 from hodgelim.matrices import (Mat, combine, t_kernel, t_matmul, t_matvec,
                                t_rref)
@@ -568,24 +567,29 @@ def powered_mats(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(powered_mats())
-def test_nilpotent_powers_against_mat_pow(n):
+def test_ladder_against_mat_pow(n):
     m = n.nrows
     oracle = [n.pow(j) for j in range(2 * m + 2)]
-    assert nilpotent_powers(n, 0) == [Mat.identity(m)]
-    for t in range(1, 2 * m + 2):
-        powers = nilpotent_powers(n, t)
-        assert powers[-1].is_zero() == oracle[t].is_zero(), t
-        assert powers == oracle[:len(powers)], t
-        # the ladder stops at N^min(t, m) or at its first zero power
-        assert len(powers) - 1 <= min(t, m)
-        assert not any(p.is_zero() for p in powers[:-1])
+    ladder = n.ladder()
+    assert list(ladder) == oracle[:len(ladder)]
+    # it stops at its first zero power, or at N^m
+    assert not any(p.is_zero() for p in ladder[:-1])
+    assert ladder[-1].is_zero() or len(ladder) == m + 1
+    for k in range(1, 2 * m + 2):
+        assert n.pow_is_zero(k) == oracle[k].is_zero(), k
+    # the climbed powers are kept, not climbed again
+    assert all(a is b for a, b in zip(n.ladder()[1:], ladder[1:]))
 
 
-def test_nilpotent_powers_refuses_what_has_no_ladder():
-    with pytest.raises(ValueError):
-        nilpotent_powers(Mat([[0, 1]]), 2)
-    with pytest.raises(ValueError):
-        nilpotent_powers(Mat([[0]]), -1)
+def test_ladder_refuses_a_non_square_matrix():
+    for n in (Mat([[0, 1]]), Mat.zeros(3, 0)):
+        with pytest.raises(ValueError):
+            n.ladder()
+        with pytest.raises(ValueError):
+            n.pow_is_zero(2)
+    # on C^0, I = 0 already
+    assert Mat.zeros(0, 0).ladder() == (Mat.identity(0),)
+    assert Mat.zeros(0, 0).pow_is_zero(0)
 
 
 @st.composite

@@ -133,7 +133,6 @@ def test_a_large_weight_costs_no_more_products(monkeypatch):
     # non-nilpotent generator is rejected with as many products at weight
     # 2^20 as at weight 16; climbing to N^(k+1) takes 127 s at 2^20
     o = ht_orbit(2, 1)
-    g = Mat([[1, Fraction(1, 2), 0], [Fraction(1, 3), 1, 0], [0, 0, 2]])
     real = matrices.t_matmul
     products = Counter()
 
@@ -143,6 +142,8 @@ def test_a_large_weight_costs_no_more_products(monkeypatch):
     monkeypatch.setattr(matrices, "t_matmul", counted)
     reports = {}
     for weight in (16, 2 ** 20):
+        # a fresh generator: a matrix keeps the powers it has climbed
+        g = Mat([[1, Fraction(1, 2), 0], [Fraction(1, 3), 1, 0], [0, 0, 2]])
         reports[weight] = verify_orbit(
             NilpotentOrbit(weight, o.form, o.filtration, NilpotentCone((g,))))
     small, large = reports[16], reports[2 ** 20]
@@ -154,6 +155,26 @@ def test_a_large_weight_costs_no_more_products(monkeypatch):
         == [c.name for c in large.checks]
     assert small.data == large.data
     assert products[16] == products[2 ** 20] > 0
+
+
+@pytest.mark.parametrize("make", [lambda: hodge_tate_orbit(2, 2),
+                                  lambda: symmetric_family_ivi(3).orbit])
+def test_verify_orbit_climbs_each_ladder_once(make, monkeypatch):
+    # the generator, the barycenter (the first interior sample, whose
+    # ladder W and the limit check read too) and the second sample
+    orbit = make()
+    real = Mat.ladder
+    climbed = []
+
+    def counted(self):
+        if not hasattr(self, "_higher"):
+            climbed.append(self)
+        return real(self)
+    monkeypatch.setattr(Mat, "ladder", counted)
+    assert verify_orbit(orbit).ok
+    assert len(climbed) <= 3
+    assert len({id(m) for m in climbed}) == len(climbed)
+    assert any(m is orbit.barycenter for m in climbed)
 
 
 def weight_jump_orbit(top=1):
@@ -203,11 +224,16 @@ def test_a_limit_build_that_raises_is_not_kept():
 def test_an_orbit_and_its_limit_are_freed_by_reference_counting():
     orbit = symmetric_family_ivi(1).orbit
     limit_context(orbit)
-    refs = weakref.ref(orbit), weakref.ref(orbit.limit)
+    verify_orbit(orbit)
+    ref = weakref.ref(orbit)
+    gc.collect()
     gc.disable()
     try:
         del orbit
-        assert [r() for r in refs] == [None, None]
+        assert ref() is None
+        # nor does a part of the limit, a kept ladder included, make a
+        # cycle that only the cycle collector would free
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -259,11 +285,14 @@ def test_limit_parts_are_built_once_per_orbit(make, monkeypatch):
     assert verify_ivi(ivi).ok
     assert calls == once
     assert verify_maximality(ivi).ok
-    assert limit_context(ivi.orbit) is ivi.orbit.limit
+    assert limit_context(ivi.orbit) is ivi.orbit
     assert calls == once
     # the memo is no field: an equal orbit builds its own
     again = replace(ivi.orbit)
-    assert again == ivi.orbit and again.limit is not ivi.orbit.limit
+    assert again == ivi.orbit
+    assert all(getattr(again, part) is not getattr(ivi.orbit, part)
+               for part in ("barycenter", "w", "bigrading", "horizontal"))
+    assert calls == {"weight_filtration": 2, "deligne_bigrading": 2}
 
 
 def test_family_verification_and_dimension():

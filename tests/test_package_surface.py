@@ -1,13 +1,18 @@
 """The package carries no import it does not use, no public function
 nobody in it calls unless it says why, and one ladder of powers.
 
-Both checks read the sources with ``ast`` and import nothing.  A public
+The checks read the sources with ``ast`` and import nothing.  A public
 ``def`` (a module-level function or a method whose name does not start
 with ``_``) counts as used when its name appears as a Name, an Attribute
-or an import alias anywhere in ``src/hodgelim`` outside its own body.
-The ones that are not must be listed in ``KEEP`` with the reason they
-stay; a new one fails the test until it gets a caller or a reason, and a
-listed one that gains a caller or goes away must leave the list.
+or an import alias anywhere in ``src/hodgelim`` outside its own body,
+and nothing else in ``src/hodgelim`` is named the same: no second def or
+class, assignment target, loop variable or parameter.  A name that is
+bound more than once proves nothing by appearing, since it may stand
+for the other binding.  A public def that is not proven used must be
+listed, in ``CALLERS`` with a function of the package that calls it, or
+in ``KEEP`` with the reason it stays; a new one fails the test until it
+gets a unique name, a caller or a reason, and a listed one that becomes
+proven used or goes away must leave its list.
 """
 import ast
 from collections import Counter
@@ -20,6 +25,7 @@ PERFBENCH = "perfbench/tracer.py wraps it by name in TARGETS"
 
 KEEP = {
     "endo.isometry_algebra": PERFBENCH,
+    "orbits.limit_context": PERFBENCH,
     "filtrations.weil_operator":
         "builds the Weil operator behind the verify_pmhs oracle in the tests",
     "forms.signature": "perfbench wraps it and its dense workload calls it",
@@ -31,7 +37,9 @@ KEEP = {
     "io.polymap_from_json": JSON,
     "matrices.Mat.mv": "applies a matrix to a vector of any scalar type",
     "matrices.Mat.pow": "the public power of a matrix, and the oracle the "
-                        "tests check nilpotent_powers against",
+                        "tests check Mat.ladder against",
+    "matrices.Mat.kernel": "documented in the README as part of Mat",
+    "matrices.Mat.row": "one row of a matrix as Gaussian-rational scalars",
     "matrices.Mat.det": "the exact determinants the open-cone "
                         "certificates need",
     "matrices.Mat.solve": "documented in the README as part of Mat",
@@ -47,15 +55,91 @@ KEEP = {
     "orbits.PolyMap.evaluate": "the integrated period map at a point",
     "orbits.a_infinity": "recovers the family from its period map, as "
                          "acceptance criterion 5 asks",
+    "orbits.IVI.dim": "the dimension of a family, which the acceptance "
+                      "tests compare with each bound",
+    "builders.DimTable.model": "the string model that realizes a table",
+    "builders.DimTable.hodge_numbers": "the row sums h^p of a table",
+    "builders.StringModel.dims": "the piece dimensions of a string model",
+    "filtrations._Filtration.map_by":
+        "moves a filtration by a basis change; perfbench/workloads.py and "
+        "tests/genutil.move call it",
     "reports.Report.pretty": "a report as text, for failure messages",
+    "scalars.GaussianRational.im": "the imaginary part of a scalar",
+    "scalars.GaussianRational.conj": "the conjugate of a scalar",
+    "scalars.GaussianRational.inverse": "the inverse of a scalar",
     "search.SearchResult.summary": "a search result as one line of text",
     "subspaces.Subspace.contains": "membership of one vector",
     "subspaces.Subspace.basis_vectors":
         "the canonical basis as Gaussian-rational vectors",
+    "subspaces.Subspace.coords": "coordinates of a vector in the "
+                                 "canonical basis",
+    "subspaces.Quotient.lift": "a class given in quotient coordinates, "
+                               "lifted into the space",
     "subspaces.Quotient.project_coords":
         "coordinates of a class in the complement basis",
     "subspaces.Quotient.induced_matrix":
         "the matrix an operator induces on a quotient, for determinants",
+}
+
+
+# public defs whose name is bound more than once, each with a function of
+# the package that calls it
+CALLERS = {
+    "builders.CatalogRow.orbit": "cli._cmd_catalog",
+    "builders.StringModel.element": "builders._row_pure",
+    "builders.StringModel.orbit": "builders.build_max_ivi_k2",
+    "endo.nonzeros": "endo.solve_in_span",
+    "filtrations.Bigrading.dims": "filtrations.HodgeStructure.hodge_numbers",
+    "filtrations.Bigrading.piece": "mixed.deligne_bigrading",
+    "filtrations.Bigrading.row": "mixed.filtration_lowering",
+    "filtrations.Bigrading.support": "filtrations.HodgeStructure.__init__",
+    "filtrations.HodgeStructure.hodge_numbers": "filtrations.verify_phs",
+    "filtrations.IncFiltration.shift": "orbits.verify_orbit",
+    "filtrations._Filtration.conj": "filtrations.hs_from_filtration",
+    "filtrations._Filtration.is_conj_stable": "mixed.verify_mhs",
+    "filtrations._Filtration.jumps": "filtrations.hs_from_filtration",
+    "filtrations._Filtration.support": "orbits.verify_orbit",
+    "forms.BilForm.dim": "endo.isometry_algebra",
+    "forms.BilForm.gram": "forms.BilForm.orthogonal",
+    "forms.BilForm.is_real": "filtrations.verify_phs",
+    "matrices.Mat.col": "builders.build_max_ivi_k2",
+    "matrices.Mat.columns": "builders._hom_into_long_ends",
+    "matrices.Mat.conj": "matrices.Mat.conj_transpose",
+    "matrices.Mat.from_triples": "endo.as_mat",
+    "matrices.Mat.inverse": "filtrations.weil_operator",
+    "matrices.Mat.is_real": "forms.BilForm.is_real",
+    "matrices.Mat.is_zero": "filtrations.weight_filtration",
+    "matrices.Mat.ncols": "cli._cmd_wfilt",
+    "matrices.Mat.nrows": "filtrations.weight_filtration",
+    "matrices.Mat.rank": "forms.BilForm.__init__",
+    "matrices.combine": "orbits.NilpotentCone.element",
+    "orbits.IVI.span": "orbits.verify_maximality",
+    "orbits.NilpotentCone.barycenter": "orbits.NilpotentOrbit.barycenter",
+    "orbits.NilpotentCone.element": "orbits.NilpotentCone.barycenter",
+    "orbits.NilpotentCone.r": "orbits.verify_orbit",
+    "orbits.NilpotentCone.span": "orbits.verify_ivi",
+    "orbits.NilpotentOrbit.ambient": "orbits.verify_ivi",
+    "orbits.NilpotentOrbit.barycenter": "orbits.verify_orbit",
+    "orbits.NilpotentOrbit.bigrading": "orbits.verify_orbit",
+    "orbits.NilpotentOrbit.horizontal": "orbits.verify_ivi",
+    "orbits.NilpotentOrbit.w": "orbits.verify_orbit",
+    "reports.Report.add": "orbits.verify_orbit",
+    "reports.Report.ok": "orbits.verify_orbit",
+    "scalars.GaussianRational.is_real": "orbits.collapse_cone",
+    "scalars.GaussianRational.is_zero": "search.greedy_max_abelian",
+    "scalars.GaussianRational.re": "orbits.collapse_cone",
+    "subspaces.Quotient.dim": "mixed.graded_filtration",
+    "subspaces.Subspace.conj": "filtrations._Filtration.conj",
+    "subspaces.Subspace.dim": "endo._kernel_part",
+    "subspaces.Subspace.from_triples": "endo.operator_span",
+    "subspaces.Subspace.is_conj_stable":
+        "filtrations._Filtration.is_conj_stable",
+    "subspaces.Subspace.is_zero": "endo.solve_in_span",
+    "subspaces.Subspace.lift": "endo._kernel_part",
+    "subspaces.Subspace.map_by": "filtrations._Filtration.lowered_by",
+    "subspaces.Subspace.span": "builders.hodge_tate_orbit",
+    "subspaces.Subspace.zero": "filtrations.weight_filtration",
+    "subspaces.kernel": "mixed.verify_pmhs",
 }
 
 
@@ -78,15 +162,37 @@ def names_in(node) -> Counter:
     return seen
 
 
-def public_defs(module: str, tree: ast.Module):
-    """(qualified name, def node) for the public functions and methods."""
+def bound_names(node) -> Counter:
+    """How often each name is bound: by a def or class, an assignment,
+    loop or other store target, or a parameter."""
+    seen = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                          ast.ClassDef)):
+            seen[n.name] += 1
+        elif isinstance(n, ast.arg):
+            seen[n.arg] += 1
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            seen[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            seen[n.attr] += 1
+    return seen
+
+
+def all_defs(module: str, tree: ast.Module):
+    """(qualified name, def node) for the functions and methods."""
     for node in tree.body:
         in_class = isinstance(node, ast.ClassDef)
         prefix = f"{module}.{node.name}." if in_class else f"{module}."
         for d in node.body if in_class else [node]:
-            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not d.name.startswith("_")):
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield prefix + d.name, d
+
+
+def public_defs(module: str, tree: ast.Module):
+    """(qualified name, def node) for the public functions and methods."""
+    return ((qual, d) for qual, d in all_defs(module, tree)
+            if not d.name.startswith("_"))
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -107,23 +213,35 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_every_uncalled_public_definition_says_why_it_stays():
     trees = sources()
     everywhere = sum((names_in(t) for t in trees.values()), Counter())
-    uncalled = {qual for module, tree in trees.items()
+    bound = sum((bound_names(t) for t in trees.values()), Counter())
+    unproven = {qual for module, tree in trees.items()
                 for qual, d in public_defs(module, tree)
-                if everywhere[d.name] - names_in(d)[d.name] <= 0}
-    assert uncalled - KEEP.keys() == set(), \
-        "public definitions nothing in the package uses; delete them or " \
-        "give a reason in KEEP"
-    assert KEEP.keys() - uncalled == set(), \
-        "KEEP lists definitions that are gone or now have a caller"
+                if bound[d.name] > 1
+                or everywhere[d.name] - names_in(d)[d.name] <= 0}
+    assert not KEEP.keys() & CALLERS.keys()
+    assert unproven - KEEP.keys() - CALLERS.keys() == set(), \
+        "public definitions the package is not seen to use; delete them, " \
+        "name a caller in CALLERS or give a reason in KEEP"
+    assert (KEEP.keys() | CALLERS.keys()) - unproven == set(), \
+        "KEEP or CALLERS lists definitions that are gone or proven used"
+
+
+def test_every_listed_caller_names_its_callee():
+    defs = {qual: d for module, tree in sources().items()
+            for qual, d in all_defs(module, tree)}
+    wrong = [f"{callee} <- {caller}" for callee, caller in CALLERS.items()
+             if caller == callee or caller not in defs
+             or not names_in(defs[caller])[callee.rsplit(".", 1)[1]]]
+    assert not wrong, f"listed callers that do not name the callee: {wrong}"
 
 
 def test_powers_climb_only_the_bounded_ladder():
-    # filtrations.nilpotent_powers stops at the dimension; a .pow(k)
-    # outside matrices would climb to whatever k an input file gives
+    # Mat.ladder stops at the dimension; a .pow(k) outside matrices
+    # would climb to whatever k an input file gives
     calls = [f"{module}:{node.lineno}"
              for module, tree in sources().items() if module != "matrices"
              for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
              and node.func.attr == "pow"]
-    assert not calls, f"powers outside nilpotent_powers: {calls}"
+    assert not calls, f"powers outside Mat.ladder: {calls}"
