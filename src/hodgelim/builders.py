@@ -36,14 +36,10 @@ def _ipow(m: int) -> GR:
 
 @dataclass(frozen=True)
 class _Entry:
-    """One complex basis vector: its real coordinates and its type."""
+    """One complex basis vector: its real coordinates and its index p."""
 
-    index: int
     vec: tuple
     p: int
-    q: int
-    string: int
-    level: int
 
 
 def _string_levels(weight: int, spec) -> list[tuple[int, int, int, int]]:
@@ -79,9 +75,7 @@ class StringModel:
 
     def __init__(self, weight: int, specs):
         self.weight = weight
-        self.specs = tuple(tuple(s) for s in specs)
-        levels = [(s,) + lv for s, spec in enumerate(self.specs)
-                  for lv in _string_levels(weight, spec)]
+        levels = [lv for spec in specs for lv in _string_levels(weight, spec)]
         dim = self.dim = len(levels)
         if dim == 0:
             raise ValueError("empty string model")
@@ -96,7 +90,7 @@ class StringModel:
         shift = [[zero] * dim for _ in range(dim)]
         self.entries: list[_Entry] = []
         self.members: dict[tuple[int, int], list[int]] = {}
-        for i, (s, half, c, p, q) in enumerate(levels):
+        for i, (half, c, p, q) in enumerate(levels):
             if not (half or c):
                 base, length, width = i, p + q - weight, 1 if p == q else 2
             x = base + width * c
@@ -104,7 +98,7 @@ class StringModel:
             vec[x] = one
             if width == 2:
                 vec[x + 1] = -I if half else I
-            self.entries.append(_Entry(i, tuple(vec), p, q, s, c))
+            self.entries.append(_Entry(tuple(vec), p))
             self.members.setdefault((p, q), []).append(i)
             partner = base + (width - 1 - half) * (length + 1) + length - c
             gram[i][partner] = GR((-1) ** c) * _ipow(q - p)

@@ -2,9 +2,11 @@
 
 Operators are flattened row-major: ``vec(X)[i*n + j] = X[i][j]``.  This is
 the coordinate convention of every serialized operator subspace in the
-package.  The workhorse is :func:`solve_in_span` — cut a span of operators
-by linear conditions.  A condition sees each basis operator only as its
-list of nonzeros ``(i, j, x)``, so its cost follows the sparsity of the
+package.  An operator's sparse form is its rows, row i the list of its
+nonzeros ``(j, X[i][j])``, as :func:`operator_rows` lists them; every
+kernel here reads that one form.  The workhorse is :func:`solve_in_span` —
+cut a span of operators by linear conditions.  A condition sees each basis
+operator only in its sparse form, so its cost follows the sparsity of the
 space rather than n².  Centralizers and the filtration-preserving parts of
 an algebra are solves; the isometry algebra of a form has a closed form
 and needs none.
@@ -25,8 +27,7 @@ from .matrices import (Mat, TMat, TVec, _t_combine, t_hstack, t_matmul,
 from .scalars import T_ZERO, Triple, t_add, t_mul, t_neg, t_sub
 from .subspaces import Subspace, kernel, t_reduce
 
-Nonzeros = list[tuple[int, int, Triple]]
-Sparse = tuple[Nonzeros, list[list[tuple[int, Triple]]]]
+Rows = list[list[tuple[int, Triple]]]
 
 
 def flatten(m: Mat) -> TVec:
@@ -38,9 +39,20 @@ def as_mat(tv: TVec, n: int) -> Mat:
     return Mat.from_triples(tuple(tv[i * n:(i + 1) * n] for i in range(n)), n)
 
 
-def nonzeros(tv: TVec, n: int) -> Nonzeros:
-    """The entries (i, j, X[i][j]) of a flattened operator that are not 0."""
-    return [(k // n, k % n, e) for k, e in enumerate(tv) if e[0] or e[1]]
+def row_nonzeros(row: TVec) -> list[tuple[int, Triple]]:
+    """The entries (j, row[j]) of a row of triples that are not 0."""
+    return [(j, e) for j, e in enumerate(row) if e[0] or e[1]]
+
+
+def operator_rows(tv: TVec, n: int) -> Rows:
+    """The sparse form of a flattened n x n operator X: row i as the list
+    of its nonzeros (j, X[i][j]).  One pass over the n² entries, which
+    are mostly zero, finds the nonzeros."""
+    rows = [[] for _ in range(n)]
+    for k, e in enumerate(tv):
+        if e[0] or e[1]:
+            rows[k // n].append((k % n, e))
+    return rows
 
 
 def operator_span(mats: Sequence[Mat], n: int) -> Subspace:
@@ -59,19 +71,20 @@ def span_basis_mats(space: Subspace, n: int) -> list[Mat]:
 
 
 def solve_in_span(space: Subspace, n: int,
-                  conditions: Callable[[Nonzeros], TVec]) -> Subspace:
+                  conditions: Callable[[Rows], TVec]) -> Subspace:
     """Largest subspace of ``space`` on which all conditions vanish.
 
-    ``conditions(nz)`` gets one canonical basis operator X of ``space`` as
-    its list of nonzeros ``(i, j, x)`` with ``x = X[i][j]`` a triple, and
-    returns one flat tuple of triples, linear in X and of the same length
-    for every X.  The result {X in space : conditions(X) == 0} is the
-    product of the kernel combinations with the basis, in flattened form.
+    ``conditions(rows)`` gets one canonical basis operator X of ``space``
+    in its sparse form, ``rows[i]`` the list of the nonzeros ``(j, x)`` of
+    row i with ``x = X[i][j]`` a triple, and returns one flat tuple of
+    triples, linear in X and of the same length for every X.  The result
+    {X in space : conditions(X) == 0} is the product of the kernel
+    combinations with the basis, in flattened form.
     A condition that vanishes on every basis operator is dropped.
     """
     if space.is_zero():
         return space
-    return _kernel_part(space, [conditions(nonzeros(r, n))
+    return _kernel_part(space, [conditions(operator_rows(r, n))
                                 for r in space.rows])
 
 
@@ -93,7 +106,7 @@ def _kernel_part(space: Subspace, cols: TMat) -> Subspace:
 
 
 def maps_into(pairs: Sequence[tuple[TVec, Subspace]],
-              n: int) -> Callable[[Nonzeros], TVec]:
+              n: int) -> Callable[[Rows], TVec]:
     """Conditions saying that X v lies in dst for every pair (v, dst).
 
     Each condition is the residual of X v against dst's canonical basis;
@@ -101,14 +114,15 @@ def maps_into(pairs: Sequence[tuple[TVec, Subspace]],
     """
     pairs = [(v, dst) for v, dst in pairs if not dst.is_full()]
 
-    def conditions(nz: Nonzeros) -> TVec:
+    def conditions(rows: Rows) -> TVec:
         out = []
         for v, dst in pairs:
             xv = [T_ZERO] * n
-            for i, j, x in nz:
-                e = v[j]
-                if e[0] or e[1]:
-                    xv[i] = t_add(xv[i], t_mul(x, e))
+            for i, row in enumerate(rows):
+                for j, x in row:
+                    e = v[j]
+                    if e[0] or e[1]:
+                        xv[i] = t_add(xv[i], t_mul(x, e))
             out.extend(t_reduce(xv, dst.rows, dst.pivots)[0])
         return tuple(out)
 
@@ -141,25 +155,17 @@ def isometry_algebra(q: BilForm) -> Subspace:
     return Subspace.from_triples(vecs, n * n)
 
 
-def _sparse(nz: Nonzeros, n: int) -> Sparse:
-    """An operator's nonzeros, and the same grouped by row: row i as its
-    list of (j, X[i][j])."""
-    rows = [[] for _ in range(n)]
-    for i, j, x in nz:
-        rows[i].append((j, x))
-    return nz, rows
-
-
-def _bracket(x: Sparse, y: Sparse, n: int) -> dict[int, Triple]:
+def _bracket(x: Rows, y: Rows, n: int) -> dict[int, Triple]:
     """The nonzeros of [X, Y] = XY - YX, keyed by flattened position:
     X[i][j] adds X[i][j] Y[j][l] at (i, l), and Y[i][j] subtracts
     Y[i][j] X[j][l]."""
     acc: dict[int, Triple] = {}
-    for (left, _), (_, right), add in ((x, y, t_add), (y, x, t_sub)):
-        for i, j, e in left:
-            for l, f in right[j]:
-                k = i * n + l
-                acc[k] = add(acc.get(k, T_ZERO), t_mul(e, f))
+    for left, right, add in ((x, y, t_add), (y, x, t_sub)):
+        for i, row in enumerate(left):
+            for j, e in row:
+                for l, f in right[j]:
+                    k = i * n + l
+                    acc[k] = add(acc.get(k, T_ZERO), t_mul(e, f))
     return {k: e for k, e in acc.items() if e[0] or e[1]}
 
 
@@ -188,7 +194,7 @@ class SpanCoordinates:
 
     def __init__(self, space: Subspace, n: int):
         self.space = space
-        ops = [_sparse(nonzeros(r, n), n) for r in space.rows]
+        ops = [operator_rows(r, n) for r in space.rows]
         brackets = []
         for a in range(len(ops)):
             for b in range(a + 1, len(ops)):
@@ -228,7 +234,8 @@ def centralizer_in(space: Subspace, mats: Sequence,
 
     With ``n`` the operator size, ``space`` is a flattened operator
     subspace and the A are n x n :class:`Mat`.  [X, A] is then built from
-    the nonzeros of X and of A by :func:`_bracket`, n² conditions per A.
+    the sparse forms of X and of A by :func:`_bracket`, n² conditions per
+    A; each A's rows are listed straight from its matrix.
 
     With ``n`` a :class:`SpanCoordinates` of a subspace L, ``space`` is a
     subspace of L's coordinate space C^m and the A are coordinate vectors
@@ -252,13 +259,12 @@ def centralizer_in(space: Subspace, mats: Sequence,
             m = t_hstack(m, n.bracket_with(a))
         return _kernel_part(space, t_matmul(space.rows, m))
     nn = n * n
-    ops = [_sparse(nonzeros(flatten(a), n), n) for a in mats]
+    ops = [[row_nonzeros(row) for row in a.t] for a in mats]
 
-    def conditions(nz: Nonzeros) -> TVec:
+    def conditions(rows: Rows) -> TVec:
         out = [T_ZERO] * (len(ops) * nn)
-        x = _sparse(nz, n)
         for t, op in enumerate(ops):
-            for k, e in _bracket(x, op, n).items():
+            for k, e in _bracket(rows, op, n).items():
                 out[t * nn + k] = e
         return tuple(out)
 
@@ -268,12 +274,11 @@ def centralizer_in(space: Subspace, mats: Sequence,
 def noncommuting_pair(mats: Sequence[Mat]) -> tuple[int, int] | None:
     """The first pair i < j, in lexicographic order, with [A_i, A_j] != 0.
 
-    Each matrix's rows are listed once as their nonzeros (t, e).  For a
-    pair, row r of AB - BA is one :func:`_t_combine` of row r of A against
-    the rows of B and of -(row r of B) against the rows of A, compared
-    with the zero row, row after row up to the first nonzero; no product
-    is formed.  The matrices must all be square and of one size;
-    otherwise ValueError.
+    Each matrix is listed once in its sparse form.  For a pair, row r of
+    AB - BA is one :func:`_t_combine` of row r of A against the rows of B
+    and of -(row r of B) against the rows of A, compared with the zero
+    row, row after row up to the first nonzero; no product is formed.
+    The matrices must all be square and of one size; otherwise ValueError.
     """
     shapes = {m.shape for m in mats}
     if len(shapes) > 1 or any(r != c for r, c in shapes):
@@ -282,8 +287,7 @@ def noncommuting_pair(mats: Sequence[Mat]) -> tuple[int, int] | None:
                          f"one size")
     if len(mats) < 2:
         return None
-    rows = [[[(t, e) for t, e in enumerate(row) if e[0] or e[1]]
-             for row in m.t] for m in mats]
+    rows = [[row_nonzeros(row) for row in m.t] for m in mats]
     n = len(rows[0])
     zero = t_zero_row(n)
     for i, a in enumerate(rows):

@@ -232,7 +232,7 @@ def weight_filtration_defect(w: IncFiltration, n: Mat) -> str | None:
 class Bigrading:
     """A direct-sum decomposition indexed by pairs (p, q)."""
 
-    __slots__ = ("pieces", "ambient", "total")
+    __slots__ = ("pieces", "ambient")
 
     def __init__(self, pieces: Mapping[tuple[int, int], Subspace],
                  total: Subspace | None = None):
@@ -251,7 +251,6 @@ class Bigrading:
                                     "total space")
         self.pieces = {pq: pieces[pq] for pq in sorted(pieces)}
         self.ambient = ambient
-        self.total = total
 
     def piece(self, p: int, q: int) -> Subspace:
         return self.pieces.get((p, q), Subspace.zero(self.ambient))

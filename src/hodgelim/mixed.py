@@ -10,7 +10,7 @@ graded piece of its own.
 """
 from __future__ import annotations
 
-from .endo import maps_into, solve_in_span
+from .endo import maps_into, row_nonzeros, solve_in_span
 from .errors import VerificationError
 from .forms import (BilForm, hermitian_positive_definite, in_isometry_algebra,
                     is_hermitian)
@@ -102,14 +102,14 @@ def graded_piece(w: IncFiltration, l: int) -> Quotient:
     return Quotient(w.at(l - 1), w.at(l))
 
 
-def graded_filtration(w: IncFiltration, f: DecFiltration, l: int,
-                      quot: Quotient | None = None) -> DecFiltration:
+def graded_filtration(w: IncFiltration, f: DecFiltration,
+                      l: int) -> DecFiltration:
     """The filtration induced by F on gr^W_l, in quotient coordinates.
 
     Its steps are listed at F's jumps: between them F, and so the induced
     filtration, keeps the value at the next jump up.
     """
-    q = quot or graded_piece(w, l)
+    q = graded_piece(w, l)
     steps = {}
     for p in f.jumps():
         inter = f.at(p) & w.at(l)
@@ -267,10 +267,7 @@ def horizontal_part(vb: Bigrading, q: BilForm, weight: int) -> Subspace:
                     f"Q(I^{{{a},*}}, I^{{{b},*}}) != 0 and "
                     f"{a} + {b} != {weight}")
 
-    def nonzero(vec):
-        return [(i, e) for i, e in enumerate(vec) if e[0] or e[1]]
-
-    pairs = {p: [(nonzero(r), nonzero(qr))
+    pairs = {p: [(row_nonzeros(r), row_nonzeros(qr))
                  for r, qr in zip(blocks[p], pairing[p])] for p in blocks}
     combine = t_sub if q.parity == 0 else t_add
     vecs = []

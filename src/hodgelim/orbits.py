@@ -59,6 +59,10 @@ class NilpotentCone:
         return combine(coefficients, self.generators)
 
     def barycenter(self) -> Mat:
+        """sum_i N_i; a lone generator is its own barycenter, and keeps
+        the powers it has climbed."""
+        if self.r == 1:
+            return self.generators[0]
         return self.element([1] * self.r)
 
 

@@ -62,7 +62,6 @@ class SearchResult:
     best_dim: int
     certified: bool
     restart_dims: list[int]
-    config: SearchConfig
 
     def summary(self) -> str:
         lo, hi = min(self.restart_dims), max(self.restart_dims)
@@ -128,4 +127,4 @@ def greedy_max_abelian(orbit_like,
             best, best_dim, best_certified = drawn, dim, comp.dim == 0
     family = Subspace.from_triples(base_coords.rows + tuple(best), m)
     return SearchResult(span_basis_mats(z_base.lift(family), n),
-                        best_dim, best_certified, restart_dims, config)
+                        best_dim, best_certified, restart_dims)

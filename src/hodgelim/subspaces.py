@@ -245,15 +245,14 @@ def kernel(m: Mat) -> Subspace:
 
 
 def direct_sum_equals(parts: Sequence[Subspace], total: Subspace) -> bool:
-    """True iff the parts are independent and sum to ``total``."""
-    if not parts:
-        return total.is_zero()
-    acc = parts[0]
-    dims = parts[0].dim
-    for p in parts[1:]:
-        acc = acc + p
-        dims += p.dim
-    return dims == acc.dim and acc == total
+    """True iff the parts are independent and sum to ``total``: one
+    elimination of all their rows keeps the sum of their dimensions and
+    gives ``total``."""
+    if any(p.ambient != total.ambient for p in parts):
+        raise ValueError("ambient dimension mismatch")
+    acc = Subspace.from_triples([r for p in parts for r in p.rows],
+                                total.ambient)
+    return acc.dim == sum(p.dim for p in parts) and acc == total
 
 
 class Quotient:
@@ -264,11 +263,10 @@ class Quotient:
     it into its two parts.
     """
 
-    __slots__ = ("sub", "sup", "complement")
+    __slots__ = ("sub", "complement")
 
     def __init__(self, sub: Subspace, sup: Subspace):
         self.sub = sub
-        self.sup = sup
         self.complement = sub.complement_in(sup)
         if any(not t_is_zero(r[p]) for r in self.complement.rows
                for p in sub.pivots):
@@ -304,8 +302,9 @@ class Quotient:
     def induced_matrix(self, op: Mat, dst: "Quotient | None" = None) -> Mat:
         """Matrix of the map induced by op from this quotient to dst.
 
-        ``op`` must map sup into dst.sup and sub into dst.sub (the caller's
-        responsibility; projection fails loudly if sup is not preserved).
+        ``op`` must map this quotient's total space into dst's and sub
+        into dst.sub (the caller's responsibility; projection fails loudly
+        if the total space is not preserved).
         """
         if dst is None:
             dst = self

@@ -17,9 +17,9 @@ from sympy.polys.matrices import DomainMatrix
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, symmetric_family_ivi,
                                table1_catalog)
-from hodgelim.endo import (SpanCoordinates, _bracket, _sparse, as_mat,
+from hodgelim.endo import (SpanCoordinates, _bracket, as_mat,
                            centralizer_in, flatten, isometry_algebra,
-                           maps_into, noncommuting_pair, nonzeros,
+                           maps_into, noncommuting_pair, operator_rows,
                            operator_span, pairwise_commuting, solve_in_span,
                            span_basis_mats)
 from hodgelim.errors import VerificationError
@@ -310,27 +310,29 @@ def test_closed_form_needs_the_form_of_the_bigrading():
 # the solve contract
 # ---------------------------------------------------------------------------
 
-def test_nonzeros_lists_row_major_entries():
-    x = Mat([[0, 2], [GR(0, 1), 0]])
+def test_operator_rows_list_each_rows_nonzeros():
+    x = Mat([[0, 2, 0], [0, 0, 0], [GR(0, 1), 0, GR(-1, 2)]])
     flat = tuple(e for row in x.t for e in row)
-    assert nonzeros(flat, 2) == [(0, 1, (2, 0, 1)), (1, 0, (0, 1, 1))]
+    assert operator_rows(flat, 3) == [[(1, (2, 0, 1))], [],
+                                      [(0, (0, 1, 1)), (2, (-1, 2, 1))]]
+    assert operator_rows(flatten(Mat.zeros(2, 2)), 2) == [[], []]
 
 
 def test_solve_with_no_conditions_keeps_the_space():
     space = isometry_algebra(make_form(4, 1, True, seed=3))
-    assert solve_in_span(space, 4, lambda nz: ()) == space
+    assert solve_in_span(space, 4, lambda rows: ()) == space
     assert solve_in_span(space, 4, maps_into([], 4)) == space
 
 
 def test_solve_drops_conditions_that_are_zero_on_every_operator():
     space = isometry_algebra(make_form(4, 1, True, seed=3))
 
-    def entry(nz, i, j):
-        return next((x for a, b, x in nz if (a, b) == (i, j)), T_ZERO)
+    def entry(rows, i, j):
+        return next((x for b, x in rows[i] if b == j), T_ZERO)
 
-    def conditions(nz):
-        return (T_ZERO, entry(nz, 0, 0), T_ZERO, T_ZERO,
-                t_sub(entry(nz, 1, 2), entry(nz, 2, 1)), T_ZERO)
+    def conditions(rows):
+        return (T_ZERO, entry(rows, 0, 0), T_ZERO, T_ZERO,
+                t_sub(entry(rows, 1, 2), entry(rows, 2, 1)), T_ZERO)
 
     got = solve_in_span(space, 4, conditions)
     equations = [[QQ_I.zero] * 16 for _ in range(2)]
@@ -338,12 +340,13 @@ def test_solve_drops_conditions_that_are_zero_on_every_operator():
     equations[1][1 * 4 + 2], equations[1][2 * 4 + 1] = QQ_I.one, -QQ_I.one
     assert got == oracle(equations, 16, inside=space)
     assert 0 < got.dim < space.dim
-    assert got == solve_in_span(space, 4, lambda nz: conditions(nz)[1::3])
+    assert got == solve_in_span(space, 4,
+                                lambda rows: conditions(rows)[1::3])
 
 
 def test_solve_in_the_zero_space_is_zero():
     zero = Subspace.zero(9)
-    assert solve_in_span(zero, 3, lambda nz: (nz[0][2],)) is zero
+    assert solve_in_span(zero, 3, lambda rows: (rows[0][0][1],)) is zero
 
 
 def test_operator_span_checks_the_operator_size():
@@ -454,11 +457,11 @@ def test_structure_constants_of_random_sparse_operator_spaces(seed):
 
 
 def check_bracket(x: Mat, y: Mat, n: int):
-    """The bracket from the nonzeros is the commutator's nonzeros."""
-    expected = {i * n + j: e
-                for i, j, e in nonzeros(flatten(commutator(x, y)), n)}
-    assert _bracket(_sparse(nonzeros(flatten(x), n), n),
-                    _sparse(nonzeros(flatten(y), n), n), n) == expected
+    """The bracket from the rows is the commutator's nonzeros."""
+    expected = {i * n + j: e for i, row in enumerate(
+        operator_rows(flatten(commutator(x, y)), n)) for j, e in row}
+    assert _bracket(operator_rows(flatten(x), n),
+                    operator_rows(flatten(y), n), n) == expected
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -158,7 +158,7 @@ def ref_verify_mhs(w, f):
         if quot.dim == 0:
             continue
         try:
-            fl = graded_filtration(w, f, l, quot)
+            fl = graded_filtration(w, f, l)
             hs = ref_hs_from_filtration(fl, l)
         except VerificationError as e:
             graded_ok = False

@@ -360,7 +360,7 @@ def quotient_positivity(weight, q, w, f, n):
         prim_dims[weight + l] = prim.dim
         if prim.is_zero():
             continue
-        hs = hs_from_filtration(graded_filtration(w, f, weight + l, top),
+        hs = hs_from_filtration(graded_filtration(w, f, weight + l),
                                 weight + l)
         weil = weil_operator(hs).transpose().t
         gram = q.gram_rows(

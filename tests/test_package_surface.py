@@ -1,5 +1,6 @@
 """The package carries no import it does not use, no public function
-nobody in it calls unless it says why, and one ladder of powers.
+nobody in it calls unless it says why, no attribute it stores and never
+reads unless it says why, and one ladder of powers.
 
 The checks read the sources with ``ast`` and import nothing.  A public
 ``def`` (a module-level function or a method whose name does not start
@@ -88,7 +89,6 @@ CALLERS = {
     "builders.CatalogRow.orbit": "cli._cmd_catalog",
     "builders.StringModel.element": "builders._row_pure",
     "builders.StringModel.orbit": "builders.build_max_ivi_k2",
-    "endo.nonzeros": "endo.solve_in_span",
     "filtrations.Bigrading.dims": "filtrations.HodgeStructure.hodge_numbers",
     "filtrations.Bigrading.piece": "mixed.deligne_bigrading",
     "filtrations.Bigrading.row": "mixed.filtration_lowering",
@@ -141,6 +141,11 @@ CALLERS = {
     "subspaces.Subspace.zero": "filtrations.weight_filtration",
     "subspaces.kernel": "mixed.verify_pmhs",
 }
+
+
+# attributes a class stores that no code in the package reads, each with
+# the reason it stays
+UNREAD = {}
 
 
 def sources():
@@ -233,6 +238,53 @@ def test_every_listed_caller_names_its_callee():
              if caller == callee or caller not in defs
              or not names_in(defs[caller])[callee.rsplit(".", 1)[1]]]
     assert not wrong, f"listed callers that do not name the callee: {wrong}"
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def stored_attributes(module: str, tree: ast.Module):
+    """(qualified name, attribute) for what each class stores: a
+    ``self.x =`` target in a method, an entry in ``__slots__``, or an
+    annotated field of a dataclass."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        stored = set()
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign) and is_dataclass(node)
+                    and isinstance(item.target, ast.Name)):
+                stored.add(item.target.id)
+            elif (isinstance(item, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                          for t in item.targets)):
+                stored |= {c.value for c in ast.walk(item.value)
+                           if isinstance(c, ast.Constant)}
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stored |= {t.attr for t in ast.walk(item)
+                           if isinstance(t, ast.Attribute)
+                           and isinstance(t.ctx, ast.Store)
+                           and isinstance(t.value, ast.Name)
+                           and t.value.id == "self"}
+        yield from ((f"{module}.{node.name}.{a}", a) for a in sorted(stored))
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute counts as read when some ``.x`` in the package loads it
+    trees = sources()
+    read = {n.attr for t in trees.values() for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    stored = dict(attr for module, tree in trees.items()
+                  for attr in stored_attributes(module, tree))
+    unread = {qual for qual, attr in stored.items() if attr not in read}
+    assert unread - UNREAD.keys() == set(), \
+        "attributes stored and never read; delete them or give a reason " \
+        "in UNREAD"
+    assert UNREAD.keys() - unread == set(), \
+        "UNREAD lists attributes that are gone or read"
 
 
 def test_powers_climb_only_the_bounded_ladder():

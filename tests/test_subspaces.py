@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hodgelim import GR, I, Mat, Subspace, Quotient, image, kernel
 from hodgelim.errors import VerificationError
 from hodgelim.matrices import t_conj_mat, t_matmul
+from hodgelim.subspaces import direct_sum_equals
 
 
 def random_subspace(rng, n, max_vecs=None):
@@ -178,6 +179,28 @@ def test_not_conj_stable():
     s = Subspace.span([[1, I]], 2)
     assert not s.is_conj_stable()
     assert s.conj() == Subspace.span([[1, -I]], 2)
+
+
+def test_direct_sum_equals():
+    i = GR(0, 1)
+    e1, e2, e3 = ([1, 0, 0],), ([0, 1, 0],), ([0, 0, 1],)
+    full = Subspace.full(3)
+    plane = Subspace.span([[1, i, 0], [0, 1, 1]], 3)
+    # dependent parts whose sum is the total space
+    assert not direct_sum_equals(
+        [Subspace.span(e1 + e2, 3), Subspace.span(e2 + e3, 3)], full)
+    # independent parts that span less than the total space
+    assert not direct_sum_equals(
+        [Subspace.span(e1, 3), Subspace.span([[0, 1, 1 + i]], 3)], full)
+    assert direct_sum_equals([], Subspace.zero(3))
+    assert not direct_sum_equals([], plane)
+    assert direct_sum_equals([Subspace.span([[1, i, 0]], 3),
+                              Subspace.span([[0, 1, 1]], 3)], plane)
+    assert direct_sum_equals([Subspace.span(e1, 3), Subspace.zero(3),
+                              Subspace.span([[1 + i, 1, 0], [0, 2, i]], 3)],
+                             full)
+    with pytest.raises(ValueError, match="ambient"):
+        direct_sum_equals([Subspace.span(e1, 3)], Subspace.full(2))
 
 
 def test_map_by_and_image_kernel():
