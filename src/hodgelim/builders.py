@@ -109,6 +109,7 @@ class StringModel:
         self.basis = Mat.from_columns([e.vec for e in self.entries])
         self._basis_inv = self.basis.inverse()
         self._gram = Mat(gram)
+        self._gram_inv = self._gram.inverse()
         m = self._basis_inv.transpose() @ self._gram @ self._basis_inv
         if not m.is_real():
             raise VerificationError("string pairing did not close over R")
@@ -127,13 +128,6 @@ class StringModel:
     def piece_dim(self, p: int, q: int) -> int:
         return len(self.members.get((p, q), []))
 
-    def gram_block(self, left: tuple[int, int],
-                   right: tuple[int, int]) -> Mat:
-        li = self.members.get(left, [])
-        ri = self.members.get(right, [])
-        return Mat([[self._gram[i, j] for j in ri] for i in li]) \
-            if li and ri else Mat.zeros(len(li), len(ri))
-
     def dims(self) -> dict[tuple[int, int], int]:
         return {pq: len(ids) for pq, ids in sorted(self.members.items())}
 
@@ -144,15 +138,17 @@ class StringModel:
 
         ``blocks`` maps a source piece (p, q) to its block matrix (rows
         indexed by the target piece (p+a, q+b), columns by the source).
-        The pairing couples each block with one partner block on the dual
-        pieces; partners are computed here and must not conflict with
-        anything the caller supplied.  Self-paired blocks are checked.
+        In the complex basis an isometry element X is its adjoint
+        -G^-1 X^T G, G the Gram matrix, which moves the block at source
+        (p, q) to the partner source (k-p-a, k-q-b).  So the given blocks
+        Y take the adjoint's columns at the sources not given; where a
+        given source's partner is given too, or is itself, Y must agree.
         """
         a, b = degree
-        k = self.weight
-        resolved: dict[tuple[int, int], Mat] = {}
-
-        def as_block(src, raw):
+        y = [[GR(0)] * self.dim for _ in range(self.dim)]
+        given: dict[tuple[int, int], list[int]] = {}
+        for src, raw in blocks.items():
+            src = tuple(src)
             tgt = (src[0] + a, src[1] + b)
             rows, cols = self.piece_dim(*tgt), self.piece_dim(*src)
             m = raw if isinstance(raw, Mat) else Mat(raw)
@@ -160,44 +156,26 @@ class StringModel:
                 raise ValueError(
                     f"block at {src} has shape {m.shape}, needs "
                     f"({rows}, {cols})")
-            return m
-
-        given = {tuple(src): as_block(src, raw)
-                 for src, raw in blocks.items()}
-        for src, beta in given.items():
-            if src in resolved:
-                if resolved[src] != beta:
-                    raise ValueError(f"conflicting blocks at {src}")
-                continue
-            resolved[src] = beta
-            tgt = (src[0] + a, src[1] + b)
-            partner_src = (k - src[0] - a, k - src[1] - b)
-            partner_tgt = (k - src[0], k - src[1])
-            if self.piece_dim(*partner_src) == 0:
-                continue
-            p_pair = self.gram_block(tgt, partner_src)
-            r_pair = self.gram_block(src, partner_tgt)
-            if partner_src == src:
-                lhs = beta.transpose() @ p_pair + r_pair @ beta
-                if not lhs.is_zero():
-                    raise ValueError(
-                        f"self-paired block at {src} violates the pairing")
-                continue
-            forced = -(r_pair.inverse() @ beta.transpose() @ p_pair)
-            prior = given.get(partner_src)
-            if prior is not None and prior != forced:
-                raise ValueError(
-                    f"block given at {partner_src} conflicts with the "
-                    f"partner forced by {src}")
-            resolved[partner_src] = forced
-
-        xc = [[GR(0)] * self.dim for _ in range(self.dim)]
-        for src, beta in resolved.items():
-            tgt = (src[0] + a, src[1] + b)
+            given[src] = self.members.get(src, [])
             for ti, ei in enumerate(self.members.get(tgt, [])):
-                for si, ej in enumerate(self.members[src]):
-                    xc[ei][ej] = beta[ti, si]
-        x = self.basis @ Mat(xc) @ self._basis_inv
+                for si, ej in enumerate(given[src]):
+                    y[ei][ej] = m[ti, si]
+        y = Mat(y)
+        adj = -(self._gram_inv @ y.transpose() @ self._gram)
+        for src in given:
+            partner = (self.weight - src[0] - a, self.weight - src[1] - b)
+            if partner in given and any(
+                    y.col(j) != adj.col(j) for j in given[partner]):
+                raise ValueError(
+                    f"self-paired block at {src} violates the pairing"
+                    if partner == src else
+                    f"block given at {partner} conflicts with the "
+                    f"partner forced by {src}")
+        kept = {j for cols in given.values() for j in cols}
+        xc = Mat.from_triples(tuple(
+            tuple(yr[j] if j in kept else ar[j] for j in range(self.dim))
+            for yr, ar in zip(y.t, adj.t)))
+        x = self.basis @ xc @ self._basis_inv
         if not in_isometry_algebra(x, self.form):
             raise VerificationError(
                 "level operator does not preserve the form infinitesimally")

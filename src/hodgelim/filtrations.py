@@ -271,16 +271,6 @@ class Bigrading:
         """Sum of the pieces with first index a."""
         return self.sum_where(lambda p, q: p == a)
 
-    def weight_sums(self) -> IncFiltration:
-        """W_l = sum of pieces with p + q <= l."""
-        return IncFiltration({l: self.sum_where(lambda p, q: p + q <= l)
-                              for l in {p + q for p, q in self.pieces}})
-
-    def first_index_sums(self) -> DecFiltration:
-        """F^a = sum of pieces with p >= a."""
-        return DecFiltration({a: self.sum_where(lambda p, q: p >= a)
-                              for a in {p for p, _ in self.pieces}})
-
     def __eq__(self, other):
         if not isinstance(other, Bigrading):
             return NotImplemented

@@ -44,7 +44,11 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
     span, they rebuild W and F by partial sums, and I^{p,q} is conjugate
     to I^{q,p} modulo the lower-index pieces.  A failure of any of these
     raises VerificationError — which is exactly what happens when (W, F)
-    is not a mixed Hodge structure.
+    is not a mixed Hodge structure.  Each piece lies in F^p ∩ W_{p+q} and
+    the pieces are independent, so those with p + q <= l sum to W_l exactly
+    when their dimensions add up to dim W_l (likewise F^a), compared where
+    either side can change: at the jumps and the piece indices.  Conjugate
+    symmetry, s ⊆ mirror + lower and mirror ⊆ s + lower, is one equality.
     """
     if w.ambient != f.ambient:
         raise ValueError("filtration ambient mismatch")
@@ -83,15 +87,17 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
         raise VerificationError(
             "(W, F) is not a mixed Hodge structure: canonical pieces do "
             "not decompose the space") from None
-    if bigr.weight_sums() != w:
+    dims = bigr.dims()
+    if any(sum(d for (p, q), d in dims.items() if p + q <= l) != w.at(l).dim
+           for l in {*wjumps, *(p + q for p, q in dims)}):
         raise VerificationError("canonical pieces do not rebuild W")
-    if bigr.first_index_sums() != f:
+    if any(sum(d for (p, _), d in dims.items() if p >= a) != f.at(a).dim
+           for a in {*jumps, *(p for p, _ in dims)}):
         raise VerificationError("canonical pieces do not rebuild F")
-    # conjugation symmetry modulo lower-order pieces, both inclusions
+    # conjugation symmetry modulo lower-order pieces
     for (p, q), s in bigr.pieces.items():
         lower = bigr.sum_where(lambda a, b: a < p and b < q)
-        mirror = bigr.piece(q, p).conj()
-        if not (s <= mirror + lower and mirror <= s + lower):
+        if s + lower != bigr.piece(q, p).conj() + lower:
             raise VerificationError(
                 f"piece ({p},{q}) not conjugate to ({q},{p}) modulo "
                 "lower-index pieces")
@@ -118,16 +124,30 @@ def graded_filtration(w: IncFiltration, f: DecFiltration,
     return DecFiltration(steps)
 
 
+def _splitting(w: IncFiltration, f: DecFiltration,
+               bigrading) -> Bigrading | VerificationError:
+    """``bigrading``, or when it is None the outcome of
+    ``deligne_bigrading(w, f)``: the splitting or the error it raised."""
+    if bigrading is not None:
+        return bigrading
+    try:
+        return deligne_bigrading(w, f)
+    except VerificationError as e:
+        return e
+
+
 def verify_mhs(w: IncFiltration, f: DecFiltration,
-               bigrading: Bigrading | None = None) -> Report:
+               bigrading: Bigrading | VerificationError | None = None
+               ) -> Report:
     """Check that (W, F) is a mixed Hodge structure over R.
 
     Route one: the canonical bigrading exists with all its postconditions.
     Route two: F induces a pure Hodge structure of weight l on every
     graded piece gr^W_l.  gr^W_l is nonzero just at W's jumps, so route
     two visits these.  Both run; their Hodge numbers must agree.
-    ``bigrading`` is :func:`deligne_bigrading` of (W, F) when the caller
-    has it already (an orbit's limit does); it is not built again.
+    ``bigrading`` is the outcome of :func:`deligne_bigrading` of (W, F),
+    the splitting or the VerificationError it raised, when the caller has
+    it already (an orbit's limit does); it is not built again.
     """
     rep = Report("mixed Hodge structure")
     if w.ambient != f.ambient:
@@ -135,14 +155,14 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
         return rep
     real = rep.add("W is defined over R", w.is_conj_stable())
 
-    bigr = None
-    try:
-        bigr = bigrading or deligne_bigrading(w, f)
+    bigr = _splitting(w, f, bigrading)
+    if isinstance(bigr, VerificationError):
+        rep.add("canonical bigrading", False, reason=str(bigr))
+        bigr = None
+    else:
         rep.add("canonical bigrading", True, dims=bigr.dims())
         rep.data["bigrading_dims"] = {f"{p},{q}": d
                                       for (p, q), d in bigr.dims().items()}
-    except VerificationError as e:
-        rep.add("canonical bigrading", False, reason=str(e))
 
     if not real:
         rep.add("graded pieces are pure Hodge structures", False,
@@ -293,7 +313,8 @@ def horizontal_part(vb: Bigrading, q: BilForm, weight: int) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
-                n: Mat, bigrading: Bigrading | None = None) -> Report:
+                n: Mat, bigrading: Bigrading | VerificationError | None = None
+                ) -> Report:
     """Check that (W, F, N) is a polarized limit structure of pure origin.
 
     W must be the weight filtration of N recentered at ``weight``, which
@@ -305,9 +326,12 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     the lift by the Deligne splitting: the pieces I^{p,q} ∩ ker N^{l+1}
     with p + q = weight + l, on which C is i^(p-q) (Deligne, Publ. IHES
     40 (1971); Cattani--Kaplan--Schmid, Ann. Math. 123 (1986)).
-    ``bigrading`` must be ``deligne_bigrading(w, f)``; it is built once
-    when not given.  One that N does not map by type (-1, -1) raises
-    VerificationError.
+    ``bigrading`` is the outcome of ``deligne_bigrading(w, f)``, the
+    splitting or its VerificationError; it is built once when not given
+    and handed to :func:`verify_mhs`.  A splitting that N does not map by
+    type (-1, -1) raises VerificationError.  N^(l+1) W_{weight+l} ⊆
+    W_{weight-l-2} needs no check: the primitive parts are read only once
+    W is W(N) recentered, and N lowers W(N) by two.
     """
     if weight < 0:
         raise ValueError(f"a polarized limit structure has weight >= 0, "
@@ -336,11 +360,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     rep.add("form is real", q.is_real())
     rep.add("F^a orthogonal to F^(k-a+1)", first_relation_holds(f, weight, q))
 
-    if bigrading is None:
-        try:
-            bigrading = deligne_bigrading(w, f)
-        except VerificationError:
-            pass  # verify_mhs reports it
+    bigrading = _splitting(w, f, bigrading)
     mhs = verify_mhs(w, f, bigrading)
     rep.extend(mhs, prefix="mhs: ")
     if not rep.ok:
@@ -359,11 +379,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     for l in sorted({a + b - weight for a, b in bigrading.pieces
                      if a + b >= weight}):
         # N^l is nonzero on a level with pieces, so powers[l + 1] exists
-        npl1 = powers[l + 1]
-        if not w.at(weight + l).map_by(npl1) <= w.at(weight - l - 2):
-            reason = f"N^{l + 1} does not shift W by 2l+2 at level {l}"
-            break
-        ker = kernel(npl1)
+        ker = kernel(powers[l + 1])
         right, left = _hodge_basis(
             (pq, s & ker) for pq, s in bigrading.pieces.items()
             if sum(pq) == weight + l)

@@ -229,8 +229,8 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
         str(l): w.at(l).dim for l in w.support()}
     try:
         bigrading = orbit.bigrading
-    except VerificationError:
-        bigrading = None  # verify_pmhs reports it
+    except VerificationError as e:
+        bigrading = e  # verify_pmhs reports it, and builds no second one
     rep.extend(verify_pmhs(k, orbit.form, w, f, elements[0], bigrading),
                prefix="limit: ")
     return rep

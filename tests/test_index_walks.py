@@ -118,9 +118,14 @@ def ref_deligne_bigrading(w, f):
         raise VerificationError(
             "(W, F) is not a mixed Hodge structure: canonical pieces do "
             "not decompose the space") from None
-    if bigr.weight_sums() != w:
+    # W and F rebuilt as whole filtrations, by partial sums of the pieces
+    sums_w = IncFiltration({l: bigr.sum_where(lambda p, q: p + q <= l)
+                            for l in {p + q for p, q in bigr.pieces}})
+    if sums_w != w:
         raise VerificationError("canonical pieces do not rebuild W")
-    if bigr.first_index_sums() != f:
+    sums_f = DecFiltration({a: bigr.sum_where(lambda p, q: p >= a)
+                            for a in {p for p, _ in bigr.pieces}})
+    if sums_f != f:
         raise VerificationError("canonical pieces do not rebuild F")
     for (p, q), s in bigr.pieces.items():
         lower = bigr.sum_where(lambda a, b: a < p and b < q)

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from genutil import count_calls
 from hodgelim import matrices, mixed, orbits
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, level_operator_k2,
                                symmetric_family_ivi, table1_catalog)
 from hodgelim.errors import VerificationError
+from hodgelim.filtrations import DecFiltration
 from hodgelim.matrices import Mat, commutator
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit, PolyMap,
                              _interior_samples, a_infinity,
@@ -296,6 +298,27 @@ def test_limit_parts_are_built_once_per_orbit(make, monkeypatch):
     # a one-generator cone's barycenter is the generator the orbits share
     assert again.barycenter is again.cone.generators[0]
     assert calls == {"weight_filtration": 2, "deligne_bigrading": 2}
+
+
+def test_a_failing_splitting_is_built_once_per_verification(monkeypatch):
+    # each step of F moved up one index: the generator still lowers F by
+    # one, but (W, F) is no mixed Hodge structure
+    o = ht_orbit(2, 2)
+    o = replace(o, filtration=DecFiltration(
+        {a + 1: s for a, s in o.filtration.steps.items()}))
+    n, w, f = o.barycenter, o.w, o.filtration
+    with pytest.raises(VerificationError):
+        mixed.deligne_bigrading(w, f)
+    calls = count_calls(monkeypatch, [(orbits, "deligne_bigrading"),
+                                      (mixed, "deligne_bigrading")])
+    runs = [(lambda: verify_orbit(o), "limit: mhs: canonical bigrading"),
+            (lambda: mixed.verify_pmhs(2, o.form, w, f, n),
+             "mhs: canonical bigrading"),
+            (lambda: mixed.verify_mhs(w, f), "canonical bigrading")]
+    for run, failed in runs:
+        calls.clear()
+        assert failed in run().failed()
+        assert calls == {"deligne_bigrading": 1}
 
 
 def test_family_verification_and_dimension():
