@@ -92,14 +92,15 @@ def _kernel_part(space: Subspace, cols: TMat) -> Subspace:
     """{sum_i y_i r_i : sum_i y_i cols[i] = 0} for the canonical rows r_i
     of space, ``cols[i]`` being the conditions evaluated on r_i.
 
-    Conditions that vanish on every r_i are dropped; when none is left,
-    ``space`` itself is returned and nothing is eliminated.  Otherwise
+    Conditions that vanish on every r_i are dropped, and of equal ones
+    the first is kept; when none is left, ``space`` itself is returned
+    and nothing is eliminated.  Otherwise
     :func:`~hodgelim.subspaces.kernel` gives the canonical coordinates
     of the solutions from one elimination, and ``space.lift`` takes them
     back into ``space`` without another.
     """
     zero = t_zero_row(len(cols))  # a zero triple is normalized to T_ZERO
-    cond = [row for row in zip(*cols) if row != zero]
+    cond = list(dict.fromkeys(row for row in zip(*cols) if row != zero))
     if not cond:
         return space
     return space.lift(kernel(Mat.from_triples(tuple(cond), space.dim)))

@@ -10,9 +10,10 @@ above the query, zero below the support, everything above it.
 a filtration changes is decided once, by ``jumps()``; the loops over its
 indices walk that list, so the listed indices set no work.
 
-The weight filtration of a nilpotent endomorphism is produced by a closed
-formula and then *re-verified* against its two defining properties on every
-call, so a bug in the formula cannot slip through silently.  Those
+The weight filtration of a nilpotent endomorphism is produced by a
+recursion and then *re-verified* against its two defining properties on
+every call, each where the recursion does not give it already, so a bug in
+the recursion cannot slip through silently.  Those
 properties determine W(N) uniquely (Deligne, Weil II, 1.6.1), so a given
 W is compared with W(N) by checking them on W
 (:func:`weight_filtration_defect`) rather than by building W(N) again.
@@ -29,7 +30,7 @@ from .forms import BilForm, hermitian_positive_definite
 from .matrices import Mat, TVec, t_conj_mat, t_transpose
 from .reports import Report
 from .scalars import T_I, T_ONE, t_mul, t_neg
-from .subspaces import Subspace, direct_sum_equals, image, kernel
+from .subspaces import Subspace, direct_sum_equals, kernel
 
 
 class _Filtration:
@@ -105,7 +106,7 @@ class _Filtration:
             if not target.is_full():
                 step = self.at(j)
                 for x in ops:
-                    if not step.map_by(x) <= target:
+                    if not step.sends_into(x, target):
                         return False
         return True
 
@@ -151,10 +152,18 @@ class IncFiltration(_Filtration):
 def weight_filtration(n: Mat) -> IncFiltration:
     """The monodromy weight filtration of a nilpotent matrix, centered at 0.
 
-    Built by the closed formula W_l = sum_i (ker N^(l+i+1) ∩ im N^i) and
-    then checked by :func:`weight_filtration_defect` against the
-    properties that characterize it: N W_l ⊆ W_{l-2}, and N^l induces an
-    isomorphism gr_l -> gr_{-l}.
+    Built from the top down, W_{d-1} = C^n when N^d = 0, by
+    W_l = ker N^(l+1) + N W_{l+2}, whose kernel term is 0 for l < 0.
+    Both terms split along a Jordan basis, and on a string v, Nv, ...,
+    N^(m-1)v, where N^j v has weight m-1-2j, N W_{l+2} is spanned by the
+    vectors of weight <= l but v, and ker N^(l+1) by the last l+1, which
+    take in v just when its weight m-1 is <= l and otherwise have weights
+    <= l.  Each level is one elimination of the two spanning sets.  W is
+    then checked against the properties that characterize it (see
+    :func:`weight_filtration_defect`): N W_l ⊆ W_{l-2}, which the
+    construction gives at every level but the one above W's zero steps,
+    so it is checked there alone, and N^l induces an isomorphism
+    gr_l -> gr_{-l}.
     """
     if not n.is_square():
         raise ValueError("weight filtration of a non-square matrix")
@@ -163,24 +172,23 @@ def weight_filtration(n: Mat) -> IncFiltration:
     if not powers[-1].is_zero():
         raise ValueError("matrix is not nilpotent")
     d = max(len(powers) - 1, 1)  # on C^0, I = 0 and W still has level 0
-    k0 = d - 1
-    kernels = {t: kernel(powers[t]) for t in range(1, d)}
-    kernels[d] = Subspace.full(dim)
-    images = {i: image(powers[i]) for i in range(1, d)}
-    images[0] = Subspace.full(dim)
-
-    steps = {}
-    for l in range(-k0, k0 + 1):
-        acc = Subspace.zero(dim)
-        for i in range(0, d):
-            t = l + i + 1
-            if t <= 0:
-                continue
-            term = images[i] if t >= d else (kernels[t] & images[i])
-            acc = acc + term
-        steps[l] = acc
+    top = d - 1
+    whole = Subspace.full(dim)
+    columns = t_transpose(n.t)  # they span N C^n = im N
+    steps = {top: whole}
+    for l in range(top - 1, -top - 1, -1):
+        above = steps.get(l + 2, whole)
+        pushed = columns if above.is_full() else above.image_rows(n)
+        kept = kernel(powers[l + 1]).rows if l >= 0 else ()
+        steps[l] = Subspace.from_triples(kept + pushed, dim)
     w = IncFiltration(steps)
-    defect = weight_filtration_defect(w, n)
+    # W_l is spanned with N W_{l+2} from l = -top up, and is whole from
+    # top up, so N W_l ⊆ W_{l-2} holds but at l = 1 - top, where the
+    # target W_{-1-top} is 0 (and below it, where W_l ⊆ W_{1-top})
+    if not w.at(1 - top).sends_into(n, Subspace.zero(dim)):
+        defect = "N does not lower the level by two"
+    else:
+        defect = _graded_defect(w, n)
     if defect is not None:
         raise VerificationError(f"weight filtration: {defect}")
     return w
@@ -210,16 +218,26 @@ def weight_filtration_defect(w: IncFiltration, n: Mat) -> str | None:
               if jumps and jumps[-1] >= -dim else ())
     if not w.lowered_by((n,), 2, levels):
         return "N does not lower the level by two"
+    return _graded_defect(w, n)
+
+
+def _graded_defect(w: IncFiltration, n: Mat) -> str | None:
+    """Why N^l does not map gr_l onto gr_{-l} for every l >= 1, or None,
+    for an N that lowers W by two: the second half of
+    :func:`weight_filtration_defect`."""
+    dim = w.ambient
     if not (w.at(-dim).is_zero() and w.at(dim - 1).is_full()):
         return "graded dimensions are not symmetric"
-    graded = sorted({abs(j) for j in jumps if 0 < abs(j) < dim})
+    graded = sorted({abs(j) for j in w.jumps() if 0 < abs(j) < dim})
     powers = n.ladder() if graded else ()
     for l in graded:
         wl, wl1 = w.at(l), w.at(l - 1)
         wm, wm1 = w.at(-l), w.at(-l - 1)
         if wl.dim - wl1.dim != wm.dim - wm1.dim:
             return "graded dimensions are not symmetric"
-        pushed = wl.map_by(powers[min(l, len(powers) - 1)]) + wm1
+        # N^l W_l + W_{-l-1} from one elimination of both spanning sets
+        pushed = Subspace.from_triples(
+            wl.image_rows(powers[min(l, len(powers) - 1)]) + wm1.rows, dim)
         if pushed != wm:
             return "N^l not surjective onto the opposite graded piece"
     return None

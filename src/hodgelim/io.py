@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from math import gcd
+from math import gcd, isfinite
 from typing import Any
 
 from .errors import FormatError
@@ -73,11 +73,21 @@ def scalar_to_json(x) -> str | dict:
     return _triple_to_json((x if isinstance(x, GR) else GR(x)).triple)
 
 
-# Literal text -> its normalized triple.  Only str keys that parsed go in:
-# True == 1 and 1.0 == 1 as dict keys, and neither may read as a scalar.
-# When full it is emptied, so it never holds more than _LITERALS_MAX.
-_LITERALS: dict[str, Triple] = {}
+# Literal text -> its normalized triple, and (_COMPLEX, re, im) for the
+# texts of a complex entry -> its triple.  Only str keys and pairs of str
+# that parsed go in: True == 1 and 1.0 == 1 as dict keys, and neither may
+# read as a scalar; no entry of a file is a tuple holding _COMPLEX, so no
+# entry reads as a complex key.  When full it is emptied, so it never
+# holds more than _LITERALS_MAX.
+_COMPLEX = object()
+_LITERALS: dict[str | tuple, Triple] = {}
 _LITERALS_MAX = 4096
+
+
+def _remember(key: str | tuple, t: Triple) -> None:
+    if len(_LITERALS) >= _LITERALS_MAX:
+        _LITERALS.clear()
+    _LITERALS[key] = t
 
 
 def _rational(obj) -> Triple:
@@ -88,9 +98,7 @@ def _rational(obj) -> Triple:
                 t = GR.parse(obj).triple
             except ValueError as exc:
                 raise FormatError(str(exc)) from None
-            if len(_LITERALS) >= _LITERALS_MAX:
-                _LITERALS.clear()
-            _LITERALS[obj] = t
+            _remember(obj, t)
         return t
     if isinstance(obj, bool):
         raise FormatError("booleans are not scalars")
@@ -101,12 +109,22 @@ def _rational(obj) -> Triple:
 
 def _triple_from_json(obj) -> Triple:
     if isinstance(obj, dict):
-        unknown = set(obj) - {"re", "im"}
-        if unknown:
-            raise FormatError(f"unknown scalar keys {sorted(unknown)}")
-        a, _, d = _rational(obj.get("re", 0))
-        b, _, e = _rational(obj.get("im", 0))
-        return t_norm(a * e, b * d, d * e)
+        re_part, im_part = obj.get("re", 0), obj.get("im", 0)
+        # both parts str and nothing else: a pair that may be remembered
+        pair = (_COMPLEX, re_part, im_part) if (
+            len(obj) == 2 and isinstance(re_part, str)
+            and isinstance(im_part, str)) else None
+        t = _LITERALS.get(pair) if pair else None
+        if t is None:
+            unknown = set(obj) - {"re", "im"}
+            if unknown:
+                raise FormatError(f"unknown scalar keys {sorted(unknown)}")
+            a, _, d = _rational(re_part)
+            b, _, e = _rational(im_part)
+            t = t_norm(a * e, b * d, d * e)
+            if pair:
+                _remember(pair, t)
+        return t
     return _rational(obj)
 
 
@@ -394,5 +412,65 @@ def load_file(path: str) -> Any:
                           f"the JSON parser follows") from None
 
 
+_STRING = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dump(obj, indent: str, out: list) -> None:
+    """Append the text of ``obj`` to ``out`` as ``json.dumps`` with
+    ``sort_keys=True, indent=2`` writes it, ``indent`` being the indent
+    of the line it starts on."""
+    if isinstance(obj, str):
+        out.append(_STRING(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append(_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if isfinite(obj)
+                   else _NONFINITE[float.__repr__(obj)])
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        if all(isinstance(x, str) for x in obj):
+            out.append(sep.join(map(_STRING, obj)))
+        else:
+            for i, x in enumerate(obj):
+                if i:
+                    out.append(sep)
+                _dump(x, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{\n" + inner)
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not "
+                                f"{type(key).__name__}")
+            if i:
+                out.append(",\n" + inner)
+            out.append(_STRING(key) + ": ")
+            _dump(obj[key], inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not "
+                        f"JSON serializable")
+
+
 def dump_text(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """The JSON text of ``data`` with keys sorted and an indent of two, as
+    ``json.dumps(data, sort_keys=True, indent=2)`` gives it, and a final
+    newline.  ``data`` is built of str, int, float, bool, None, lists,
+    tuples and dicts with str keys."""
+    out: list[str] = []
+    _dump(data, "", out)
+    out.append("\n")
+    return "".join(out)

@@ -1,12 +1,14 @@
 """Mixed Hodge structures: splittings, graded checks, limit polarizations.
 
-Two independent routes are kept deliberately separate.  The canonical
-bigrading is produced by a closed formula and checked against structural
-postconditions; the graded-quotient route re-verifies the same data through
-pure Hodge structures on each W-graded piece.  ``verify_mhs`` runs both.
-Once it has passed, ``verify_pmhs`` reads the polarization of the
-primitive parts off the pieces of the verified splitting and builds no
-graded piece of its own.
+The canonical bigrading is produced by a closed formula and checked
+against structural postconditions.  Once it has passed, those
+postconditions prove that F induces a pure Hodge structure on every
+W-graded piece, with the bigrading's Hodge numbers, so ``verify_mhs``
+reads the graded route off the splitting.  Only when the splitting fails
+does it build the graded quotients and the pure structures on them, to
+say which piece is not pure.  Once ``verify_mhs`` has passed,
+``verify_pmhs`` reads the polarization of the primitive parts off the
+pieces of the verified splitting and builds no graded piece of its own.
 """
 from __future__ import annotations
 
@@ -49,6 +51,11 @@ def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
     when their dimensions add up to dim W_l (likewise F^a), compared where
     either side can change: at the jumps and the piece indices.  Conjugate
     symmetry, s ⊆ mirror + lower and mirror ⊆ s + lower, is one equality.
+
+    :func:`verify_mhs` derives its graded route from these four
+    postconditions and builds no graded quotient once they hold, so each
+    of them carries that proof: none may go, not even one that no known
+    input reaches, unless the graded quotients are built again.
     """
     if w.ambient != f.ambient:
         raise ValueError("filtration ambient mismatch")
@@ -143,11 +150,27 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
 
     Route one: the canonical bigrading exists with all its postconditions.
     Route two: F induces a pure Hodge structure of weight l on every
-    graded piece gr^W_l.  gr^W_l is nonzero just at W's jumps, so route
-    two visits these.  Both run; their Hodge numbers must agree.
+    graded piece gr^W_l, with the bigrading's Hodge numbers.
     ``bigrading`` is the outcome of :func:`deligne_bigrading` of (W, F),
     the splitting or the VerificationError it raised, when the caller has
-    it already (an orbit's limit does); it is not built again.
+    it already (an orbit's limit does); it is not built again.  A
+    splitting handed in is trusted as that outcome, postconditions
+    included.
+
+    Once W is real and the splitting has passed, route two follows from
+    route one.  Each piece I^{p,q} lies in F^p ∩ W_l, l = p + q; the
+    pieces decompose V, those with p + q <= l span W_l and those with
+    first index >= p span F^p.  So F^p ∩ W_l is the sum of the pieces in
+    both, and the pieces of level l map isomorphically onto gr^W_l, where
+    the images of I^{p',l-p'} with p' >= p span the induced F^p.  The
+    mirror condition puts conj I^{p,q} in I^{q,p} + W_{l-2}, so on gr^W_l,
+    whose conjugation W's reality defines, the image of I^{p,q} is
+    conjugate to that of I^{q,p}, and the induced conj F^q is spanned by
+    the images with second index >= q.  Hence F^p ∩ conj F^q on gr^W_l
+    is the image of I^{p,q}: gr^W_l is pure of weight l with h^{p,q} =
+    dim I^{p,q}.  The dims are listed by (p + q, p), level by level, as
+    the graded quotients list them.  Only a failed splitting leaves the
+    graded quotients to be built, to name the piece that is not pure.
     """
     rep = Report("mixed Hodge structure")
     if w.ambient != f.ambient:
@@ -168,25 +191,25 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
         rep.add("graded pieces are pure Hodge structures", False,
                 reason="W not conjugation-stable")
         return rep
+    if bigr is not None:
+        by_level = sorted(bigr.dims().items(),
+                          key=lambda item: (sum(item[0]), item[0][0]))
+        rep.add("graded pieces are pure Hodge structures", True,
+                dims=dict(by_level))
+        rep.add("graded Hodge numbers match the bigrading", True)
+        return rep
 
     graded_dims = {}
-    reason = None
     for l in w.jumps():
         try:
             hs = hs_from_filtration(graded_filtration(w, f, l), l)
         except VerificationError as e:
-            reason = f"gr_{l}: {e}"
-            break
+            rep.add("graded pieces are pure Hodge structures", False,
+                    reason=f"gr_{l}: {e}")
+            return rep
         graded_dims.update(hs.hodge_numbers())
-    if reason:
-        rep.add("graded pieces are pure Hodge structures", False,
-                reason=reason)
-        return rep
     rep.add("graded pieces are pure Hodge structures", True,
             dims=graded_dims)
-    if bigr is not None:
-        rep.add("graded Hodge numbers match the bigrading",
-                graded_dims == bigr.dims())
     return rep
 
 
@@ -312,6 +335,15 @@ def horizontal_part(vb: Bigrading, q: BilForm, weight: int) -> Subspace:
 # polarized limit structures
 # ---------------------------------------------------------------------------
 
+def _n_check_names(weight: int) -> tuple[str, ...]:
+    """The names of the checks :func:`verify_pmhs` makes on N alone, in
+    report order: N is real, N^(weight+1) = 0, N is an infinitesimal
+    isometry, N lowers F by one, and W is W(N) recentered."""
+    return ("N is real", f"N^{weight + 1} = 0",
+            "N preserves the form infinitesimally", "N lowers F by one",
+            "W is the recentered weight filtration of N")
+
+
 def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
                 n: Mat, bigrading: Bigrading | VerificationError | None = None
                 ) -> Report:
@@ -332,6 +364,11 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     type (-1, -1) raises VerificationError.  N^(l+1) W_{weight+l} ⊆
     W_{weight-l-2} needs no check: the primitive parts are read only once
     W is W(N) recentered, and N lowers W(N) by two.
+
+    The checks on N alone, named by :func:`_n_check_names`, come first;
+    :func:`_pmhs_rest` makes the others, and
+    :func:`~hodgelim.orbits.verify_orbit`, which has certified N's
+    checks already, calls it alone.
     """
     if weight < 0:
         raise ValueError(f"a polarized limit structure has weight >= 0, "
@@ -344,18 +381,24 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
             raise ValueError(f"{name} lives in dimension {filt.ambient}, "
                              f"the form in dimension {q.dim}")
     rep = Report(f"polarized limit structure (weight {weight})")
-    rep.add("N is real", n.is_real())
-    nilp = n.pow_is_zero(weight + 1)
-    rep.add(f"N^{weight + 1} = 0", nilp)
-    rep.add("N preserves the form infinitesimally", in_isometry_algebra(n, q))
-
-    rep.add("N lowers F by one", f.lowered_by((n,), 1))
-
+    real, nilpotent, isometry, lowers, recentered = _n_check_names(weight)
+    rep.add(real, n.is_real())
+    nilp = rep.add(nilpotent, n.pow_is_zero(weight + 1))
+    rep.add(isometry, in_isometry_algebra(n, q))
+    rep.add(lowers, f.lowered_by((n,), 1))
     if not nilp:
         return rep
-    rep.add("W is the recentered weight filtration of N",
-            weight_filtration_defect(w.shift(weight), n) is None)
+    rep.add(recentered, weight_filtration_defect(w.shift(weight), n) is None)
+    return _pmhs_rest(rep, weight, q, w, f, n, bigrading)
 
+
+def _pmhs_rest(rep: Report, weight: int, q: BilForm, w: IncFiltration,
+               f: DecFiltration, n: Mat,
+               bigrading: Bigrading | VerificationError | None) -> Report:
+    """The checks of :func:`verify_pmhs` past those on N alone, added to
+    ``rep``, which holds N's; the positivity of the primitive pieces is
+    read only when every check in ``rep`` has passed.  Takes the
+    arguments :func:`verify_pmhs` has checked."""
     rep.add("form parity matches weight", q.parity == weight % 2)
     rep.add("form is real", q.is_real())
     rep.add("F^a orthogonal to F^(k-a+1)", first_relation_holds(f, weight, q))
@@ -369,7 +412,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     # N is now a morphism of mixed Hodge structures of type (-1, -1); only
     # this check licenses reading gr, its primitive part and C off I^{a,b}
     for (a, b), piece in bigrading.pieces.items():
-        if not piece.map_by(n) <= bigrading.piece(a - 1, b - 1):
+        if not piece.sends_into(n, bigrading.piece(a - 1, b - 1)):
             raise VerificationError(
                 f"N does not map I^{{{a},{b}}} into I^{{{a - 1},{b - 1}}}: "
                 "the bigrading is not the Deligne splitting of (W, F)")

@@ -216,12 +216,24 @@ class Subspace:
         return all(_is_zero_vec(t_reduce(r, self.rows, self.pivots)[0])
                    for r in t_conj_mat(self.rows))
 
-    def map_by(self, m: Mat) -> "Subspace":
-        """Image of this subspace under the linear map m."""
+    def image_rows(self, m: Mat) -> TMat:
+        """m v for the canonical rows v, as rows: they span the image."""
         if m.ncols != self.ambient:
             raise ValueError("operator shape mismatch")
-        return Subspace.from_triples(t_matmul(self.rows, m.transpose().t),
-                                     m.nrows)
+        return t_matmul(self.rows, m.transpose().t)
+
+    def map_by(self, m: Mat) -> "Subspace":
+        """Image of this subspace under the linear map m."""
+        return Subspace.from_triples(self.image_rows(m), m.nrows)
+
+    def sends_into(self, m: Mat, target: "Subspace") -> bool:
+        """Whether m maps this subspace into ``target``, as
+        ``self.map_by(m) <= target`` says, with no basis of the image
+        built: each image row is reduced against target's canonical rows."""
+        if m.nrows != target.ambient:
+            raise ValueError("ambient dimension mismatch")
+        return all(_is_zero_vec(t_reduce(r, target.rows, target.pivots)[0])
+                   for r in self.image_rows(m))
 
     # -- output --------------------------------------------------------
 

@@ -415,6 +415,54 @@ def test_a_non_ascii_digit_in_a_file_exits_2(capsys, tmp_path, entry):
     assert err.startswith("error: ")
 
 
+def with_entry(kind, key, value):
+    data = copy.deepcopy(STOCK[kind])
+    data[key] = value
+    return data
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (["verify", "mhs"], {"W": {"0": [["1", "0"], ["0", "1"]]},
+                         "F": {"0": [["1", "0", "0"]]}},
+     "W and F dimensions differ"),
+    (["verify", "pmhs"], with_entry("pmhs", "N", [["0", "0"], ["0", "0"]]),
+     "form, filtrations and N dimensions differ"),
+    (["verify", "orbit"], with_entry("orbit", "nilpotents", {}),
+     "nilpotents must be an array of matrices"),
+    (["wfilt"], {"M": [["0"]]}, 'wfilt input needs an "N" matrix'),
+], ids=["mhs", "pmhs", "orbit", "wfilt"])
+def test_malformed_input_exits_2_with_its_message(capsys, tmp_path, argv,
+                                                  data, message):
+    path = write(tmp_path, "bad.json", data)
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"N": [["\u00e9"]]}'.encode("latin-1"))
+    code, out, err = run(capsys, "wfilt", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+def test_n_lowering_f_by_two_fails_transversality(capsys, tmp_path):
+    # N + X on hodge_tate_orbit(2, 2), X: L_0 -> L_2 antisymmetric; X is
+    # an isometry commuting with N, and (N + X) F^2 = L_1 + L_2 is not in
+    # F^1 = L_0 + L_1
+    o = hodge_tate_orbit(2, 2)
+    n = o.cone.generators[0]
+    x = Mat([[0] * 6] * 4 + [[0, 1, 0, 0, 0, 0], [-1, 0, 0, 0, 0, 0]])
+    w = o.limit_weight_filtration()
+    path = write(tmp_path, "pmhs.json", io.pmhs_to_json(
+        o.weight, o.form, w, o.filtration, n + x))
+    code, out, _ = run(capsys, "verify", "pmhs", path)
+    assert code == 1
+    report = json.loads(out)
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == [
+        "N lowers F by one"]
+
+
 # ---------------------------------------------------------------------------
 # deligne
 # ---------------------------------------------------------------------------

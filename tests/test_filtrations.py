@@ -15,7 +15,7 @@ from hodgelim.filtrations import (Bigrading, DecFiltration, IncFiltration,
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
 from hodgelim.scalars import GR, I
-from hodgelim.subspaces import Subspace
+from hodgelim.subspaces import Subspace, image, kernel
 
 
 def jordan_nilpotent(sizes):
@@ -273,6 +273,33 @@ def partitions(n, largest=None):
         return [()]
     return [(k,) + rest for k in range(min(n, largest), 0, -1)
             for rest in partitions(n - k, k)]
+
+
+def closed_formula_w(n: Mat) -> dict[int, Subspace]:
+    """W_l = sum_i (ker N^(l+i+1) ∩ im N^i) for l in [-k, k], N^(k+1) = 0
+    and N^k != 0, each term built by intersection."""
+    dim = n.nrows
+    powers = n.ladder()
+    d = max(len(powers) - 1, 1)
+    steps = {}
+    for l in range(1 - d, d):
+        acc = Subspace.zero(dim)
+        for i in range(max(0, -l), d):
+            t = min(l + i + 1, d)
+            acc = acc + (kernel(powers[t]) & image(powers[i]))
+        steps[l] = acc
+    return steps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([lam for dim in range(1, 8)
+                        for lam in partitions(dim)]),
+       st.integers(0, 10**6), st.booleans())
+def test_weight_filtration_equals_the_closed_formula(lam, seed, dense):
+    g = (random_invertible(sum(lam), random.Random(seed)) if dense
+         else Mat.identity(sum(lam)))
+    n, = move(g, jordan_nilpotent(lam))
+    assert weight_filtration(n).steps == closed_formula_w(n)
 
 
 @st.composite

@@ -282,12 +282,23 @@ def test_a_row_of_cached_literals_and_dicts_reads_entry_by_entry():
 
 
 def test_the_memo_holds_only_parsed_literals():
+    matrix_from_json([["1", {"re": "1/2", "im": "-3"}]])
     for bad in ["1/0", "x", "1_0", "", "1.5", "\u0663"]:
         with pytest.raises(FormatError):
             matrix_from_json([CACHED + [bad]])
+        with pytest.raises(FormatError):
+            matrix_from_json([CACHED + [{"re": "1", "im": bad}]])
         assert bad not in io._LITERALS
-    for text, t in io._LITERALS.items():
-        assert type(text) is str and t == GR.parse(text).triple
+        assert (io._COMPLEX, "1", bad) not in io._LITERALS
+    assert (io._COMPLEX, "1/2", "-3") in io._LITERALS
+    for key, t in io._LITERALS.items():
+        if type(key) is str:
+            assert t == GR.parse(key).triple
+        else:
+            tag, re_text, im_text = key
+            assert tag is io._COMPLEX
+            assert type(re_text) is str and type(im_text) is str
+            assert t == (GR.parse(re_text) + I * GR.parse(im_text)).triple
 
 
 def test_the_memo_never_grows_past_its_bound():
@@ -526,6 +537,54 @@ def test_load_and_dump(tmp_path):
     path.write_text(dump_text(ivi_to_json(ivi)), encoding="utf-8")
     data = load_file(str(path))
     assert ivi_from_json(data).family == ivi.family
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.text()),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_dump_text_writes_what_json_dumps_writes(tree):
+    assert dump_text(tree) == json.dumps(tree, sort_keys=True,
+                                         indent=2) + "\n"
+
+
+def test_dump_text_writes_tuples_as_lists_and_rejects_other_keys():
+    tree = {"é\n\u2603": ("a", ["b", ()], {}), "": [[], {"x": None}]}
+    assert dump_text(tree) == json.dumps(tree, sort_keys=True,
+                                         indent=2) + "\n"
+    for bad in ({1: "a"}, {"a": {1.5}}, [object()]):
+        with pytest.raises(TypeError):
+            dump_text(bad)
+
+
+def test_a_complex_pair_is_read_once():
+    io._LITERALS.clear()
+    row = [{"re": "1/2", "im": "-3"}, "1", {"re": "1/2", "im": "-3"}]
+    expected = (t_norm(1, -6, 2), (1, 0, 1), t_norm(1, -6, 2))
+    assert matrix_from_json([row]).t[0] == expected
+    assert (io._COMPLEX, "1/2", "-3") in io._LITERALS
+    # a remembered pair answers only to a dict of exactly these two parts
+    for bad in ({"re": "1/2", "im": "-3", "x": "0"}, ("1/2", "-3")):
+        with pytest.raises(FormatError):
+            matrix_from_json([["1", bad]])
+    assert matrix_from_json([row]).t[0] == expected
+    assert matrix_from_json([[{"im": "-3", "re": "1/2"}]]).t[0] == (
+        t_norm(1, -6, 2),)
+
+
+def test_a_period_map_without_matrix_arrays_is_rejected():
+    # no subcommand reads a period map, so no exit code reaches this
+    for z_part, t_linear in (({}, []), ([], "x")):
+        with pytest.raises(FormatError, match="^z_part and t_linear must "
+                                              "be matrix arrays$"):
+            polymap_from_json({"z_part": z_part, "t_linear": t_linear,
+                               "higher": []})
 
 
 def test_dump_text_is_canonical():

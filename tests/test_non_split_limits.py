@@ -15,11 +15,17 @@ from fractions import Fraction
 from math import factorial
 
 from genutil import move
-from hodgelim.builders import (diagonal_cone_orbit, hodge_tate_orbit,
-                               symmetric_family_ivi, table1_catalog)
+from hodgelim import io
+from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
+                               hodge_tate_orbit, symmetric_family_ivi,
+                               table1_catalog)
+from hodgelim.errors import VerificationError
+from hodgelim.filtrations import DecFiltration, hs_from_filtration
 from hodgelim.matrices import Mat, combine
+from hodgelim.mixed import deligne_bigrading, graded_filtration, verify_mhs
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit,
                              verify_ivi, verify_maximality, verify_orbit)
+from hodgelim.reports import Report
 from hodgelim.scalars import GR, I
 
 I_POWERS = (GR(1), I, GR(-1), -I)
@@ -106,3 +112,68 @@ def test_a_twist_keeps_every_report():
         for check in (verify_ivi, verify_maximality):
             assert check(twist).to_dict() == check(ivi).to_dict()
         assert verify_ivi(twist).ok
+
+
+def graded_route_mhs(w, f) -> Report:
+    """``verify_mhs`` with its graded route always built: F's pure
+    structure on every gr^W_l from quotient coordinates, its Hodge
+    numbers compared with the splitting's."""
+    rep = Report("mixed Hodge structure")
+    real = rep.add("W is defined over R", w.is_conj_stable())
+    try:
+        bigr = deligne_bigrading(w, f)
+    except VerificationError as e:
+        bigr = None
+        rep.add("canonical bigrading", False, reason=str(e))
+    else:
+        rep.add("canonical bigrading", True, dims=bigr.dims())
+        rep.data["bigrading_dims"] = {f"{p},{q}": d
+                                      for (p, q), d in bigr.dims().items()}
+    if not real:
+        rep.add("graded pieces are pure Hodge structures", False,
+                reason="W not conjugation-stable")
+        return rep
+    graded_dims = {}
+    for l in w.jumps():
+        try:
+            hs = hs_from_filtration(graded_filtration(w, f, l), l)
+        except VerificationError as e:
+            rep.add("graded pieces are pure Hodge structures", False,
+                    reason=f"gr_{l}: {e}")
+            return rep
+        graded_dims.update(hs.hodge_numbers())
+    rep.add("graded pieces are pure Hodge structures", True,
+            dims=graded_dims)
+    if bigr is not None:
+        rep.add("graded Hodge numbers match the bigrading",
+                graded_dims == bigr.dims())
+    return rep
+
+
+def stock_orbits() -> list[NilpotentOrbit]:
+    out = [NilpotentOrbit(row.orbit.weight, row.orbit.form,
+                          row.orbit.filtration, cone)
+           for row in table1_catalog() for cone in row.cones]
+    out += [hodge_tate_orbit(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+    out += [build_max_ivi_k2(h20, h11).orbit
+            for h20, h11 in ((1, 1), (1, 2), (2, 1), (2, 3), (3, 4))]
+    out += [symmetric_family_ivi(d).orbit for d in (1, 2, 3)]
+    return out + [diagonal_cone_orbit(d) for d in (1, 2, 3)]
+
+
+def test_the_graded_route_is_read_off_the_splitting():
+    limits = stock_orbits() + [face for o in multi_generator_orbits()
+                               for face in faces(o)]
+    assert len(limits) == 75
+    failing = 0
+    for o in limits:
+        # and F moved up one index, where the splitting fails
+        moved = DecFiltration({a + 1: s
+                               for a, s in o.filtration.steps.items()})
+        for f in (o.filtration, moved):
+            got = verify_mhs(o.w, f)
+            assert io.dump_text(got.to_dict()) == io.dump_text(
+                graded_route_mhs(o.w, f).to_dict())
+            assert got.ok == (f is o.filtration)
+            failing += "canonical bigrading" in got.failed()
+    assert failing == 75

@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 
 from genutil import count_calls
-from hodgelim import matrices, mixed, orbits
+from hodgelim import filtrations, forms, matrices, mixed, orbits
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, level_operator_k2,
                                symmetric_family_ivi, table1_catalog)
+from hodgelim.endo import isometry_algebra, span_basis_mats
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import DecFiltration
 from hodgelim.matrices import Mat, commutator
@@ -300,12 +301,17 @@ def test_limit_parts_are_built_once_per_orbit(make, monkeypatch):
     assert calls == {"weight_filtration": 2, "deligne_bigrading": 2}
 
 
-def test_a_failing_splitting_is_built_once_per_verification(monkeypatch):
-    # each step of F moved up one index: the generator still lowers F by
-    # one, but (W, F) is no mixed Hodge structure
+def shifted_f_orbit():
+    """hodge_tate_orbit(2, 2) with each step of F moved up one index: the
+    generator still lowers F by one, but (W, F) is no mixed Hodge
+    structure."""
     o = ht_orbit(2, 2)
-    o = replace(o, filtration=DecFiltration(
+    return replace(o, filtration=DecFiltration(
         {a + 1: s for a, s in o.filtration.steps.items()}))
+
+
+def test_a_failing_splitting_is_built_once_per_verification(monkeypatch):
+    o = shifted_f_orbit()
     n, w, f = o.barycenter, o.w, o.filtration
     with pytest.raises(VerificationError):
         mixed.deligne_bigrading(w, f)
@@ -319,6 +325,92 @@ def test_a_failing_splitting_is_built_once_per_verification(monkeypatch):
         calls.clear()
         assert failed in run().failed()
         assert calls == {"deligne_bigrading": 1}
+
+
+@pytest.mark.parametrize("make, splits", [
+    (lambda: ht_orbit(2, 2), True), (lambda: diagonal_cone_orbit(2), True),
+    (shifted_f_orbit, False)])
+def test_the_graded_route_runs_only_when_the_splitting_fails(make, splits,
+                                                             monkeypatch):
+    o = make()
+    n, w, f = o.barycenter, o.w, o.filtration
+    calls = count_calls(monkeypatch, [(mixed, "graded_filtration"),
+                                      (mixed, "hs_from_filtration")])
+    for run in (lambda: verify_orbit(o),
+                lambda: mixed.verify_pmhs(o.weight, o.form, w, f, n),
+                lambda: mixed.verify_mhs(w, f)):
+        calls.clear()
+        assert run().ok == splits
+        if splits:
+            assert calls == {}
+        else:
+            # gr_0 is read, and fails
+            assert calls == {"graded_filtration": 1,
+                             "hs_from_filtration": 1}
+
+
+def test_limit_n_checks_are_not_made_again_for_the_barycenter(monkeypatch):
+    isometry, defect, graded = [], [], []
+    real_isometry = forms.in_isometry_algebra
+    real_defect = filtrations.weight_filtration_defect
+    real_graded = filtrations._graded_defect
+    for module in (orbits, mixed):
+        monkeypatch.setattr(module, "in_isometry_algebra",
+                            lambda x, q: isometry.append(x)
+                            or real_isometry(x, q))
+    for module in (orbits, mixed, filtrations):
+        monkeypatch.setattr(module, "weight_filtration_defect",
+                            lambda w, x: defect.append(x)
+                            or real_defect(w, x))
+    monkeypatch.setattr(filtrations, "_graded_defect",
+                        lambda w, x: graded.append(x) or real_graded(w, x))
+    row = table1_catalog()[5]
+    for o, ok in ((ht_orbit(2, 2), True), (diagonal_cone_orbit(2), True),
+                  (replace(row.orbit, cone=row.cones[-1]), True),
+                  (shifted_f_orbit(), False)):
+        o = replace(o)  # a fresh orbit, whose W is not built yet
+        isometry.clear()
+        defect.clear()
+        graded.clear()
+        rep = verify_orbit(o)
+        assert rep.ok == ok
+        k = o.weight
+        assert [(c.name, c.ok) for c in rep.checks
+                if c.name.startswith("limit: ")][:5] == [
+            ("limit: N is real", True), (f"limit: N^{k + 1} = 0", True),
+            ("limit: N preserves the form infinitesimally", True),
+            ("limit: N lowers F by one", True),
+            ("limit: W is the recentered weight filtration of N", True)]
+        # one isometry check per generator, and the one graded check
+        # weight_filtration makes on the W it builds
+        n = o.barycenter
+        assert len(isometry) == o.cone.r
+        assert sum(x == n for x in isometry) == (o.cone.r == 1)
+        assert sum(x == n for x in defect) == 0
+        assert sum(x == n for x in graded) == 1
+
+
+def transversality_cone() -> NilpotentOrbit:
+    """The cone (N, X) on hodge_tate_orbit(2, 2), X the real antisymmetric
+    isometry L_0 -> L_2 of the canonical basis of the isometry algebra.
+    X commutes with N and is nilpotent, but X F^2 = L_2 does not lie in
+    F^1 = L_0 + L_1: X lowers F by two."""
+    o = ht_orbit(2, 2)
+    block = [m for m in span_basis_mats(isometry_algebra(o.form), 6)
+             if all(m.t[r][c] == (0, 0, 1) for r in range(6)
+                    for c in range(6) if r < 4 or c > 1)]
+    assert len(block) == 1
+    x = block[0]
+    assert x == Mat([[0] * 6] * 4 + [[0, 1, 0, 0, 0, 0],
+                                     [-1, 0, 0, 0, 0, 0]])
+    return replace(o, cone=NilpotentCone(o.cone.generators + (x,)))
+
+
+def test_a_generator_lowering_f_by_two_fails_transversality():
+    rep = verify_orbit(transversality_cone())
+    assert rep.failed() == ["generators lower the filtration by one"]
+    assert [c.name for c in rep.checks][-1] == \
+        "generators lower the filtration by one"
 
 
 def test_family_verification_and_dimension():

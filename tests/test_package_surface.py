@@ -136,10 +136,10 @@ CALLERS = {
         "filtrations._Filtration.is_conj_stable",
     "subspaces.Subspace.is_zero": "endo.solve_in_span",
     "subspaces.Subspace.lift": "endo._kernel_part",
-    "subspaces.Subspace.map_by": "filtrations._Filtration.lowered_by",
+    "subspaces.Subspace.map_by": "filtrations._Filtration.map_by",
     "subspaces.Subspace.span": "builders.hodge_tate_orbit",
     "subspaces.Subspace.zero": "filtrations.weight_filtration",
-    "subspaces.kernel": "mixed.verify_pmhs",
+    "subspaces.kernel": "mixed._pmhs_rest",
 }
 
 

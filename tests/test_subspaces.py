@@ -213,6 +213,35 @@ def test_map_by_and_image_kernel():
     assert k.contains([1, 1, -1])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32))
+def test_sends_into_says_what_the_image_says(seed):
+    rng = random.Random(seed)
+    n, k = rng.randint(1, 5), rng.randint(1, 5)
+    s = random_subspace(rng, n)
+    m = Mat([[rng.choice([0, 0, 1, -2, GR(1, 1)]) for _ in range(n)]
+             for _ in range(k)])
+    img = s.map_by(m)
+    target = rng.choice([
+        random_subspace(rng, k),
+        img + random_subspace(rng, k, 1),
+        Subspace.span(img.basis_vectors()[1:], k),
+        Subspace.span(img.basis_vectors()[:-1] + [
+            [rng.randint(-1, 1) for _ in range(k)]], k)])
+    assert s.sends_into(m, target) == (img <= target)
+
+
+def test_sends_into_checks_the_shapes():
+    m = Mat([[1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="operator shape"):
+        Subspace.full(2).sends_into(m, Subspace.full(2))
+    with pytest.raises(ValueError, match="ambient"):
+        Subspace.full(3).sends_into(m, Subspace.full(3))
+    assert Subspace.full(3).sends_into(m, Subspace.full(2))
+    assert not Subspace.full(3).sends_into(m, Subspace.span([[1, 1]], 2))
+    assert Subspace.span([[1, 1, -1]], 3).sends_into(m, Subspace.zero(2))
+
+
 def test_quotient_projection():
     sup = Subspace.full(3)
     sub = Subspace.span([[1, 1, 1]], 3)
