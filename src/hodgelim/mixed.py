@@ -345,8 +345,7 @@ def _n_check_names(weight: int) -> tuple[str, ...]:
 
 
 def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
-                n: Mat, bigrading: Bigrading | VerificationError | None = None
-                ) -> Report:
+                n: Mat) -> Report:
     """Check that (W, F, N) is a polarized limit structure of pure origin.
 
     W must be the weight filtration of N recentered at ``weight``, which
@@ -358,12 +357,10 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     the lift by the Deligne splitting: the pieces I^{p,q} ∩ ker N^{l+1}
     with p + q = weight + l, on which C is i^(p-q) (Deligne, Publ. IHES
     40 (1971); Cattani--Kaplan--Schmid, Ann. Math. 123 (1986)).
-    ``bigrading`` is the outcome of ``deligne_bigrading(w, f)``, the
-    splitting or its VerificationError; it is built once when not given
-    and handed to :func:`verify_mhs`.  A splitting that N does not map by
-    type (-1, -1) raises VerificationError.  N^(l+1) W_{weight+l} ⊆
-    W_{weight-l-2} needs no check: the primitive parts are read only once
-    W is W(N) recentered, and N lowers W(N) by two.
+    The splitting is built once and handed to :func:`verify_mhs`.
+    N^(l+1) W_{weight+l} ⊆ W_{weight-l-2} needs no check: the primitive
+    parts are read only once W is W(N) recentered, and N lowers W(N) by
+    two.
 
     The checks on N alone, named by :func:`_n_check_names`, come first;
     :func:`_pmhs_rest` makes the others, and
@@ -389,7 +386,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     if not nilp:
         return rep
     rep.add(recentered, weight_filtration_defect(w.shift(weight), n) is None)
-    return _pmhs_rest(rep, weight, q, w, f, n, bigrading)
+    return _pmhs_rest(rep, weight, q, w, f, n, None)
 
 
 def _pmhs_rest(rep: Report, weight: int, q: BilForm, w: IncFiltration,
@@ -398,7 +395,12 @@ def _pmhs_rest(rep: Report, weight: int, q: BilForm, w: IncFiltration,
     """The checks of :func:`verify_pmhs` past those on N alone, added to
     ``rep``, which holds N's; the positivity of the primitive pieces is
     read only when every check in ``rep`` has passed.  Takes the
-    arguments :func:`verify_pmhs` has checked."""
+    arguments :func:`verify_pmhs` has checked.  ``bigrading`` is the
+    outcome of ``deligne_bigrading(w, f)``, the splitting or its
+    VerificationError, when the caller has it (an orbit's limit does),
+    and None otherwise; :func:`verify_mhs` trusts it as that outcome.  A
+    splitting that N does not map by type (-1, -1) raises
+    VerificationError."""
     rep.add("form parity matches weight", q.parity == weight % 2)
     rep.add("form is real", q.is_real())
     rep.add("F^a orthogonal to F^(k-a+1)", first_relation_holds(f, weight, q))

@@ -21,6 +21,7 @@ from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
                             graded_filtration, graded_piece, horizontal_part,
                             lie_bigrading, verify_mhs, verify_pmhs)
 from hodgelim.orbits import NilpotentCone
+from hodgelim.reports import Report
 from hodgelim.scalars import GR, I
 from hodgelim.subspaces import Subspace, kernel
 
@@ -411,6 +412,19 @@ def sweep_limits():
         yield k, q2, w2, f2, -n2
 
 
+def given_splitting(k, q, w, f, n, bigrading=None):
+    """``verify_pmhs``'s report with its checks past those on N alone
+    made by ``_pmhs_rest`` on a splitting handed in: ``bigrading``, or
+    ``deligne_bigrading(w, f)`` when it is None."""
+    head = Report(f"polarized limit structure (weight {k})")
+    for check in verify_pmhs(k, q, w, f, n).checks[:5]:
+        head.checks.append(check)
+    assert [c.name for c in head.checks] == list(mixed._n_check_names(k))
+    if bigrading is None:
+        bigrading = deligne_bigrading(w, f)
+    return mixed._pmhs_rest(head, k, q, w, f, n, bigrading)
+
+
 def test_positivity_on_the_pieces_matches_the_graded_quotients():
     failures = set()
     count = 0
@@ -423,8 +437,7 @@ def test_positivity_on_the_pieces_matches_the_graded_quotients():
         assert check.detail == ({"dims": dims} if ok else {"reason": reason})
         assert rep.data["primitive_dims"] == {str(d): v
                                               for d, v in dims.items()}
-        given = verify_pmhs(k, q, w, f, n, deligne_bigrading(w, f))
-        assert given.to_dict() == rep.to_dict()
+        assert given_splitting(k, q, w, f, n).to_dict() == rep.to_dict()
         if not ok:
             failures.add(reason)
         count += 1
@@ -448,7 +461,7 @@ def test_positivity_builds_no_graded_piece_of_its_own(monkeypatch):
 
 def test_bigrading_that_n_does_not_map_by_type_is_rejected():
     n, q, w, f = weight_two_string()
-    assert verify_pmhs(2, q, w, f, n, deligne_bigrading(w, f)).ok
+    assert given_splitting(2, q, w, f, n).ok
     # N e0 = e1 and N e1 = e2; e0 + e1 spans a complement of W_1 in W_2
     # too, but N takes it to e1 + e2, outside I^{1,1}
     wrong = Bigrading({(2, 2): Subspace.span([(1, 1, 0)], 3),
@@ -456,7 +469,7 @@ def test_bigrading_that_n_does_not_map_by_type_is_rejected():
                        (0, 0): Subspace.span([(0, 0, 1)], 3)})
     assert verify_mhs(w, f, wrong).ok
     with pytest.raises(VerificationError, match=r"I\^\{2,2\} into I\^\{1,1\}"):
-        verify_pmhs(2, q, w, f, n, wrong)
+        given_splitting(2, q, w, f, n, wrong)
 
 
 def hodge_tate_limit():

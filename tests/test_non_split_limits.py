@@ -14,18 +14,16 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from genutil import move
+from genutil import move, ref_verify_mhs
 from hodgelim import io
 from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                hodge_tate_orbit, symmetric_family_ivi,
                                table1_catalog)
-from hodgelim.errors import VerificationError
-from hodgelim.filtrations import DecFiltration, hs_from_filtration
+from hodgelim.filtrations import DecFiltration
 from hodgelim.matrices import Mat, combine
-from hodgelim.mixed import deligne_bigrading, graded_filtration, verify_mhs
+from hodgelim.mixed import verify_mhs
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit,
                              verify_ivi, verify_maximality, verify_orbit)
-from hodgelim.reports import Report
 from hodgelim.scalars import GR, I
 
 I_POWERS = (GR(1), I, GR(-1), -I)
@@ -114,42 +112,6 @@ def test_a_twist_keeps_every_report():
         assert verify_ivi(twist).ok
 
 
-def graded_route_mhs(w, f) -> Report:
-    """``verify_mhs`` with its graded route always built: F's pure
-    structure on every gr^W_l from quotient coordinates, its Hodge
-    numbers compared with the splitting's."""
-    rep = Report("mixed Hodge structure")
-    real = rep.add("W is defined over R", w.is_conj_stable())
-    try:
-        bigr = deligne_bigrading(w, f)
-    except VerificationError as e:
-        bigr = None
-        rep.add("canonical bigrading", False, reason=str(e))
-    else:
-        rep.add("canonical bigrading", True, dims=bigr.dims())
-        rep.data["bigrading_dims"] = {f"{p},{q}": d
-                                      for (p, q), d in bigr.dims().items()}
-    if not real:
-        rep.add("graded pieces are pure Hodge structures", False,
-                reason="W not conjugation-stable")
-        return rep
-    graded_dims = {}
-    for l in w.jumps():
-        try:
-            hs = hs_from_filtration(graded_filtration(w, f, l), l)
-        except VerificationError as e:
-            rep.add("graded pieces are pure Hodge structures", False,
-                    reason=f"gr_{l}: {e}")
-            return rep
-        graded_dims.update(hs.hodge_numbers())
-    rep.add("graded pieces are pure Hodge structures", True,
-            dims=graded_dims)
-    if bigr is not None:
-        rep.add("graded Hodge numbers match the bigrading",
-                graded_dims == bigr.dims())
-    return rep
-
-
 def stock_orbits() -> list[NilpotentOrbit]:
     out = [NilpotentOrbit(row.orbit.weight, row.orbit.form,
                           row.orbit.filtration, cone)
@@ -173,7 +135,7 @@ def test_the_graded_route_is_read_off_the_splitting():
         for f in (o.filtration, moved):
             got = verify_mhs(o.w, f)
             assert io.dump_text(got.to_dict()) == io.dump_text(
-                graded_route_mhs(o.w, f).to_dict())
+                ref_verify_mhs(o.w, f).to_dict())
             assert got.ok == (f is o.filtration)
             failing += "canonical bigrading" in got.failed()
     assert failing == 75
