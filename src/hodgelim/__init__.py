@@ -6,8 +6,8 @@ with their abelian enlargements, and a randomized search for maximal
 abelian subalgebras — all in exact Gaussian-rational arithmetic.
 """
 from .scalars import GaussianRational, GR, I, ONE, ZERO
-from .matrices import Mat, commutator
-from .subspaces import Subspace, Quotient, image, kernel
+from .matrices import Mat
+from .subspaces import Subspace, Quotient, kernel
 from .errors import FormatError, HodgelimError, VerificationError
 
 __version__ = "0.1.0"

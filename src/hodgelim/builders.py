@@ -128,9 +128,6 @@ class StringModel:
     def piece_dim(self, p: int, q: int) -> int:
         return len(self.members.get((p, q), []))
 
-    def dims(self) -> dict[tuple[int, int], int]:
-        return {pq: len(ids) for pq, ids in sorted(self.members.items())}
-
     # -- pure-degree elements with forced partner blocks -------------------
 
     def element(self, degree: tuple[int, int], blocks) -> Mat:
@@ -220,14 +217,6 @@ class DimTable:
                     raise ValueError(
                         f"symmetry conflict between {(p, q)} and {pq}")
         return DimTable(self.weight, out)
-
-    def hodge_numbers(self) -> dict[int, int]:
-        """Row sums h^p = sum_b j^{p,b} of the completed table."""
-        done = self.complete()
-        out: dict[int, int] = {}
-        for (p, _), v in done.entries.items():
-            out[p] = out.get(p, 0) + v
-        return out
 
     def strings(self):
         """Decompose into string specs; fails if the table is unrealizable."""

@@ -183,15 +183,16 @@ class SpanCoordinates:
     The brackets [z_a, z_b] span a space of dimension ``rank`` = D with
     canonical basis B_1..B_D and pivot columns q_1..q_D.  The structure
     constants are [z_a, z_b] = sum_k c_ab[k] B_k, that is c_ab[k] =
-    [z_a, z_b][q_k].  ``columns[b]`` lists the nonzero (a, k, c_ab[k]), so
-    c_{.b} is what x_b contributes to the bracket with x = sum_b x_b z_b.
+    [z_a, z_b][q_k].  ``_flat[b]`` lists the nonzeros (a * D + k, c_ab[k])
+    of the m x D matrix c_{.b}, flattened row by row: c_{.b} is what x_b
+    contributes to the bracket with x = sum_b x_b z_b.
     The q_k come from one ``t_rref`` of the distinct brackets restricted
     to the columns where some bracket is nonzero: the other columns are
     zero in every row, so they hold no pivot.  Each bracket's constants
     are read off its own nonzeros, through a map from q_k to k.
     """
 
-    __slots__ = ("space", "rank", "columns", "_flat")
+    __slots__ = ("space", "rank", "_flat")
 
     def __init__(self, space: Subspace, n: int):
         self.space = space
@@ -209,17 +210,13 @@ class SpanCoordinates:
         _, pivots = t_rref(tuple(tuple(acc.get(k, T_ZERO) for k in support)
                                  for acc in distinct))
         index = {support[p]: k for k, p in enumerate(pivots)}
-        self.rank = len(index)
-        self.columns: list[list[tuple[int, int, Triple]]] = [
-            [] for _ in range(len(ops))]
+        self.rank = r = len(index)
+        self._flat: Rows = [[] for _ in ops]
         for a, b, acc in brackets:
             for k, c in sorted((index[q], c) for q, c in acc.items()
                                if q in index):
-                self.columns[b].append((a, k, c))
-                self.columns[a].append((b, k, t_neg(c)))
-        # columns[b] as nonzeros of the flattened dim x rank matrix c_{.b}
-        self._flat = [[(a * self.rank + k, c) for a, k, c in column]
-                      for column in self.columns]
+                self._flat[b].append((a * r + k, c))
+                self._flat[a].append((b * r + k, t_neg(c)))
 
     def bracket_with(self, x: TVec) -> TMat:
         """M_x = sum_b x_b c_{.b}: row a is [z_a, x] in B's coordinates."""

@@ -367,13 +367,6 @@ def _hodge_basis(pieces) -> tuple[list[TVec], list[TVec]]:
     return basis, weil
 
 
-def weil_operator(hs: HodgeStructure) -> Mat:
-    """The operator acting as i^(p-q) on each Hodge piece."""
-    basis, weil = _hodge_basis(hs.bigrading.pieces.items())
-    return (Mat.from_triples(t_transpose(weil))
-            @ Mat.from_triples(t_transpose(basis)).inverse())
-
-
 def polarization_gram(hs: HodgeStructure, q: BilForm) -> Mat:
     """Gram matrix of (u, v) -> Q(C u, conj v) in the piecewise Hodge basis."""
     basis, weil = _hodge_basis(hs.bigrading.pieces.items())

@@ -154,12 +154,6 @@ def t_matmul(a: TMat, b: TMat) -> TMat:
     return tuple(out)
 
 
-def t_matvec(tm: TMat, v: TVec) -> TVec:
-    return tuple(_t_combine([(e, [(0, x)]) for e, x in zip(row, v)
-                             if (e[0] or e[1]) and (x[0] or x[1])], 1)[0]
-                 for row in tm)
-
-
 def t_rref(tm) -> tuple[TMat, list[int]]:
     """Canonical reduced row echelon form of a sequence of triple-rows.
 
@@ -333,9 +327,6 @@ class Mat:
         i, j = ij
         return GR.from_triple(self.t[i][j])
 
-    def row(self, i) -> tuple[GaussianRational, ...]:
-        return tuple(GR.from_triple(e) for e in self.t[i])
-
     def col(self, j) -> tuple[GaussianRational, ...]:
         return tuple(GR.from_triple(r[j]) for r in self.t)
 
@@ -380,13 +371,6 @@ class Mat:
         if not self.ncols:
             return Mat.zeros(self.nrows, other.ncols)
         return Mat.from_triples(t_matmul(self.t, other.t), other.ncols)
-
-    def mv(self, v) -> tuple[GaussianRational, ...]:
-        """Matrix times column vector (any scalar-like sequence)."""
-        tv = _coerce_row(v)
-        if len(tv) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(GR.from_triple(e) for e in t_matvec(self.t, tv))
 
     def transpose(self) -> "Mat":
         if not self.nrows:
@@ -514,10 +498,6 @@ class Mat:
         for row in self.t:
             lines.append("[" + ", ".join(str(GR.from_triple(e)) for e in row) + "]")
         return "[" + ",\n ".join(lines) + "]"
-
-
-def commutator(x: Mat, y: Mat) -> Mat:
-    return x @ y - y @ x
 
 
 def combine(coefficients: Sequence, mats: Sequence[Mat]) -> Mat:

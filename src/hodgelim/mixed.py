@@ -131,31 +131,22 @@ def graded_filtration(w: IncFiltration, f: DecFiltration,
     return DecFiltration(steps)
 
 
-def _splitting(w: IncFiltration, f: DecFiltration,
-               bigrading) -> Bigrading | VerificationError:
-    """``bigrading``, or when it is None the outcome of
-    ``deligne_bigrading(w, f)``: the splitting or the error it raised."""
-    if bigrading is not None:
-        return bigrading
+def _splitting(w: IncFiltration,
+               f: DecFiltration) -> Bigrading | VerificationError:
+    """The outcome of ``deligne_bigrading(w, f)``: the splitting or the
+    error it raised."""
     try:
         return deligne_bigrading(w, f)
     except VerificationError as e:
         return e
 
 
-def verify_mhs(w: IncFiltration, f: DecFiltration,
-               bigrading: Bigrading | VerificationError | None = None
-               ) -> Report:
+def verify_mhs(w: IncFiltration, f: DecFiltration) -> Report:
     """Check that (W, F) is a mixed Hodge structure over R.
 
     Route one: the canonical bigrading exists with all its postconditions.
     Route two: F induces a pure Hodge structure of weight l on every
     graded piece gr^W_l, with the bigrading's Hodge numbers.
-    ``bigrading`` is the outcome of :func:`deligne_bigrading` of (W, F),
-    the splitting or the VerificationError it raised, when the caller has
-    it already (an orbit's limit does); it is not built again.  A
-    splitting handed in is trusted as that outcome, postconditions
-    included.
 
     Once W is real and the splitting has passed, route two follows from
     route one.  Each piece I^{p,q} lies in F^p ∩ W_l, l = p + q; the
@@ -172,13 +163,20 @@ def verify_mhs(w: IncFiltration, f: DecFiltration,
     the graded quotients list them.  Only a failed splitting leaves the
     graded quotients to be built, to name the piece that is not pure.
     """
-    rep = Report("mixed Hodge structure")
     if w.ambient != f.ambient:
+        rep = Report("mixed Hodge structure")
         rep.add("filtrations live on the same space", False)
         return rep
-    real = rep.add("W is defined over R", w.is_conj_stable())
+    return _mhs_rest(w, f, _splitting(w, f))
 
-    bigr = _splitting(w, f, bigrading)
+
+def _mhs_rest(w: IncFiltration, f: DecFiltration,
+              bigr: Bigrading | VerificationError) -> Report:
+    """:func:`verify_mhs`'s report of (W, F) on one space, given ``bigr``,
+    which it trusts as the outcome of :func:`_splitting`, postconditions
+    included: an orbit's limit has it already."""
+    rep = Report("mixed Hodge structure")
+    real = rep.add("W is defined over R", w.is_conj_stable())
     if isinstance(bigr, VerificationError):
         rep.add("canonical bigrading", False, reason=str(bigr))
         bigr = None
@@ -357,7 +355,7 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     the lift by the Deligne splitting: the pieces I^{p,q} ∩ ker N^{l+1}
     with p + q = weight + l, on which C is i^(p-q) (Deligne, Publ. IHES
     40 (1971); Cattani--Kaplan--Schmid, Ann. Math. 123 (1986)).
-    The splitting is built once and handed to :func:`verify_mhs`.
+    The splitting is built once and read by the mixed Hodge checks.
     N^(l+1) W_{weight+l} ⊆ W_{weight-l-2} needs no check: the primitive
     parts are read only once W is W(N) recentered, and N lowers W(N) by
     two.
@@ -386,28 +384,24 @@ def verify_pmhs(weight: int, q: BilForm, w: IncFiltration, f: DecFiltration,
     if not nilp:
         return rep
     rep.add(recentered, weight_filtration_defect(w.shift(weight), n) is None)
-    return _pmhs_rest(rep, weight, q, w, f, n, None)
+    return _pmhs_rest(rep, weight, q, w, f, n, _splitting(w, f))
 
 
 def _pmhs_rest(rep: Report, weight: int, q: BilForm, w: IncFiltration,
                f: DecFiltration, n: Mat,
-               bigrading: Bigrading | VerificationError | None) -> Report:
+               bigrading: Bigrading | VerificationError) -> Report:
     """The checks of :func:`verify_pmhs` past those on N alone, added to
     ``rep``, which holds N's; the positivity of the primitive pieces is
     read only when every check in ``rep`` has passed.  Takes the
     arguments :func:`verify_pmhs` has checked.  ``bigrading`` is the
-    outcome of ``deligne_bigrading(w, f)``, the splitting or its
-    VerificationError, when the caller has it (an orbit's limit does),
-    and None otherwise; :func:`verify_mhs` trusts it as that outcome.  A
+    outcome of :func:`_splitting`, which :func:`_mhs_rest` trusts.  A
     splitting that N does not map by type (-1, -1) raises
     VerificationError."""
     rep.add("form parity matches weight", q.parity == weight % 2)
     rep.add("form is real", q.is_real())
     rep.add("F^a orthogonal to F^(k-a+1)", first_relation_holds(f, weight, q))
 
-    bigrading = _splitting(w, f, bigrading)
-    mhs = verify_mhs(w, f, bigrading)
-    rep.extend(mhs, prefix="mhs: ")
+    rep.extend(_mhs_rest(w, f, bigrading), prefix="mhs: ")
     if not rep.ok:
         return rep
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .endo import (centralizer_in, noncommuting_pair, operator_span,
                    pairwise_commuting, span_basis_mats)
@@ -29,7 +29,6 @@ from .matrices import Mat, combine
 from .mixed import (_n_check_names, _pmhs_rest, deligne_bigrading,
                     horizontal_part)
 from .reports import Report
-from .scalars import as_scalar
 from .subspaces import Subspace
 
 
@@ -234,7 +233,7 @@ def verify_orbit(orbit: NilpotentOrbit) -> Report:
     try:
         bigrading = orbit.bigrading
     except VerificationError as e:
-        bigrading = e  # verify_mhs reports it, and builds no second one
+        bigrading = e  # the mhs checks report it, and build no second one
     # verify_pmhs's checks on N alone hold for the barycenter: reality,
     # the isometry condition and lowering F are linear and every generator
     # has passed them, N^(k+1) = 0 is the first interior sample, and W is
@@ -301,27 +300,6 @@ def verify_maximality(ivi: IVI) -> Report:
     return rep
 
 
-def collapse_cone(ivi: IVI, coefficients=None) -> IVI:
-    """Replace the cone by a single positive combination of its generators."""
-    r = ivi.orbit.cone.r
-    if r == 0:
-        raise ValueError("nothing to collapse: the cone is empty")
-    if coefficients is None:
-        coefficients = [1] * r
-    coeffs = [as_scalar(c) for c in coefficients]
-    for c in coeffs:
-        if not (c.is_real() and c.re > 0):
-            raise ValueError("collapse needs positive real coefficients")
-    merged = NilpotentCone((ivi.orbit.cone.element(coeffs),))
-    collapsed = IVI(NilpotentOrbit(ivi.orbit.weight, ivi.orbit.form,
-                                   ivi.orbit.filtration, merged), ivi.family)
-    rep = verify_ivi(collapsed)
-    if not rep.ok:
-        raise VerificationError(
-            "collapsed cone fails verification: " + "; ".join(rep.failed()))
-    return collapsed
-
-
 # ---------------------------------------------------------------------------
 # period maps
 # ---------------------------------------------------------------------------
@@ -356,12 +334,6 @@ class PolyMap:
         if var not in self.variables:
             raise ValueError(f"unknown variable {var!r}")
         return self.coefficients[self.variables.index(var)]
-
-    def evaluate(self, point: Mapping[str, object]) -> Mat:
-        missing = [v for v in self.variables if v not in point]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        return combine([point[v] for v in self.variables], self.coefficients)
 
     def __eq__(self, other):
         return (isinstance(other, PolyMap)

@@ -63,12 +63,6 @@ class SearchResult:
     certified: bool
     restart_dims: list[int]
 
-    def summary(self) -> str:
-        lo, hi = min(self.restart_dims), max(self.restart_dims)
-        return (f"best {self.best_dim} "
-                f"({'certified maximal' if self.certified else 'uncertified'}"
-                f"; {len(self.restart_dims)} restarts, dims {lo}..{hi})")
-
 
 def greedy_max_abelian(orbit_like,
                        config: SearchConfig | None = None) -> SearchResult:

@@ -19,9 +19,8 @@ from typing import Iterable, Sequence
 
 from .errors import VerificationError
 from .matrices import (Mat, TMat, TVec, _coerce_row, t_conj_mat, t_identity,
-                       t_kernel, t_matmul, t_rref, t_sub_mul, t_transpose,
-                       t_zero_row)
-from .scalars import GR, T_ONE, T_ZERO, GaussianRational, t_is_zero
+                       t_kernel, t_matmul, t_rref, t_sub_mul, t_zero_row)
+from .scalars import T_ONE, T_ZERO, t_is_zero
 
 
 def t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
@@ -86,28 +85,6 @@ class Subspace:
 
     def is_full(self) -> bool:
         return self.dim == self.ambient
-
-    # -- membership ----------------------------------------------------
-
-    def reduce(self, v) -> TVec:
-        """Residual of v after elimination against the canonical basis."""
-        tv = _coerce_row(v)
-        if len(tv) != self.ambient:
-            raise ValueError("vector length mismatch")
-        return t_reduce(tv, self.rows, self.pivots)[0]
-
-    def contains(self, v) -> bool:
-        return _is_zero_vec(self.reduce(v))
-
-    def coords(self, v) -> tuple[GaussianRational, ...]:
-        """Coefficients of v in the canonical basis (raises if outside)."""
-        tv = _coerce_row(v)
-        if len(tv) != self.ambient:
-            raise ValueError("vector length mismatch")
-        res, coeffs = t_reduce(tv, self.rows, self.pivots)
-        if not _is_zero_vec(res):
-            raise ValueError("vector not in subspace")
-        return tuple(GR.from_triple(c) for c in coeffs)
 
     # -- lattice operations --------------------------------------------
 
@@ -235,18 +212,8 @@ class Subspace:
         return all(_is_zero_vec(t_reduce(r, target.rows, target.pivots)[0])
                    for r in self.image_rows(m))
 
-    # -- output --------------------------------------------------------
-
-    def basis_vectors(self) -> list[tuple[GaussianRational, ...]]:
-        return [tuple(GR.from_triple(e) for e in r) for r in self.rows]
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient})"
-
-
-def image(m: Mat) -> Subspace:
-    """Column space of a matrix."""
-    return Subspace.from_triples(t_transpose(m.t), m.nrows)
 
 
 def kernel(m: Mat) -> Subspace:
@@ -289,27 +256,16 @@ class Quotient:
     def dim(self) -> int:
         return self.complement.dim
 
-    def project_coords(self, v) -> TVec:
-        """Coordinates of v + sub in the complement basis (v must lie in sup)."""
-        tv = _coerce_row(v)
-        if len(tv) != self.sub.ambient:
-            raise ValueError("vector length mismatch")
-        return self.project_triples(tv)
-
     def project_triples(self, tv: TVec) -> TVec:
-        """:meth:`project_coords` of a vector of normalized triples of the
-        ambient length, taken without coercion or length check."""
+        """Coordinates of tv + sub in the complement basis, for a vector of
+        normalized triples of the ambient length that lies in sup, taken
+        without coercion or length check."""
         res, _ = t_reduce(tv, self.sub.rows, self.sub.pivots)
         res, coords = t_reduce(res, self.complement.rows,
                                self.complement.pivots)
         if not _is_zero_vec(res):
             raise ValueError("vector not in the total space of the quotient")
         return coords
-
-    def lift(self, coords) -> TVec:
-        """The canonical representative with the given quotient coordinates."""
-        comp = Mat.from_triples(self.complement.rows, self.sub.ambient)
-        return (Mat([coords]) @ comp).t[0]
 
     def induced_matrix(self, op: Mat, dst: "Quotient | None" = None) -> Mat:
         """Matrix of the map induced by op from this quotient to dst.

@@ -123,6 +123,18 @@ def count_calls(monkeypatch, methods) -> Counter:
 # and build the graded route of ``verify_mhs`` whatever the splitting's
 # outcome: oracles for the package's checks.
 
+def weil_operator(hs: HodgeStructure) -> Mat:
+    """The Weil operator C of a Hodge structure: i^(p-q) on H^{p,q}."""
+    n = hs.bigrading.ambient
+    basis, images = [], []
+    for (p, q), s in hs.bigrading.pieces.items():
+        piece = Mat.from_triples(s.rows, n)
+        basis += piece.t
+        images += (piece * (GR(1), I, GR(-1), -I)[(p - q) % 4]).t
+    return (Mat.from_triples(tuple(images), n).transpose()
+            @ Mat.from_triples(tuple(basis), n).transpose().inverse())
+
+
 def ref_hs_from_filtration(f, weight):
     smax = f.support()[-1]
     fbar = f.conj()

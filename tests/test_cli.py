@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -256,8 +257,8 @@ def stock_files():
 
 STOCK = stock_files()
 BIG_INT = "<5000-digit integer>"  # spliced into the text after dumping
-REPLACEMENTS = [None, True, 0, -3, 1.5, "x", "1/0", [], {}, [[]],
-                "9" * 5000, BIG_INT]
+REPLACEMENTS = [None, True, 0, -3, 1.5, float("nan"), 10**6, "x", "1/0",
+                [], {}, [[]], [[[]]], {"": {}}, {"re": 1}, "9" * 5000, BIG_INT]
 
 
 @st.composite
@@ -272,9 +273,14 @@ def mutated_files(draw):
             keys = sorted(node) if isinstance(node, dict) else range(len(node))
             parent, key = node, draw(st.sampled_from(keys))
             node = node[key]
-        op = draw(st.sampled_from(["drop", "ragged", "weight", "replace"]))
+        op = draw(st.sampled_from(["drop", "ragged", "weight", "replace",
+                                   "duplicate", "wrap"]))
         if op == "drop" and parent is not None:
             del parent[key]
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(node))
+        elif op == "wrap" and parent is not None:
+            parent[key] = [node]
         elif (op == "ragged" and isinstance(node, list) and node
               and all(isinstance(row, list) for row in node)):
             row = node[draw(st.integers(0, len(node) - 1))]
@@ -301,10 +307,14 @@ def test_mutated_files_exit_cleanly(tmp_path, case):
     path = tmp_path / "mutant.json"
     text = io.dump_text(data).replace(json.dumps(BIG_INT), "9" * 5000)
     path.write_text(text, encoding="utf-8")
-    for argv in (["verify", kind, str(path)], ["integrate", str(path)]):
+    for argv in (["verify", kind, str(path)], ["deligne", str(path)],
+                 ["integrate", str(path)],
+                 ["search", str(path), "--restarts", "2"]):
         err = StringIO()
+        start = time.perf_counter()
         with redirect_stdout(StringIO()), redirect_stderr(err):
             code = main(argv)
+        assert time.perf_counter() - start < 2, argv
         assert code in (0, 1, 2), argv
         if code == 2:
             assert err.getvalue().startswith("error: "), argv
@@ -436,6 +446,30 @@ def test_malformed_input_exits_2_with_its_message(capsys, tmp_path, argv,
     path = write(tmp_path, "bad.json", data)
     code, out, err = run(capsys, *argv, path)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "cktm", "--h20", "0", "--h11", "1"],
+     "Hodge numbers must be positive"),
+    (["build", "hodge-tate", "--k", "0", "--n", "1"],
+     "need k >= 1 and n >= 1"),
+    (["build", "sym-family", "--d", "0"], "need d >= 1"),
+    (["build", "diag-cone", "--d", "0"], "need d >= 1"),
+    (["bound", "symmetric", "--n", "0"], "need n >= 1"),
+    (["bound", "ct", "--n", "0"], "need n >= 1"),
+    (["integrate", "FAMILY", "--out", "MISSING/pm.json"],
+     "cannot write MISSING/pm.json: "),
+])
+def test_argument_checks_exit_2_with_their_message(capsys, tmp_path, argv,
+                                                   message):
+    family = write(tmp_path, "fam.json",
+                   io.ivi_to_json(symmetric_family_ivi(1)))
+    missing = str(tmp_path / "missing")
+    code, out, err = run(capsys, *(a.replace("FAMILY", family)
+                                   .replace("MISSING", missing)
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.replace("MISSING", missing))
 
 
 def test_a_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path):

@@ -25,11 +25,11 @@ from hodgelim.endo import (SpanCoordinates, _bracket, as_mat,
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import Bigrading
 from hodgelim.forms import BilForm, in_isometry_algebra
-from hodgelim.matrices import Mat, commutator, t_matmul
+from hodgelim.matrices import Mat, t_matmul
 from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
                             horizontal_part)
 from hodgelim.orbits import NilpotentCone, NilpotentOrbit, limit_context
-from hodgelim.scalars import GR, T_ZERO, t_sub
+from hodgelim.scalars import GR, T_ONE, T_ZERO, t_sub
 from hodgelim.subspaces import Subspace
 
 from genutil import make_split_mhs, move, transport_mhs
@@ -386,6 +386,23 @@ def z_base_coordinates(label: str) -> SpanCoordinates:
     return SpanCoordinates(centralizer_in(hor, gens, n) if gens else hor, n)
 
 
+def commutator(x: Mat, y: Mat) -> Mat:
+    return x @ y - y @ x
+
+
+def structure_constants(coords: SpanCoordinates) -> dict:
+    """The nonzero c_ab[k], keyed (a, b, k), read off ``bracket_with(e_b)``,
+    whose row a is [z_a, z_b] in the coordinates of the brackets' basis."""
+    m = coords.space.dim
+    out = {}
+    for b in range(m):
+        e_b = tuple(T_ONE if i == b else T_ZERO for i in range(m))
+        for a, row in enumerate(coords.bracket_with(e_b)):
+            out.update(((a, b, k), c) for k, c in enumerate(row)
+                       if c != T_ZERO)
+    return out
+
+
 @pytest.mark.parametrize("label", sorted(SEARCH_ORBITS))
 def test_structure_constants_expand_every_bracket(label):
     coords = z_base_coordinates(label)
@@ -395,11 +412,8 @@ def test_structure_constants_expand_every_bracket(label):
                 for a, za in enumerate(zs) for b, zb in enumerate(zs)}
     span = Subspace.from_triples(list(brackets.values()), n * n)
     assert coords.rank == span.dim
-    constants = {}
-    for b, column in enumerate(coords.columns):
-        for a, k, c in column:
-            assert (a, b, k) not in constants
-            constants[a, b, k] = GR.from_triple(c)
+    constants = {key: GR.from_triple(c)
+                 for key, c in structure_constants(coords).items()}
     for (a, b), bracket in brackets.items():
         expansion = [GR(0)] * (n * n)
         for k, basis in enumerate(span.rows):
@@ -428,8 +442,7 @@ def check_structure_constants(coords: SpanCoordinates, n: int):
                 if a != b}
     span = Subspace.from_triples(list(brackets.values()), n * n)
     assert coords.rank == span.dim
-    got = {(a, b, k): c for b, column in enumerate(coords.columns)
-           for a, k, c in column}
+    got = structure_constants(coords)
     assert got == {(a, b, k): bracket[q]
                    for (a, b), bracket in brackets.items()
                    for k, q in enumerate(span.pivots)
@@ -525,8 +538,8 @@ def test_centralizer_in_coordinates_with_no_brackets(label):
 def test_centralizer_in_coordinates_can_be_zero():
     label = "ht3"
     coords = z_base_coordinates(label)
-    b = next(b for b, column in enumerate(coords.columns) if column)
-    a = coords.columns[b][0][0]  # [z_a, z_b] != 0
+    # the first pair with [z_a, z_b] != 0
+    b, a = min((b, a) for a, b, _ in structure_constants(coords))
     unit = Subspace.full(coords.space.dim).rows
     z = Subspace.from_triples([unit[a]], coords.space.dim)
     assert check_against_flattened(label, z, unit[b]).is_zero()

@@ -11,7 +11,8 @@ from hodgelim.forms import (BilForm, hermitian_positive_definite,
 
 def to_sympy(m: Mat):
     return sympy.Matrix([[sympy.Rational(e.re) + sympy.Rational(e.im) * sympy.I
-                          for e in m.row(i)] for i in range(m.nrows)])
+                          for e in (m[i, j] for j in range(m.ncols))]
+                         for i in range(m.nrows)])
 
 
 def sturm_signature(m: Mat):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from genutil import (count_calls, make_split_mhs, move,
-                     random_real_invertible, transport_mhs)
+                     random_real_invertible, transport_mhs, weil_operator)
 from hodgelim import mixed
 from hodgelim.builders import (StringModel, build_max_ivi_k2,
                                diagonal_cone_orbit, hodge_tate_orbit,
@@ -13,8 +13,7 @@ from hodgelim.builders import (StringModel, build_max_ivi_k2,
 from hodgelim.endo import isometry_algebra, operator_span
 from hodgelim.errors import VerificationError
 from hodgelim.filtrations import (Bigrading, DecFiltration, IncFiltration,
-                                  hs_from_filtration, weight_filtration,
-                                  weil_operator)
+                                  hs_from_filtration, weight_filtration)
 from hodgelim.forms import BilForm, hermitian_positive_definite, is_hermitian
 from hodgelim.matrices import Mat, t_conj_mat, t_matmul
 from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
@@ -364,9 +363,10 @@ def quotient_positivity(weight, q, w, f, n):
         hs = hs_from_filtration(graded_filtration(w, f, weight + l),
                                 weight + l)
         weil = weil_operator(hs).transpose().t
+        lifts = top.complement.rows  # coordinates times these rows
         gram = q.gram_rows(
-            [top.lift(v) for v in t_matmul(prim.rows, weil)],
-            t_matmul(t_conj_mat(map(top.lift, prim.rows)),
+            t_matmul(t_matmul(prim.rows, weil), lifts),
+            t_matmul(t_conj_mat(t_matmul(prim.rows, lifts)),
                      n.pow(l).transpose().t))
         if not is_hermitian(gram):
             return (False, f"primitive form at level {l} not Hermitian",
@@ -467,9 +467,21 @@ def test_bigrading_that_n_does_not_map_by_type_is_rejected():
     wrong = Bigrading({(2, 2): Subspace.span([(1, 1, 0)], 3),
                        (1, 1): Subspace.span([(0, 1, 0)], 3),
                        (0, 0): Subspace.span([(0, 0, 1)], 3)})
-    assert verify_mhs(w, f, wrong).ok
+    assert mixed._mhs_rest(w, f, wrong).ok
     with pytest.raises(VerificationError, match=r"I\^\{2,2\} into I\^\{1,1\}"):
         given_splitting(2, q, w, f, n, wrong)
+
+
+def test_verify_mhs_takes_no_splitting_to_trust():
+    # F^1 = <e0> is no Hodge structure of weight 0 on W_0 = C^2, though
+    # the splitting C^2 = I^{0,0} would pass every check if it were trusted
+    w = IncFiltration({0: Subspace.full(2)})
+    f = DecFiltration({0: Subspace.full(2), 1: Subspace.span([(1, 0)], 2)})
+    fake = Bigrading({(0, 0): Subspace.full(2)})
+    assert not verify_mhs(w, f).ok
+    with pytest.raises(TypeError):
+        verify_mhs(w, f, fake)
+    assert mixed._mhs_rest(w, f, fake).ok
 
 
 def hodge_tate_limit():

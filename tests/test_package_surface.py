@@ -5,81 +5,67 @@ reads unless it says why, and one ladder of powers.
 The checks read the sources with ``ast`` and import nothing.  A public
 ``def`` (a module-level function or a method whose name does not start
 with ``_``) counts as used when its name appears as a Name, an Attribute
-or an import alias anywhere in ``src/hodgelim`` outside its own body,
-and nothing else in ``src/hodgelim`` is named the same: no second def or
-class, assignment target, loop variable or parameter.  A name that is
-bound more than once proves nothing by appearing, since it may stand
-for the other binding.  A public def that is not proven used must be
-listed, in ``CALLERS`` with a function of the package that calls it, or
-in ``KEEP`` with the reason it stays; a new one fails the test until it
-gets a unique name, a caller or a reason, and a listed one that becomes
-proven used or goes away must leave its list.
+or an import alias anywhere in ``src/hodgelim`` outside its own body and
+outside ``__init__.py``, whose re-exports call nothing, and nothing else
+in ``src/hodgelim`` is named the same: no second def or class,
+assignment target, loop variable or parameter.  A name that is bound
+more than once proves nothing by appearing, since it may stand for the
+other binding.  A public def that is not proven used must be listed, in
+``CALLERS`` with a function of the package that calls it, or in
+``KEEP`` with a reason whose form the test checks; a new one fails the
+test until it gets a unique name, a caller or a reason, and a listed one
+that becomes proven used or goes away must leave its list.
 """
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hodgelim"
+import pytest
 
-JSON = "the JSON file format: a reader or writer listed in io.__all__"
-PERFBENCH = "perfbench/tracer.py wraps it by name in TARGETS"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hodgelim"
 
+README = "README"
+ACCEPTANCE = "acceptance"
+TRACER = "perfbench/tracer.py"
+WORKLOADS = "perfbench/workloads.py"
+
+# public defs nothing in the package calls, each with the reason it stays,
+# in one of four forms that test_every_kept_definition_has_a_checkable_reason
+# checks: README (named in backticks in README.md), "ROADMAP item N" (an
+# open item that will call it), a path outside src/ and tests/ whose text
+# names it, or acceptance (tests/test_acceptance.py names it)
 KEEP = {
-    "endo.isometry_algebra": PERFBENCH,
-    "orbits.limit_context": PERFBENCH,
-    "filtrations.weil_operator":
-        "builds the Weil operator behind the verify_pmhs oracle in the tests",
-    "forms.signature": "perfbench wraps it and its dense workload calls it",
-    "io.scalar_to_json": JSON,
-    "io.scalar_from_json": JSON,
-    "io.hs_to_json": JSON,
-    "io.mhs_to_json": JSON,
-    "io.pmhs_to_json": JSON,
-    "io.polymap_from_json": JSON,
-    "matrices.Mat.mv": "applies a matrix to a vector of any scalar type",
-    "matrices.Mat.pow": "the public power of a matrix, and the oracle the "
-                        "tests check Mat.ladder against",
-    "matrices.Mat.kernel": "documented in the README as part of Mat",
-    "matrices.Mat.row": "one row of a matrix as Gaussian-rational scalars",
-    "matrices.Mat.det": "the exact determinants the open-cone "
-                        "certificates need",
-    "matrices.Mat.solve": "documented in the README as part of Mat",
-    "mixed.lie_bigrading": "the bigrading on End(V) that graded reduction "
-                           "of the search starts from",
-    "mixed.filtration_lowering": PERFBENCH,
-    "orbits.NilpotentOrbit.limit_weight_filtration":
-        "perfbench/workloads.py and benchmarks/bench_kernels.py call it",
-    "orbits.verify_maximality": "the maximality certificate; perfbench's "
-                                "certify workload calls it",
-    "orbits.collapse_cone": "one positive combination for a whole cone, "
-                            "the paper's one-variable orbit",
-    "orbits.PolyMap.evaluate": "the integrated period map at a point",
-    "orbits.a_infinity": "recovers the family from its period map, as "
-                         "acceptance criterion 5 asks",
-    "orbits.IVI.dim": "the dimension of a family, which the acceptance "
-                      "tests compare with each bound",
-    "builders.DimTable.model": "the string model that realizes a table",
-    "builders.DimTable.hodge_numbers": "the row sums h^p of a table",
-    "builders.StringModel.dims": "the piece dimensions of a string model",
-    "filtrations._Filtration.map_by":
-        "moves a filtration by a basis change; perfbench/workloads.py and "
-        "tests/genutil.move call it",
-    "reports.Report.pretty": "a report as text, for failure messages",
-    "scalars.GaussianRational.im": "the imaginary part of a scalar",
-    "scalars.GaussianRational.conj": "the conjugate of a scalar",
-    "scalars.GaussianRational.inverse": "the inverse of a scalar",
-    "search.SearchResult.summary": "a search result as one line of text",
-    "subspaces.Subspace.contains": "membership of one vector",
-    "subspaces.Subspace.basis_vectors":
-        "the canonical basis as Gaussian-rational vectors",
-    "subspaces.Subspace.coords": "coordinates of a vector in the "
-                                 "canonical basis",
-    "subspaces.Quotient.lift": "a class given in quotient coordinates, "
-                               "lifted into the space",
-    "subspaces.Quotient.project_coords":
-        "coordinates of a class in the complement basis",
-    "subspaces.Quotient.induced_matrix":
-        "the matrix an operator induces on a quotient, for determinants",
+    "endo.isometry_algebra": TRACER,
+    "orbits.limit_context": TRACER,
+    "forms.signature": WORKLOADS,
+    "io.scalar_to_json": README,
+    "io.scalar_from_json": README,
+    "io.hs_to_json": README,
+    "io.mhs_to_json": README,
+    "io.pmhs_to_json": README,
+    "io.polymap_from_json": README,
+    "matrices.Mat.pow": ACCEPTANCE,
+    "matrices.Mat.kernel": README,
+    "matrices.Mat.det": README,
+    "matrices.Mat.solve": README,
+    "mixed.lie_bigrading": "ROADMAP item 11",
+    "mixed.filtration_lowering": TRACER,
+    "orbits.NilpotentOrbit.limit_weight_filtration": WORKLOADS,
+    "orbits.verify_maximality": WORKLOADS,
+    "orbits.a_infinity": ACCEPTANCE,
+    "orbits.IVI.dim": ACCEPTANCE,
+    "builders.DimTable.model": "ROADMAP item 10",
+    "filtrations._Filtration.map_by": WORKLOADS,
+    "reports.Report.pretty": ACCEPTANCE,
+    "reports.Report.failed": ACCEPTANCE,
+    "scalars.GaussianRational.re": README,
+    "scalars.GaussianRational.im": README,
+    "scalars.GaussianRational.is_real": README,
+    "scalars.GaussianRational.conj": README,
+    "scalars.GaussianRational.inverse": README,
+    "subspaces.Quotient.induced_matrix": "ROADMAP item 14",
 }
 
 
@@ -93,10 +79,9 @@ CALLERS = {
     "filtrations.Bigrading.piece": "mixed.deligne_bigrading",
     "filtrations.Bigrading.row": "mixed.filtration_lowering",
     "filtrations.Bigrading.support": "filtrations.HodgeStructure.__init__",
-    "filtrations.HodgeStructure.hodge_numbers": "filtrations.verify_phs",
     "filtrations.IncFiltration.shift": "orbits.verify_orbit",
     "filtrations._Filtration.conj": "filtrations.hs_from_filtration",
-    "filtrations._Filtration.is_conj_stable": "mixed.verify_mhs",
+    "filtrations._Filtration.is_conj_stable": "mixed._mhs_rest",
     "filtrations._Filtration.jumps": "filtrations.hs_from_filtration",
     "filtrations._Filtration.support": "orbits.verify_orbit",
     "forms.BilForm.dim": "endo.isometry_algebra",
@@ -106,7 +91,7 @@ CALLERS = {
     "matrices.Mat.columns": "builders._hom_into_long_ends",
     "matrices.Mat.conj": "matrices.Mat.conj_transpose",
     "matrices.Mat.from_triples": "endo.as_mat",
-    "matrices.Mat.inverse": "filtrations.weil_operator",
+    "matrices.Mat.inverse": "builders.StringModel.__init__",
     "matrices.Mat.is_real": "forms.BilForm.is_real",
     "matrices.Mat.is_zero": "filtrations.weight_filtration",
     "matrices.Mat.ncols": "cli._cmd_wfilt",
@@ -125,9 +110,7 @@ CALLERS = {
     "orbits.NilpotentOrbit.w": "orbits.verify_orbit",
     "reports.Report.add": "orbits.verify_orbit",
     "reports.Report.ok": "orbits.verify_orbit",
-    "scalars.GaussianRational.is_real": "orbits.collapse_cone",
     "scalars.GaussianRational.is_zero": "search.greedy_max_abelian",
-    "scalars.GaussianRational.re": "orbits.collapse_cone",
     "subspaces.Quotient.dim": "mixed.graded_filtration",
     "subspaces.Subspace.conj": "filtrations._Filtration.conj",
     "subspaces.Subspace.dim": "endo._kernel_part",
@@ -135,7 +118,6 @@ CALLERS = {
     "subspaces.Subspace.is_conj_stable":
         "filtrations._Filtration.is_conj_stable",
     "subspaces.Subspace.is_zero": "endo.solve_in_span",
-    "subspaces.Subspace.lift": "endo._kernel_part",
     "subspaces.Subspace.map_by": "filtrations._Filtration.map_by",
     "subspaces.Subspace.span": "builders.hodge_tate_orbit",
     "subspaces.Subspace.zero": "filtrations.weight_filtration",
@@ -217,7 +199,8 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_uncalled_public_definition_says_why_it_stays():
     trees = sources()
-    everywhere = sum((names_in(t) for t in trees.values()), Counter())
+    everywhere = sum((names_in(t) for module, t in trees.items()
+                      if module != "__init__"), Counter())
     bound = sum((bound_names(t) for t in trees.values()), Counter())
     unproven = {qual for module, tree in trees.items()
                 for qual, d in public_defs(module, tree)
@@ -229,6 +212,48 @@ def test_every_uncalled_public_definition_says_why_it_stays():
         "name a caller in CALLERS or give a reason in KEEP"
     assert (KEEP.keys() | CALLERS.keys()) - unproven == set(), \
         "KEEP or CALLERS lists definitions that are gone or proven used"
+
+
+def reason_holds(qual: str, reason: str) -> bool:
+    """Whether ``reason`` takes one of KEEP's four forms for ``qual``."""
+    name = qual.rsplit(".", 1)[1]
+    if reason == README:
+        spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+        return any(re.fullmatch(rf"([\w.]+\.)?{name}(\(\))?", s)
+                   for s in spans)
+    if re.fullmatch(r"ROADMAP item [1-9][0-9]*", reason):
+        return True
+    if reason == ACCEPTANCE:
+        path = ROOT / "tests" / "test_acceptance.py"
+    else:
+        path = (ROOT / reason).resolve()
+        if (ROOT not in path.parents
+                or path.relative_to(ROOT).parts[0] in ("src", "tests")):
+            return False
+    return (path.is_file()
+            and re.search(rf"\b{name}\b", path.read_text()) is not None)
+
+
+def test_every_kept_definition_has_a_checkable_reason():
+    wrong = [f"{qual}: {reason}" for qual, reason in KEEP.items()
+             if not reason_holds(qual, reason)]
+    assert not wrong, f"KEEP reasons of no checkable form: {wrong}"
+
+
+@pytest.mark.parametrize("qual,reason", [
+    ("m.Mat.kernel", "documented in the README"),
+    ("m.no_such_name", README),
+    ("m.f", "ROADMAP item 11 and its successors"),
+    ("m.f", "ROADMAP item 0"),
+    ("m.no_such_name", TRACER),
+    ("m.no_such_name", ACCEPTANCE),
+    ("subspaces.kernel", "src/hodgelim/mixed.py"),
+    ("genutil.move", "tests/genutil.py"),
+    ("m.signature", "perfbench/no_such_file.py"),
+    ("m.signature", "perfbench/../src/hodgelim/forms.py"),
+])
+def test_a_reason_of_no_form_is_refused(qual, reason):
+    assert not reason_holds(qual, reason)
 
 
 def test_every_listed_caller_names_its_callee():
