@@ -5,11 +5,12 @@ the coordinate convention of every serialized operator subspace in the
 package.  An operator's sparse form is its rows, row i the list of its
 nonzeros ``(j, X[i][j])``, as :func:`operator_rows` lists them; every
 kernel here reads that one form.  The workhorse is :func:`solve_in_span` —
-cut a span of operators by linear conditions.  A condition sees each basis
-operator only in its sparse form, so its cost follows the sparsity of the
-space rather than n².  Centralizers and the filtration-preserving parts of
-an algebra are solves; the isometry algebra of a form has a closed form
-and needs none.
+cut a span of operators by linear conditions, which
+:meth:`~hodgelim.subspaces.Subspace.where_zero` solves in the span's own
+coordinates.  A condition sees each basis operator only in its sparse
+form, so its cost follows the sparsity of the space rather than n².
+Centralizers and the filtration-preserving parts of an algebra are solves;
+the isometry algebra of a form has a closed form and needs none.
 
 :class:`SpanCoordinates` puts a subspace L of operators in its own
 coordinates, with the structure constants of its brackets, so repeated
@@ -25,7 +26,7 @@ from .forms import BilForm
 from .matrices import (Mat, TMat, TVec, _t_combine, t_hstack, t_matmul,
                        t_rref, t_zero_row)
 from .scalars import T_ZERO, Triple, t_add, t_mul, t_neg, t_sub
-from .subspaces import Subspace, kernel, t_reduce
+from .subspaces import Subspace, t_reduce
 
 Rows = list[list[tuple[int, Triple]]]
 
@@ -78,32 +79,11 @@ def solve_in_span(space: Subspace, n: int,
     in its sparse form, ``rows[i]`` the list of the nonzeros ``(j, x)`` of
     row i with ``x = X[i][j]`` a triple, and returns one flat tuple of
     triples, linear in X and of the same length for every X.  The result
-    {X in space : conditions(X) == 0} is the product of the kernel
-    combinations with the basis, in flattened form.
-    A condition that vanishes on every basis operator is dropped.
+    {X in space : conditions(X) == 0} is ``space.where_zero`` of the
+    conditions on its basis, in flattened form.
     """
-    if space.is_zero():
-        return space
-    return _kernel_part(space, [conditions(operator_rows(r, n))
-                                for r in space.rows])
-
-
-def _kernel_part(space: Subspace, cols: TMat) -> Subspace:
-    """{sum_i y_i r_i : sum_i y_i cols[i] = 0} for the canonical rows r_i
-    of space, ``cols[i]`` being the conditions evaluated on r_i.
-
-    Conditions that vanish on every r_i are dropped, and of equal ones
-    the first is kept; when none is left, ``space`` itself is returned
-    and nothing is eliminated.  Otherwise
-    :func:`~hodgelim.subspaces.kernel` gives the canonical coordinates
-    of the solutions from one elimination, and ``space.lift`` takes them
-    back into ``space`` without another.
-    """
-    zero = t_zero_row(len(cols))  # a zero triple is normalized to T_ZERO
-    cond = list(dict.fromkeys(row for row in zip(*cols) if row != zero))
-    if not cond:
-        return space
-    return space.lift(kernel(Mat.from_triples(tuple(cond), space.dim)))
+    return space.where_zero([conditions(operator_rows(r, n))
+                             for r in space.rows])
 
 
 def maps_into(pairs: Sequence[tuple[TVec, Subspace]],
@@ -240,22 +220,18 @@ def centralizer_in(space: Subspace, mats: Sequence,
     of elements of L.  Then [X, A] = sum_a X_a [z_a, A], and row a of
     M_A = ``n.bracket_with(A)`` is [z_a, A] in the bracket span's
     coordinates, so the conditions on the basis of ``space`` are one
-    product with M_A: D conditions per A, D the bracket span's dimension.
-    Conditions that vanish on the whole basis are dropped, and when none
-    is left ``space`` is returned as it is, with no elimination.  The
-    result is a subspace of C^m, the coordinate image of the flattened
-    centralizer.
+    product with M_A: D conditions per A, D the bracket span's dimension,
+    cut by ``space.where_zero``.  The result is a subspace of C^m, the
+    coordinate image of the flattened centralizer.
     """
     mats = list(mats)
     if not mats:
         return space
     if isinstance(n, SpanCoordinates):
-        if space.is_zero():
-            return space
         m = n.bracket_with(mats[0])
         for a in mats[1:]:
             m = t_hstack(m, n.bracket_with(a))
-        return _kernel_part(space, t_matmul(space.rows, m))
+        return space.where_zero(t_matmul(space.rows, m))
     nn = n * n
     ops = [[row_nonzeros(row) for row in a.t] for a in mats]
 

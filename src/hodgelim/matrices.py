@@ -253,10 +253,6 @@ def t_kernel(tm: TMat, ncols: int) -> list[TVec]:
 
 
 def t_hstack(a: TMat, b: TMat) -> TMat:
-    if not a:
-        return b
-    if not b:
-        return a
     return tuple(ra + rb for ra, rb in zip(a, b))
 
 
@@ -476,9 +472,13 @@ class Mat:
         """One solution of ``self @ x = b`` or None if inconsistent.
 
         Intended for full-column-rank systems (then the solution is the
-        unique one); free variables, if any, are set to zero.
+        unique one); free variables, if any, are set to zero.  A ``b``
+        whose length is not the number of rows raises ValueError.
         """
         tb = _coerce_row(b)
+        if len(tb) != self.nrows:
+            raise ValueError(f"right-hand side of length {len(tb)} for "
+                             f"{self.nrows} equations")
         aug = t_hstack(self.t, tuple((e,) for e in tb))
         rows, pivots = t_rref(aug)
         if self.ncols in pivots:

@@ -23,7 +23,7 @@ from .matrices import (Mat, TVec, t_conj_mat, t_is_zero_mat, t_matmul,
                        t_transpose)
 from .reports import Report
 from .scalars import T_ZERO, t_add, t_mul, t_sub
-from .subspaces import Quotient, Subspace, kernel
+from .subspaces import Quotient, Subspace
 
 
 def deligne_bigrading(w: IncFiltration, f: DecFiltration) -> Bigrading:
@@ -418,10 +418,9 @@ def _pmhs_rest(rep: Report, weight: int, q: BilForm, w: IncFiltration,
     for l in sorted({a + b - weight for a, b in bigrading.pieces
                      if a + b >= weight}):
         # N^l is nonzero on a level with pieces, so powers[l + 1] exists
-        ker = kernel(powers[l + 1])
         right, left = _hodge_basis(
-            (pq, s & ker) for pq, s in bigrading.pieces.items()
-            if sum(pq) == weight + l)
+            (pq, s.where_zero(s.image_rows(powers[l + 1])))
+            for pq, s in bigrading.pieces.items() if sum(pq) == weight + l)
         prim_dims[weight + l] = len(right)
         if not right:
             continue

@@ -3,10 +3,11 @@
 A :class:`Subspace` stores the reduced row echelon basis of its spanning
 set, so two subspaces are equal as sets iff their stored bases are equal
 syntactically.  All the usual lattice operations (sum, intersection,
-inclusion, canonical complement) are exact.  An intersection is one
-elimination (Zassenhaus): the rows of the smaller space, reduced against
-the other, are row-reduced next to their own coordinates, and the rows
-whose residual vanishes give the intersection's canonical basis.
+inclusion, canonical complement) are exact.  One routine,
+:meth:`Subspace.where_zero`, cuts a space by linear conditions: a kernel
+in the space's own coordinates, lifted back without a second elimination.
+An intersection is that cut, the conditions being the residuals of the
+smaller space's rows against the other space.
 
 :class:`Quotient` gives coordinates on ``sup/sub`` via a canonical
 complement; because complements of real subspaces have real canonical
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 from .errors import VerificationError
 from .matrices import (Mat, TMat, TVec, _coerce_row, t_conj_mat, t_identity,
                        t_kernel, t_matmul, t_rref, t_sub_mul, t_zero_row)
-from .scalars import T_ONE, T_ZERO, t_is_zero
+from .scalars import T_ONE, t_is_zero
 
 
 def t_reduce(v: TVec, rows: Sequence[TVec], pivots: Sequence[int]):
@@ -112,18 +113,9 @@ class Subspace:
         return Subspace.from_triples(self.rows + other.rows, self.ambient)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection by one elimination (Zassenhaus).
-
-        Let a be the space with fewer rows, with canonical rows r_1..r_k,
-        and let x_i be the residual of r_i reduced against the other
-        space.  A combination sum c_i r_i lies in the other space exactly
-        when sum c_i x_i = 0, so in the RREF of the rows (x_i | e_i) of
-        length n + k the rows whose pivot lies in the right half are
-        (0 | c) with the c a canonical basis of those combinations, and
-        the intersection is ``a.lift`` of their span.  The right half
-        holds coordinates rather than the rows r_i themselves, because in
-        a dense basis the n - k other columns of the r_i would be carried
-        through every step.
+        """Intersection as the part of the smaller space a, with canonical
+        rows r_i, where the residuals x_i of the r_i against the other
+        space b vanish: sum c_i r_i lies in b exactly when sum c_i x_i = 0.
         """
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
@@ -134,17 +126,24 @@ class Subspace:
         if other.is_full():
             return self
         a, b = (self, other) if self.dim <= other.dim else (other, self)
-        residuals = [t_reduce(r, b.rows, b.pivots)[0] for r in a.rows]
-        if all(map(_is_zero_vec, residuals)):
-            return a  # a lies in b
-        n, k = self.ambient, a.dim
-        rows, pivots = t_rref(tuple(
-            x + (T_ZERO,) * i + (T_ONE,) + (T_ZERO,) * (k - 1 - i)
-            for i, x in enumerate(residuals)))
-        first = next((i for i, p in enumerate(pivots) if p >= n),
-                     len(pivots))
-        return a.lift(Subspace(k, tuple(r[n:] for r in rows[first:]),
-                               tuple(p - n for p in pivots[first:])))
+        return a.where_zero([t_reduce(r, b.rows, b.pivots)[0]
+                             for r in a.rows])
+
+    def where_zero(self, cols: TMat) -> "Subspace":
+        """{sum_i y_i r_i : sum_i y_i cols[i] = 0} for the canonical rows
+        r_i, ``cols[i]`` being the conditions evaluated on r_i.
+
+        Conditions that vanish on every r_i are dropped, and of equal ones
+        the first is kept; when none is left, self is returned and nothing
+        is eliminated.  Otherwise :func:`kernel` gives the canonical
+        coordinates of the solutions from one elimination, and
+        :meth:`lift` takes them back into self without another.
+        """
+        zero = t_zero_row(len(cols))  # a zero triple is normalized to T_ZERO
+        cond = list(dict.fromkeys(row for row in zip(*cols) if row != zero))
+        if not cond:
+            return self
+        return self.lift(kernel(Mat.from_triples(tuple(cond), self.dim)))
 
     def lift(self, sub: "Subspace") -> "Subspace":
         """The subspace of self whose coordinates form ``sub``.

@@ -6,11 +6,14 @@ the operator-space solves feed the kernels: ``t_rref``, the elimination
 methods of ``Mat`` built on it, the triple-level Gram of ``BilForm``, and
 the images ``Subspace.map_by`` and ``Quotient.induced_matrix``.  The
 kernel's one-elimination basis is checked to be canonical as it comes.  The
-one-accumulator product and the one-elimination intersection are also
-checked against the loops they replaced, kept here as oracles, and the two
-operator kernels of the orbit layer against plain algebra: the bounded
-power ladder ``Mat.ladder`` against ``Mat.pow`` and the one-product linear
-combination ``combine`` against the sum of scaled matrices.
+one-accumulator product is also checked against the loop it replaced, kept
+here as an oracle; the intersection, a kernel in the smaller space's own
+coordinates (``Subspace.where_zero``), against the stacked kernel of both
+spanning sets and against sympy, and ``where_zero`` itself against sympy's
+null space; and the two operator kernels of the orbit layer against plain
+algebra: the bounded power ladder ``Mat.ladder`` against ``Mat.pow`` and
+the one-product linear combination ``combine`` against the sum of scaled
+matrices.
 """
 import random
 from fractions import Fraction
@@ -20,6 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from hodgelim import subspaces
 from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat, combine, t_kernel, t_matmul, t_rref
 from hodgelim.scalars import GR, I, t_add, t_mul, t_neg, t_norm
@@ -450,12 +454,12 @@ def test_matmul_cancels_to_the_zero_triple():
 
 
 # ---------------------------------------------------------------------------
-# the one-elimination intersection against the stacked kernel
+# the intersection and where_zero against the stacked kernel and sympy
 # ---------------------------------------------------------------------------
 
 def stacked_kernel_meet(sa, sb):
     """The intersection by the n x (a + b) stacked kernel, a product and a
-    second RREF: the method the Zassenhaus intersection replaced."""
+    second RREF: the oracle of the kernel-in-coordinates intersection."""
     n = sa.ambient
     if sa.is_zero() or sb.is_zero():
         return Subspace.zero(n)
@@ -535,6 +539,49 @@ def test_intersection_in_dense_bases():
         sa = Subspace.from_triples(t_matmul(a, g) if a else (), n)
         sb = Subspace.from_triples(t_matmul(b, g) if b else (), n)
         assert_meets_agree(sa, sb)
+
+
+def test_where_zero_drops_vanishing_and_repeated_conditions(monkeypatch):
+    one, two = (1, 0, 1), (2, 0, 1)
+    s = Subspace.span([(1, 0, 0), (0, 1, 0)], 3)
+    handed = []
+
+    def spy(m):
+        handed.append(m.shape)
+        return kernel(m)
+
+    monkeypatch.setattr(subspaces, "kernel", spy)
+    # condition 0 vanishes on both rows, conditions 1 and 2 are equal
+    got = s.where_zero([(ZERO, one, one), (ZERO, two, two)])
+    assert handed == [(1, 2)]
+    assert got == Subspace.span([(2, -1, 0)], 3)
+
+
+def test_where_zero_with_no_condition_left_is_the_space_itself():
+    s = Subspace.span([(1, 2, 0), (0, 1, I)], 3)
+    assert s.where_zero([(ZERO, ZERO), (ZERO, ZERO)]) is s
+    assert s.where_zero([(), ()]) is s
+    zero = Subspace.zero(4)
+    assert zero.where_zero([]) is zero
+
+
+def test_where_zero_against_sympy_nullspace():
+    rng = random.Random("where-zero")
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        s = Subspace.from_triples(random_tmat(rng, rng.randint(1, n), n), n)
+        c = rng.randint(1, 5)
+        cols = [tuple(e if rng.random() < 0.6 else ZERO for e in row)
+                for row in random_tmat(rng, s.dim, c, span=3)]
+        # make some conditions dependent or repeated
+        if c > 1 and rng.random() < 0.5:
+            cols = [row[:-1] + (row[0],) for row in cols]
+        got = s.where_zero(cols)
+        null = to_dm(tuple(zip(*cols))).nullspace()
+        rows, pivots = sympy_span(from_dm(null) if null.shape[0] else (),
+                                  s.dim)
+        want = s.lift(Subspace(s.dim, rows, pivots))
+        assert (got.rows, got.pivots) == (want.rows, want.pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,17 @@ def test_solve():
     assert a.solve([1, 0, 0]) is None
 
 
+@pytest.mark.parametrize("a,b", [
+    (Mat.identity(2), [1, 2, 3]),
+    (Mat([[1, 0], [0, 1], [1, 1]]), [1, 2]),
+])
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length(a, b):
+    # a longer b would lose its extra entries, a shorter one its last
+    # equations, and either give a wrong solution
+    with pytest.raises(ValueError, match="right-hand side of length"):
+        a.solve(b)
+
+
 def test_predicates_and_hash():
     z = Mat.zeros(2, 3)
     assert z.is_zero() and z.is_real() and not z.is_square()

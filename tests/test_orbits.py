@@ -13,14 +13,17 @@ from hodgelim.builders import (build_max_ivi_k2, diagonal_cone_orbit,
                                symmetric_family_ivi, table1_catalog)
 from hodgelim.endo import isometry_algebra, span_basis_mats
 from hodgelim.errors import VerificationError
-from hodgelim.filtrations import DecFiltration
+from hodgelim.filtrations import DecFiltration, IncFiltration, verify_phs
+from hodgelim.forms import BilForm
 from hodgelim.matrices import Mat
+from hodgelim.mixed import verify_mhs
 from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit, PolyMap,
                              _interior_samples, a_infinity,
                              check_integrability,
                              integrate_ivi, limit_context, verify_ivi,
                              verify_maximality, verify_orbit)
 from hodgelim.scalars import GR, I, as_scalar
+from hodgelim.subspaces import Subspace
 
 
 def ht_orbit(k=2, n=2):
@@ -515,3 +518,20 @@ def test_cktm_family_round_trip():
     assert check_integrability(pm).ok
     assert a_infinity(pm) == ivi.span()
     assert len(pm.variables) == ivi.dim  # one z plus dim-1 t's
+
+
+@pytest.mark.parametrize("build,failing", [
+    (lambda: verify_phs(DecFiltration({0: Subspace.full(2)}), 0,
+                        BilForm(Mat.identity(3), parity=0)),
+     "form and filtration dimensions agree"),
+    (lambda: verify_mhs(IncFiltration({0: Subspace.full(2)}),
+                        DecFiltration({0: Subspace.full(3)})),
+     "filtrations live on the same space"),
+    (lambda: verify_maximality(IVI(hodge_tate_orbit(2, 1),
+                                   (Mat.identity(3),))),
+     "family is horizontal"),
+])
+def test_a_verifier_fails_inputs_of_the_wrong_shape_by_name(build, failing):
+    rep = build()
+    assert not rep.ok
+    assert rep.failed() == [failing]

@@ -113,15 +113,15 @@ CALLERS = {
     "scalars.GaussianRational.is_zero": "search.greedy_max_abelian",
     "subspaces.Quotient.dim": "mixed.graded_filtration",
     "subspaces.Subspace.conj": "filtrations._Filtration.conj",
-    "subspaces.Subspace.dim": "endo._kernel_part",
+    "subspaces.Subspace.dim": "subspaces.Subspace.where_zero",
     "subspaces.Subspace.from_triples": "endo.operator_span",
     "subspaces.Subspace.is_conj_stable":
         "filtrations._Filtration.is_conj_stable",
-    "subspaces.Subspace.is_zero": "endo.solve_in_span",
+    "subspaces.Subspace.is_zero": "subspaces.Subspace.__and__",
     "subspaces.Subspace.map_by": "filtrations._Filtration.map_by",
     "subspaces.Subspace.span": "builders.hodge_tate_orbit",
     "subspaces.Subspace.zero": "filtrations.weight_filtration",
-    "subspaces.kernel": "mixed._pmhs_rest",
+    "subspaces.kernel": "subspaces.Subspace.where_zero",
 }
 
 
