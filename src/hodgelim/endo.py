@@ -14,8 +14,8 @@ the isometry algebra of a form has a closed form and needs none.
 
 :class:`SpanCoordinates` puts a subspace L of operators in its own
 coordinates, with the structure constants of its brackets, so repeated
-centralizers inside L cost conditions in the bracket span's dimension
-rather than in n².
+centralizers inside L, :meth:`SpanCoordinates.centralizer`, cost
+conditions in the bracket span's dimension rather than in n².
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .forms import BilForm
-from .matrices import (Mat, TMat, TVec, _t_combine, t_hstack, t_matmul,
-                       t_rref, t_zero_row)
+from .matrices import Mat, TVec, _t_combine, t_matmul, t_rref, t_zero_row
 from .scalars import T_ZERO, Triple, t_add, t_mul, t_neg, t_sub
 from .subspaces import Subspace, t_reduce
 
@@ -198,40 +197,38 @@ class SpanCoordinates:
                 self._flat[b].append((a * r + k, c))
                 self._flat[a].append((b * r + k, t_neg(c)))
 
-    def bracket_with(self, x: TVec) -> TMat:
-        """M_x = sum_b x_b c_{.b}: row a is [z_a, x] in B's coordinates."""
+    def centralizer(self, space: Subspace, x: TVec) -> Subspace:
+        """{X in space : [X, x] = 0}, ``space`` a subspace of L's
+        coordinate space C^m and x the coordinates of an element of L.
+
+        [X, x] = sum_a X_a [z_a, x], and row a of M_x = sum_b x_b c_{.b}
+        is [z_a, x] in B's coordinates: the D conditions on the basis of
+        ``space`` are one product with M_x, cut by ``space.where_zero``.
+        """
         r = self.rank
         flat = _t_combine([(xb, self._flat[b]) for b, xb in enumerate(x)
                            if xb[0] or xb[1]], self.space.dim * r)
-        return tuple(flat[a * r:(a + 1) * r] for a in range(self.space.dim))
+        m_x = tuple(flat[a * r:(a + 1) * r] for a in range(self.space.dim))
+        return space.where_zero(t_matmul(space.rows, m_x))
 
 
 def centralizer_in(space: Subspace, mats: Sequence,
                    n: "int | SpanCoordinates") -> Subspace:
-    """{X in space : [X, A] = 0 for all given A}.
+    """{X in space : [X, A] = 0 for all given A}, for ``space`` a
+    flattened operator subspace and the A n x n :class:`Mat`.
 
-    With ``n`` the operator size, ``space`` is a flattened operator
-    subspace and the A are n x n :class:`Mat`.  [X, A] is then built from
-    the sparse forms of X and of A by :func:`_bracket`, n² conditions per
-    A; each A's rows are listed straight from its matrix.
+    [X, A] is built from the sparse forms of X and of A by
+    :func:`_bracket`, n² conditions per A; each A's rows are listed
+    straight from its matrix.  With no A there is no condition, and
+    ``where_zero`` gives ``space`` itself back.
 
-    With ``n`` a :class:`SpanCoordinates` of a subspace L, ``space`` is a
-    subspace of L's coordinate space C^m and the A are coordinate vectors
-    of elements of L.  Then [X, A] = sum_a X_a [z_a, A], and row a of
-    M_A = ``n.bracket_with(A)`` is [z_a, A] in the bracket span's
-    coordinates, so the conditions on the basis of ``space`` are one
-    product with M_A: D conditions per A, D the bracket span's dimension,
-    cut by ``space.where_zero``.  The result is a subspace of C^m, the
-    coordinate image of the flattened centralizer.
+    With ``n`` a :class:`SpanCoordinates` and ``mats`` one coordinate
+    vector x, this is ``n.centralizer(space, x)``: the search's steps call
+    it here, where the benchmark's tracer counts one call per step.
     """
-    mats = list(mats)
-    if not mats:
-        return space
     if isinstance(n, SpanCoordinates):
-        m = n.bracket_with(mats[0])
-        for a in mats[1:]:
-            m = t_hstack(m, n.bracket_with(a))
-        return space.where_zero(t_matmul(space.rows, m))
+        (x,) = mats
+        return n.centralizer(space, x)
     nn = n * n
     ops = [[row_nonzeros(row) for row in a.t] for a in mats]
 

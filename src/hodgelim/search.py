@@ -12,11 +12,12 @@ Each restart grows the cone span one direction at a time and carries
 only comp, a canonical complement of the family F in its centralizer:
 draw a random combination x of comp and adjoin it.  F commutes with x,
 so x's centralizer in F + comp is F plus x's centralizer in comp: each
-step solves on comp alone, one product of its basis with x's bracket
-matrix, then a kernel on D conditions instead of n², and a step whose
-conditions all vanish eliminates nothing.  That part holds x and
-vanishes at F's pivot columns, so its residuals against x alone are the
-next comp, row for row.  The loop runs on coordinate vectors.
+step solves on comp alone (:meth:`SpanCoordinates.centralizer`): one
+product of its basis with x's bracket matrix, then a kernel on D
+conditions instead of n², and a step whose conditions all vanish
+eliminates nothing.  That part holds x and vanishes at F's pivot columns,
+so its canonical rows off x's pivot are the next comp, with no
+elimination.  The loop runs on coordinate vectors.
 Projection onto the pivot columns commutes with RREF, complements and
 sums, so the draws and the canonical bases are those of the flattened
 operators; the best restart's family, the cone span plus its draws, is
@@ -112,7 +113,7 @@ def greedy_max_abelian(orbit_like,
             x = t_matmul((tuple(c.triple for c in coeffs),), comp.rows)[0]
             drawn.append(x)
             # x's centralizer in comp holds x and vanishes at the family's
-            # pivots: its residuals against x are the next complement
+            # pivots: its complement of x is the next complement
             comp = Subspace.from_triples((x,), m).complement_in(
                 centralizer_in(comp, [x], coordinates))
         dim = base_coords.dim + len(drawn)

@@ -7,7 +7,9 @@ inclusion, canonical complement) are exact.  One routine,
 :meth:`Subspace.where_zero`, cuts a space by linear conditions: a kernel
 in the space's own coordinates, lifted back without a second elimination.
 An intersection is that cut, the conditions being the residuals of the
-smaller space's rows against the other space.
+smaller space's rows against the other space.  A canonical complement
+needs no elimination at all: it is the larger space's canonical rows off
+the smaller one's pivots.
 
 :class:`Quotient` gives coordinates on ``sup/sub`` via a canonical
 complement; because complements of real subspaces have real canonical
@@ -161,26 +163,22 @@ class Subspace:
                         tuple(self.pivots[j] for j in sub.pivots))
 
     def complement_in(self, sup: "Subspace") -> "Subspace":
-        """A canonical complement of self inside sup.
+        """The canonical complement of self inside sup: sup's canonical
+        rows whose pivots are not self's, with no elimination.
 
-        Built from the residuals of sup's canonical basis; every basis
-        vector of the result has zeros in self's pivot columns, and the
-        result is real whenever both inputs have real canonical bases.
-        The residuals span a space of dimension dim sup - dim(self & sup),
-        which is dim sup - dim self exactly when self lies in sup, so the
-        inclusion is checked by dimension, with no reduction of its own.
+        Self lies in sup, so self's pivots are pivots of sup, and sup's
+        rows vanish at each other's pivots.  A row of sup off self's
+        pivots is therefore its own residual against self, and the
+        residual of a row at one of self's pivots vanishes at all of them,
+        so it is a combination of the rows off them.  A subset of
+        canonical rows is canonical, and it is real when sup's rows are.
         """
-        if self.ambient != sup.ambient:
-            raise ValueError("ambient dimension mismatch")
-        residuals = []
-        for r in sup.rows:
-            res, _ = t_reduce(r, self.rows, self.pivots)
-            if not _is_zero_vec(res):
-                residuals.append(res)
-        comp = Subspace.from_triples(residuals, self.ambient)
-        if comp.dim != sup.dim - self.dim:
+        if not self <= sup:
             raise ValueError("complement_in: first space not inside second")
-        return comp
+        own = set(self.pivots)
+        keep = [k for k, p in enumerate(sup.pivots) if p not in own]
+        return Subspace(self.ambient, tuple(sup.rows[k] for k in keep),
+                        tuple(sup.pivots[k] for k in keep))
 
     # -- structure maps ------------------------------------------------
 
@@ -189,8 +187,9 @@ class Subspace:
         return Subspace(self.ambient, t_conj_mat(self.rows), self.pivots)
 
     def is_conj_stable(self) -> bool:
-        return all(_is_zero_vec(t_reduce(r, self.rows, self.pivots)[0])
-                   for r in t_conj_mat(self.rows))
+        # conj maps the canonical rows to the conjugate space's, and a
+        # canonical basis is unique: stable exactly when every row is real
+        return not any(e[1] for r in self.rows for e in r)
 
     def image_rows(self, m: Mat) -> TMat:
         """m v for the canonical rows v, as rows: they span the image."""

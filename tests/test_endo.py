@@ -29,7 +29,7 @@ from hodgelim.matrices import Mat, t_matmul
 from hodgelim.mixed import (deligne_bigrading, filtration_lowering,
                             horizontal_part)
 from hodgelim.orbits import NilpotentCone, NilpotentOrbit, limit_context
-from hodgelim.scalars import GR, T_ONE, T_ZERO, t_sub
+from hodgelim.scalars import GR, T_ZERO, t_sub
 from hodgelim.subspaces import Subspace
 
 from genutil import make_split_mhs, move, transport_mhs
@@ -182,6 +182,14 @@ def test_centralizer_of_sparse_gaussian_matrices_in_end_v(seed):
         mats.append(Mat(entries))
     eqs = [row for a in mats for row in commutator_equations(gi_mat(a), n)]
     assert centralizer_in(Subspace.full(n * n), mats, n) == oracle(eqs, n * n)
+
+
+@pytest.mark.parametrize("n, parity, moved", [(3, 0, 1), (4, 1, 0)])
+def test_centralizer_in_of_no_operators_is_the_space_itself(n, parity, moved):
+    # no operator gives no condition, and where_zero hands the space back
+    for space in (isometry_algebra(make_form(n, parity, moved, seed=n)),
+                  Subspace.full(n * n), Subspace.zero(n * n)):
+        assert centralizer_in(space, [], n) is space
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +399,16 @@ def commutator(x: Mat, y: Mat) -> Mat:
 
 
 def structure_constants(coords: SpanCoordinates) -> dict:
-    """The nonzero c_ab[k], keyed (a, b, k), read off ``bracket_with(e_b)``,
-    whose row a is [z_a, z_b] in the coordinates of the brackets' basis."""
-    m = coords.space.dim
+    """The nonzero c_ab[k], keyed (a, b, k), read off ``_flat[b]``, which
+    lists the entries (a * D + k, c_ab[k]) of the constants that x_b
+    contributes to the bracket with x."""
+    r = coords.rank
     out = {}
-    for b in range(m):
-        e_b = tuple(T_ONE if i == b else T_ZERO for i in range(m))
-        for a, row in enumerate(coords.bracket_with(e_b)):
-            out.update(((a, b, k), c) for k, c in enumerate(row)
-                       if c != T_ZERO)
+    for b, flat in enumerate(coords._flat):
+        for i, c in flat:
+            assert (i // r, b, i % r) not in out
+            if c != T_ZERO:
+                out[i // r, b, i % r] = c
     return out
 
 
@@ -506,8 +515,9 @@ def check_against_flattened(label: str, z: Subspace, x):
     n = SEARCH_ORBITS[label].ambient
     lifted_x = t_matmul((x,), space.rows)[0]
     assert tuple(lifted_x[p] for p in space.pivots) == tuple(x)
-    got = centralizer_in(z, [x], coords)
+    got = coords.centralizer(z, x)
     assert got.ambient == space.dim
+    assert centralizer_in(z, [x], coords) == got
     lifted = space.lift(got)
     expected = centralizer_in(space.lift(z), [as_mat(lifted_x, n)], n)
     assert (lifted.rows, lifted.pivots) == (expected.rows, expected.pivots)
@@ -553,8 +563,7 @@ def test_centralizer_in_coordinates_with_vanishing_conditions(label):
     last = Subspace.full(m).rows[-1]
     for z, x in ((Subspace.full(m), (T_ZERO,) * m),
                  (Subspace.from_triples([last], m), last)):
-        assert centralizer_in(z, [x], coords) is z
-        assert centralizer_in(z, [x, x], coords) is z
+        assert coords.centralizer(z, x) is z
         assert check_against_flattened(label, z, x) == z
 
 

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from hodgelim import io
 from hodgelim.builders import (diagonal_cone_orbit, hodge_tate_orbit,
                                max_dim_symmetric, table1_catalog)
+from hodgelim.cli import main
 from hodgelim.endo import SpanCoordinates, centralizer_in, span_basis_mats
-from hodgelim.matrices import t_matmul
-from hodgelim.orbits import IVI, NilpotentOrbit, limit_context, verify_ivi
+from hodgelim.matrices import Mat, t_matmul
+from hodgelim.orbits import (IVI, NilpotentCone, NilpotentOrbit,
+                             limit_context, verify_ivi, verify_orbit)
 from hodgelim.search import (COEFFICIENTS, SearchConfig,
                              greedy_max_abelian)
 from hodgelim.subspaces import Subspace
@@ -75,6 +78,30 @@ def test_search_rejects_non_orbit_input():
         greedy_max_abelian([1, 2, 3])
 
 
+def test_search_rejects_a_cone_that_is_not_horizontal(capsys, tmp_path):
+    # Y maps L_0 to L_2 by an antisymmetric matrix: it commutes with N and
+    # preserves the form, but lowers the filtration by two, so N + Y is
+    # not horizontal
+    o = hodge_tate_orbit(2, 2)
+    (n,) = o.cone.generators
+    rows = [[0] * 6 for _ in range(6)]
+    rows[4][1], rows[5][0] = 1, -1
+    y = Mat(rows)
+    assert n @ y == y @ n
+    bad = NilpotentOrbit(o.weight, o.form, o.filtration,
+                         NilpotentCone((n, n + y)))
+    report = verify_orbit(bad)
+    assert report.failed() == ["generators lower the filtration by one"]
+    with pytest.raises(ValueError, match="^cone span is not horizontal$"):
+        greedy_max_abelian(bad)
+    path = tmp_path / "cone.json"
+    path.write_text(io.dump_text(io.orbit_to_json(bad)), encoding="utf-8")
+    assert main(["search", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cone span is not horizontal\n"
+
+
 @pytest.mark.parametrize("kwargs", [
     {"restarts": 0}, {"restarts": -1}, {"max_steps": -1}])
 def test_config_rejects_bad_counts(kwargs):
@@ -119,7 +146,7 @@ def whole_z_greedy(orbit: NilpotentOrbit, config: SearchConfig):
                 coeffs = [rng.choice(COEFFICIENTS) for _ in range(comp.dim)]
             x = t_matmul((tuple(c.triple for c in coeffs),), comp.rows)[0]
             current = current + Subspace.from_triples((x,), m)
-            z = centralizer_in(z, [x], coordinates)
+            z = coordinates.centralizer(z, x)
         restart_dims.append(current.dim)
         if best is None or current.dim > best.dim:
             best, best_certified = current, certified

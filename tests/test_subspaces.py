@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgelim import GR, I, Mat, Subspace, Quotient, kernel
+from hodgelim import GR, I, Mat, Subspace, Quotient, kernel, subspaces
 from hodgelim.errors import VerificationError
 from hodgelim.matrices import t_conj_mat, t_matmul
-from hodgelim.subspaces import direct_sum_equals
+from hodgelim.scalars import T_ZERO
+from hodgelim.subspaces import direct_sum_equals, t_reduce
 
 
 def random_subspace(rng, n, max_vecs=None):
@@ -142,6 +143,54 @@ def test_complement():
         assert (comp & sub).dim == 0
 
 
+def residual_complement(sub, sup):
+    """The complement as the span of the residuals of sup's canonical rows
+    against sub, taken by one elimination: the oracle."""
+    residuals = [t_reduce(r, sub.rows, sub.pivots)[0] for r in sup.rows]
+    return Subspace.from_triples(
+        [r for r in residuals if any(e != T_ZERO for e in r)], sup.ambient)
+
+
+def nested_pairs(rng, count):
+    """Seeded (sub, sup) pairs over Q(i) with sub inside sup, among them
+    sub = 0, sub = sup and sup the whole space."""
+    for t in range(count):
+        n = rng.randint(1, 7)
+        sup = Subspace.full(n) if t % 5 == 0 else random_subspace(rng, n)
+        basis = vectors(sup)
+        k = (0, sup.dim)[t % 2] if t % 7 == 0 else rng.randint(0, sup.dim)
+        sub_vecs = []
+        for _ in range(k):
+            coeffs = [GR(rng.randint(-3, 3), rng.randint(-1, 1))
+                      for _ in basis]
+            sub_vecs.append([sum((c * v[i] for c, v in zip(coeffs, basis)),
+                                 GR(0)) for i in range(n)])
+        yield Subspace.span(sub_vecs, n), sup
+
+
+def test_complement_matches_the_residual_elimination():
+    for sub, sup in nested_pairs(random.Random("complement-oracle"), 300):
+        comp, oracle = sub.complement_in(sup), residual_complement(sub, sup)
+        assert (comp.rows, comp.pivots) == (oracle.rows, oracle.pivots)
+    n = 4
+    for sub, sup in ((Subspace.zero(n), Subspace.full(n)),
+                     (Subspace.full(n), Subspace.full(n)),
+                     (Subspace.zero(n), Subspace.zero(n))):
+        comp, oracle = sub.complement_in(sup), residual_complement(sub, sup)
+        assert (comp.rows, comp.pivots) == (oracle.rows, oracle.pivots)
+
+
+def test_complement_runs_no_elimination(monkeypatch):
+    pairs = list(nested_pairs(random.Random("complement-no-rref"), 40))
+
+    def refuse(*args):
+        raise AssertionError("complement_in eliminated")
+
+    monkeypatch.setattr(subspaces, "t_rref", refuse)
+    for sub, sup in pairs:
+        assert sub.complement_in(sup).dim == sup.dim - sub.dim
+
+
 def test_complement_requires_inclusion():
     # first space not inside, larger than, or of another ambient than the
     # second
@@ -180,6 +229,20 @@ def test_conj_keeps_the_canonical_rows():
         c = s.conj()
         expected = Subspace.from_triples(t_conj_mat(s.rows), s.ambient)
         assert (c.rows, c.pivots) == (expected.rows, expected.pivots)
+
+
+def test_conj_stable_exactly_when_equal_to_the_conjugate():
+    rng = random.Random("conj-stable-property")
+    for t in range(60):
+        n = rng.randint(1, 6)
+        vecs = [[GR(rng.randint(-4, 4), rng.randint(-4, 4) * (t % 3 > 0))
+                 for _ in range(n)] for _ in range(rng.randint(0, n))]
+        if t % 3 == 2:  # span{v, conj v}
+            vecs += [[x.conj() for x in v] for v in vecs]
+        s = Subspace.span(vecs, n)
+        assert s.is_conj_stable() == (s == s.conj())
+        if t % 3 != 1:
+            assert s.is_conj_stable()
 
 
 def test_not_conj_stable():
